@@ -15,12 +15,6 @@ files come out **byte-identical** to the telemetry-off store — the
 write-only contract, measured where it matters.  Wall times, campaign
 frames/s and the telemetry overhead fraction are appended to the
 ``BENCH_campaign_pool.json`` trajectory at the repo root.
-
-A fourth timed run swaps every decoder for its compacted batched twin
-(``nms-batched`` & co.) on the *identical* spec — same seeds, same shard
-schedule, same adaptive batch ladder — and asserts the stored points are
-equal: the batched kernels are a campaign-level speed knob, never a
-physics knob.  Its wall time and speedup land in the trajectory too.
 """
 
 from __future__ import annotations
@@ -46,35 +40,6 @@ from repro.utils.formatting import format_table
 
 WORKERS = 4
 EBN0_GRID = (3.0, 3.5, 4.0)
-
-#: Serial decoder kind -> its compacted batched twin in the registry.
-BATCHED_KINDS = {
-    "nms": "nms-batched",
-    "min-sum": "min-sum-batched",
-    "offset": "offset-batched",
-}
-
-
-def _batched_spec(spec: CampaignSpec) -> CampaignSpec:
-    """The same campaign with every decoder swapped for its batched twin."""
-    return CampaignSpec(
-        name=f"{spec.name}-batched",
-        seed=spec.seed,
-        ebn0=spec.ebn0,
-        config=spec.config,
-        experiments=[
-            ExperimentSpec(
-                label=experiment.label,
-                code=experiment.code,
-                decoder=DecoderSpec(
-                    BATCHED_KINDS[experiment.decoder.kind],
-                    experiment.decoder.iterations,
-                    params=experiment.decoder.params,
-                ),
-            )
-            for experiment in spec.experiments
-        ],
-    )
 
 
 def _spec() -> CampaignSpec:
@@ -126,11 +91,10 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
             curves[experiment.label] = sweep.run(spec.ebn0, label=experiment.label)
         return curves
 
-    def run_shared_pool(directory="shared", telemetry=False, campaign_spec=None):
-        campaign_spec = campaign_spec if campaign_spec is not None else spec
-        store = ResultStore.create(tmp_path / directory, campaign_spec, fresh=True)
+    def run_shared_pool(directory="shared", telemetry=False):
+        store = ResultStore.create(tmp_path / directory, spec, fresh=True)
         return CampaignScheduler(
-            campaign_spec, store, workers=WORKERS, telemetry=telemetry
+            spec, store, workers=WORKERS, telemetry=telemetry
         ).run()
 
     start = time.perf_counter()
@@ -150,22 +114,6 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
         max(telemetry_seconds - shared_seconds, 0.0) / shared_seconds
         if shared_seconds else 0.0
     )
-
-    # The batched campaign leg: identical spec, compacted batched decoder
-    # kernels.  Whole shards go through one decode_batch call per shard.
-    start = time.perf_counter()
-    batched_curves = run_shared_pool(
-        "shared-batched", campaign_spec=_batched_spec(spec)
-    )
-    batched_seconds = time.perf_counter() - start
-    batched_speedup = (
-        shared_seconds / batched_seconds if batched_seconds else float("inf")
-    )
-    # Speed knob, not physics knob: every stored point must be equal.
-    for label, curve in shared_curves.items():
-        assert batched_curves[label].points == curve.points, (
-            f"batched decoders changed the stored points of {label!r}"
-        )
 
     # Write-only contract, measured end to end: telemetry must not change a
     # single byte of the persisted curves.
@@ -190,9 +138,6 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
         ["one shared pool + telemetry",
          f"{telemetry_seconds:.2f}",
          f"{per_sweep_seconds / telemetry_seconds:.2f}" if telemetry_seconds else "-"],
-        ["one shared pool, batched decoder kernels",
-         f"{batched_seconds:.2f}",
-         f"{per_sweep_seconds / batched_seconds:.2f}" if batched_seconds else "-"],
     ]
     text = format_table(
         ["strategy", "wall clock (s)", "speedup"],
@@ -206,11 +151,7 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
         "\n\nDeterminism: every campaign curve matches its standalone sweep "
         "bit for bit (same per-experiment seed streams), and the "
         "telemetry-on rerun wrote byte-identical curve files "
-        f"({100.0 * telemetry_overhead:.1f}% wall-clock overhead). The "
-        "batched-kernel rerun (identical spec, compacted decode_batch "
-        "shards) stored equal points in "
-        f"{batched_seconds:.2f}s — {batched_speedup:.2f}x the serial-kind "
-        "shared pool."
+        f"({100.0 * telemetry_overhead:.1f}% wall-clock overhead)."
     )
     report_sink("campaign_shared_pool", text)
 
@@ -228,11 +169,6 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
             "seconds_on": telemetry_seconds,
             "overhead_fraction": telemetry_overhead,
             "curves_byte_identical": True,
-        },
-        "batched_campaign": {
-            "seconds": batched_seconds,
-            "speedup": batched_speedup,
-            "points_equal": True,
         },
     })
 

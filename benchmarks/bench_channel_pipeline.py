@@ -18,13 +18,13 @@ path — identical simulations with and without a
 overhead stays within 3%, and appends frames/s plus the measured overhead
 to the ``BENCH_channel_pipeline.json`` trajectory at the repo root.
 
-Finally it pins the batched-decoder speedup: the same pinned shard
-schedule of AWGN LLRs for the rate-1/2 deep-space code decoded once
-through the compacted batched normalized-min-sum kernel
-(``decode_batch``, whole shards per call) and once through the per-frame
-``decode_frames`` fallback every pre-batching decoder used.  Counts must
-be bit-identical — the dispatch is a speed knob, never a physics knob —
-and the frames/s ratio lands in the trajectory as ``batched_speedup``.
+Finally it pins the batched-decode speedup: the same pinned shard
+schedule of AWGN LLRs for the rate-1/2 deep-space code decoded by one
+normalized-min-sum decoder, once with one ``decode_batch`` call per shard
+and once with one ``decode`` call per frame (the ``decode_frames``
+fallback for decoders without ``decode_batch``).  Counts must be
+bit-identical — the dispatch is a speed knob, never a physics knob — and
+the frames/s ratio lands in the trajectory as ``batched_speedup``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from trajectory import record as record_trajectory
 
 from repro.channel.awgn import ebn0_to_sigma
 from repro.codes import build_ccsds_c2_code, build_deepspace_code, build_scaled_ccsds_code
-from repro.decode import BatchedNormalizedMinSumDecoder, NormalizedMinSumDecoder
+from repro.decode import NormalizedMinSumDecoder
 from repro.decode.base import decode_frames
 from repro.obs.probe import StageAccumulator
 from repro.registry import component_names
@@ -105,12 +105,12 @@ def _paired_best_seconds(fn_a, fn_b, rounds: int = 7) -> tuple[float, float]:
 
 
 class _SerialOnlyView:
-    """A decoder seen through the pre-batching protocol.
+    """A decoder seen through the per-frame protocol.
 
     Exposes ``decode`` and ``block_length`` but *not* ``decode_batch``, so
     :func:`repro.decode.base.decode_frames` takes the same per-frame loop
-    it uses for third-party decoders without a batched entry point — the
-    serial baseline every decoder paid before the batched kernels landed.
+    it uses for third-party decoders without a batched entry point: one
+    ``decode`` call per frame.
     """
 
     def __init__(self, decoder):
@@ -124,21 +124,16 @@ class _SerialOnlyView:
 def _measure_batched_speedup() -> dict:
     """Batched vs per-frame min-sum frames/s on the same shard schedule.
 
-    Both sides decode the *identical* pinned sequence of LLR shards — same
-    code, same normalized-min-sum algorithm, same iteration cap, same AWGN
-    draws — so the ratio isolates the dispatch: whole ``(batch, n)``
-    shards through the compacted ``decode_batch`` kernel versus one frame
-    at a time through ``decode``.  Counts are asserted bit-identical
-    before anything is timed.
+    Both sides decode the *identical* pinned sequence of LLR shards with
+    the same decoder object — same code, same iteration cap, same AWGN
+    draws — so the ratio isolates the dispatch: one ``decode_batch`` call
+    per ``(batch, n)`` shard versus one ``decode`` call per frame.  Counts
+    are asserted bit-identical before anything is timed.
     """
     num_shards = 16 if full_scale() else 8
     code, _ = build_deepspace_code("1/2", BATCHED_CIRCULANT)
-    serial_view = _SerialOnlyView(
-        NormalizedMinSumDecoder(code, max_iterations=BATCHED_MAX_ITERATIONS)
-    )
-    batched = BatchedNormalizedMinSumDecoder(
-        code, max_iterations=BATCHED_MAX_ITERATIONS
-    )
+    batched = NormalizedMinSumDecoder(code, max_iterations=BATCHED_MAX_ITERATIONS)
+    serial_view = _SerialOnlyView(batched)
 
     pipeline = ChannelSpec(kind="awgn").build()
     sigma = ebn0_to_sigma(BATCHED_EBN0_DB, BATCHED_RATE)

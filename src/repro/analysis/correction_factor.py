@@ -27,7 +27,7 @@ import numpy as np
 from repro.channel.awgn import ebn0_to_sigma
 from repro.channel.llr import channel_llrs
 from repro.channel.modulation import BPSKModulator
-from repro.decode.messages import EdgeStructure
+from repro.decode.graph import tanner_graph
 from repro.encode.systematic import as_parity_check_matrix
 from repro.utils.rng import ensure_rng
 
@@ -162,7 +162,7 @@ def empirical_mean_mismatch(
     """
     rng = ensure_rng(rng if rng is not None else 7)
     pcm = as_parity_check_matrix(code)
-    edges = EdgeStructure(pcm)
+    graph = tanner_graph(pcm)
     n = pcm.block_length
     rate = pcm.dimension / n if hasattr(pcm, "dimension") else 0.875
     sigma = ebn0_to_sigma(ebn0_db, rate)
@@ -171,14 +171,14 @@ def empirical_mean_mismatch(
     received = modulator.modulate(codewords) + rng.normal(0.0, sigma, size=(frames, n))
     llrs = channel_llrs(received, sigma)
 
-    bit_to_check = edges.gather_bits(llrs)
+    bit_to_check = graph.gather_bits(llrs)
     mismatch_total = 0.0
     for _ in range(iterations):
-        bp_out = edges.sum_product_extrinsic(bit_to_check)
-        ms_out = edges.min_sum_extrinsic(bit_to_check, scale=1.0 / alpha)
+        bp_out = graph.sum_product_extrinsic(bit_to_check)
+        ms_out = graph.min_sum_extrinsic(bit_to_check, scale=1.0 / alpha)
         mismatch_total += float(np.mean(np.abs(ms_out - bp_out)))
         # Continue evolving with the BP messages (the reference trajectory).
-        bit_to_check, _ = edges.bit_node_update(llrs, bp_out)
+        bit_to_check, _ = graph.bit_node_update(llrs, bp_out)
     return mismatch_total / iterations
 
 

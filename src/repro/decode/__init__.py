@@ -18,11 +18,14 @@ high-speed architecture's concurrent frames), and return a
 * :class:`~repro.decode.hard_decision.GallagerBDecoder` and
   :class:`~repro.decode.hard_decision.WeightedBitFlippingDecoder` —
   hard-decision baselines.
-* the batched twins in :mod:`repro.decode.batched`
-  (``min-sum-batched``, ``nms-batched``, ``offset-batched``,
-  ``sum-product-batched``, ``layered-batched``) — same kernels over a
-  compacted active-frame working set, bit-identical to their serial
-  references.
+
+Every soft decoder above runs the one decoding loop of
+:class:`~repro.decode.base.MessagePassingDecoder`, which drops frames from
+its working set as they finish, and shares the cached
+:class:`~repro.decode.graph.TannerGraph` of its matrix.  The kinds
+``min-sum-batched``, ``nms-batched``, ``offset-batched``,
+``sum-product-batched`` and ``layered-batched`` are aliases of their base
+kinds, kept so that existing campaign specs and stores still load.
 
 The simulator's hot path dispatches through
 :func:`~repro.decode.base.decode_frames`: decoders exposing
@@ -31,19 +34,10 @@ else falls back to a per-frame loop.
 """
 
 from repro.decode.base import FrameBatchDecoder, MessagePassingDecoder, decode_frames
-from repro.decode.batched import (
-    SERIAL_EQUIVALENTS,
-    BatchedLayeredMinSumDecoder,
-    BatchedMinSumDecoder,
-    BatchedNormalizedMinSumDecoder,
-    BatchedOffsetMinSumDecoder,
-    BatchedSumProductDecoder,
-)
 from repro.decode.fixed_point import QuantizedMinSumDecoder
 from repro.decode.graph import TannerGraph, tanner_graph
 from repro.decode.hard_decision import GallagerBDecoder, WeightedBitFlippingDecoder
 from repro.decode.layered import LayeredMinSumDecoder
-from repro.decode.messages import EdgeStructure
 from repro.decode.min_sum import (
     MinSumDecoder,
     NormalizedMinSumDecoder,
@@ -52,16 +46,15 @@ from repro.decode.min_sum import (
 from repro.decode.result import DecodeResult
 from repro.decode.stopping import StoppingCriterion, SyndromeStopping, FixedIterations
 from repro.decode.sum_product import SumProductDecoder
+from repro.registry import REGISTRY, register_decoder
 
 __all__ = [
-    "EdgeStructure",
     "TannerGraph",
     "tanner_graph",
     "DecodeResult",
     "FrameBatchDecoder",
     "MessagePassingDecoder",
     "decode_frames",
-    "SERIAL_EQUIVALENTS",
     "SumProductDecoder",
     "MinSumDecoder",
     "NormalizedMinSumDecoder",
@@ -70,12 +63,17 @@ __all__ = [
     "QuantizedMinSumDecoder",
     "GallagerBDecoder",
     "WeightedBitFlippingDecoder",
-    "BatchedMinSumDecoder",
-    "BatchedNormalizedMinSumDecoder",
-    "BatchedOffsetMinSumDecoder",
-    "BatchedSumProductDecoder",
-    "BatchedLayeredMinSumDecoder",
     "StoppingCriterion",
     "SyndromeStopping",
     "FixedIterations",
 ]
+
+# Specs, stored campaigns and their resume fingerprints name the
+# ``<kind>-batched`` kinds, so each stays registered as an alias that builds
+# ``<kind>`` with its parameter schema.
+for _kind in ("min-sum", "nms", "offset", "sum-product", "layered"):
+    _base = REGISTRY.get("decoder", _kind)
+    register_decoder(
+        f"{_kind}-batched", params=_base.params, summary=f"Alias of {_kind!r}"
+    )(_base.builder)
+del _kind, _base

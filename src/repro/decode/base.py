@@ -1,10 +1,16 @@
-"""Common machinery of the flooding message-passing decoders.
+"""Common machinery of the message-passing decoders: one decoding loop.
 
 ``MessagePassingDecoder`` implements the four-step iteration described in
 Section 2.1 of the paper (bit nodes send, check nodes process, check nodes
-send back, bit nodes process) with batching and optional early stopping;
-concrete decoders only provide the check-node kernel and, optionally, a
-message conditioning hook (used by the fixed-point decoder to quantize).
+send back, bit nodes process) over a batch of frames, with early stopping.
+Its :meth:`~MessagePassingDecoder._run_message_passing` is the package's
+only decoding loop: it owns the iteration-0 syndrome check, the stopping
+rule, the compaction of the frames still decoding and the write-back of
+finished ones.  A schedule supplies just its initial working state and one
+iteration step.  The defaults are the flooding schedule, so flooding
+decoders only provide the check-node kernel and, optionally, message
+conditioning hooks (used by the fixed-point decoder to quantize); the
+layered schedule (:mod:`repro.decode.layered`) overrides both steps.
 
 Two protocols are defined here for the simulator's hot path:
 
@@ -16,23 +22,24 @@ Two protocols are defined here for the simulator's hot path:
   back to a per-frame loop, stacking the single-frame results into the
   same batch shape.
 
-Iteration accounting convention (shared by the serial and batched paths):
-``iterations`` counts the message-passing iterations actually *executed*.
-The syndrome of the channel hard decisions is checked before the first
-iteration ("iteration 0"), so a received word that is already a codeword
-records **zero** iterations under syndrome stopping — its posterior is the
-(conditioned) channel LLRs.  :class:`~repro.decode.stopping.FixedIterations`
-never stops at iteration 0, preserving the hardware's fixed decoding
-period.
+Iteration accounting convention: ``iterations`` counts the message-passing
+iterations actually *executed*.  The syndrome of the channel hard decisions
+is checked before the first iteration ("iteration 0"), so a received word
+that is already a codeword records **zero** iterations under syndrome
+stopping — its posterior is the (conditioned) channel LLRs.
+:class:`~repro.decode.stopping.FixedIterations` never stops at iteration 0,
+preserving the hardware's fixed decoding period.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from typing import Any
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.decode.messages import EdgeStructure
+from repro.codes.parity_check import ParityCheckMatrix
+from repro.decode.graph import TannerGraph, tanner_graph
 from repro.decode.result import DecodeResult
 from repro.decode.stopping import StoppingCriterion, SyndromeStopping
 from repro.encode.systematic import as_parity_check_matrix
@@ -44,16 +51,20 @@ __all__ = ["FrameBatchDecoder", "MessagePassingDecoder", "decode_frames"]
 class FrameBatchDecoder:
     """Shared single-frame / batched entry points over a 2-D decoding core.
 
-    Subclasses implement ``_decode_array(llrs)`` on a ``(batch, n)`` float64
-    array and get consistent ``decode`` (1-D or 2-D input, squeezed output
-    for a single frame) and ``decode_batch`` (strictly ``(batch, n)`` in,
-    batch result out) for free.  ``decode_batch`` is the protocol the
-    simulator's :func:`decode_frames` dispatch looks for.
+    Subclasses implement ``block_length`` and ``_decode_array(llrs)`` on a
+    ``(batch, n)`` float64 array and get consistent ``decode`` (1-D or 2-D
+    input, squeezed output for a single frame) and ``decode_batch``
+    (strictly ``(batch, n)`` in, batch result out) for free.
+    ``decode_batch`` is the protocol the simulator's :func:`decode_frames`
+    dispatch looks for.
     """
 
-    block_length: int
+    @property
+    def block_length(self) -> int:
+        """Codeword length ``n`` (implemented by subclasses)."""
+        raise NotImplementedError
 
-    def _coerce_llrs(self, channel_llrs) -> np.ndarray:
+    def _coerce_llrs(self, channel_llrs: npt.ArrayLike) -> np.ndarray:
         llrs = np.asarray(channel_llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.block_length:
             raise ValueError(
@@ -66,7 +77,7 @@ class FrameBatchDecoder:
         """Decode a validated ``(batch, n)`` array (implemented by subclasses)."""
         raise NotImplementedError
 
-    def decode(self, channel_llrs) -> DecodeResult:
+    def decode(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
         """Decode a frame or a batch of frames of channel LLRs.
 
         Parameters
@@ -95,7 +106,7 @@ class FrameBatchDecoder:
             )
         return result
 
-    def decode_batch(self, channel_llrs) -> DecodeResult:
+    def decode_batch(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
         """Decode a strict ``(batch, n)`` array of channel LLRs.
 
         The batched entry point of the simulator hot path: always returns
@@ -105,7 +116,7 @@ class FrameBatchDecoder:
         return self._decode_array(self._coerce_llrs(channel_llrs))
 
 
-def decode_frames(decoder, channel_llrs) -> DecodeResult:
+def decode_frames(decoder: Any, channel_llrs: npt.ArrayLike) -> DecodeResult:
     """Decode a ``(batch, n)`` array through ``decoder``, batched if possible.
 
     The Monte-Carlo engine's dispatch point: decoders exposing a
@@ -127,8 +138,8 @@ def decode_frames(decoder, channel_llrs) -> DecodeResult:
     )
 
 
-class MessagePassingDecoder(FrameBatchDecoder, ABC):
-    """Base class for flooding-schedule message-passing decoders.
+class MessagePassingDecoder(FrameBatchDecoder):
+    """Base class of the message-passing decoders (flooding schedule by default).
 
     Parameters
     ----------
@@ -147,28 +158,28 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         stopping: StoppingCriterion | None = None,
-    ):
+    ) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
+        self._pcm: ParityCheckMatrix = as_parity_check_matrix(code)
+        self._graph = tanner_graph(self._pcm)
         self.max_iterations = int(max_iterations)
         self.stopping = stopping if stopping is not None else SyndromeStopping()
 
     # ------------------------------------------------------------------ #
     @property
-    def parity_check(self):
+    def parity_check(self) -> ParityCheckMatrix:
         """The parity-check matrix being decoded against."""
         return self._pcm
 
     @property
-    def edge_structure(self) -> EdgeStructure:
-        """The precomputed edge arrays."""
-        return self._edges
+    def edge_structure(self) -> TannerGraph:
+        """The matrix's shared :class:`~repro.decode.graph.TannerGraph`."""
+        return self._graph
 
     @property
     def block_length(self) -> int:
@@ -178,14 +189,18 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
     @property
     def num_edges(self) -> int:
         """Messages exchanged per direction per iteration."""
-        return self._edges.num_edges
+        return self._graph.num_edges
 
     # ------------------------------------------------------------------ #
     # Hooks for subclasses
     # ------------------------------------------------------------------ #
-    @abstractmethod
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        """Compute check-to-bit messages from bit-to-check messages."""
+        """Compute check-to-bit messages from bit-to-check messages.
+
+        Every flooding decoder implements this; a schedule that overrides
+        :meth:`_iterate` need not.
+        """
+        raise NotImplementedError
 
     def _condition_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
         """Hook: transform the channel LLRs before decoding (identity here)."""
@@ -194,6 +209,26 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
     def _condition_messages(self, messages: np.ndarray) -> np.ndarray:
         """Hook: transform messages after each update (identity here)."""
         return messages
+
+    def _initial_state(self, llrs: np.ndarray) -> list[np.ndarray]:
+        """Working arrays of the frames about to decode, one row per frame.
+
+        Flooding: the bit-to-check messages, which start as the channel LLRs
+        on every edge.
+        """
+        return [self._condition_messages(self._graph.gather_bits(llrs))]
+
+    def _iterate(
+        self, llrs: np.ndarray, state: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """One iteration on the working arrays: the new state and posterior LLRs.
+
+        Flooding: every check node updates, then every bit node.
+        """
+        (bit_to_check,) = state
+        check_to_bit = self._condition_messages(self._check_node_update(bit_to_check))
+        bit_to_check, posterior = self._graph.bit_node_update(llrs, check_to_bit)
+        return [self._condition_messages(bit_to_check)], posterior
 
     # ------------------------------------------------------------------ #
     # Decoding loop
@@ -211,50 +246,50 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
     def _run_message_passing(
         self, llrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The flooding iteration on conditioned ``(batch, n)`` LLRs.
+        """Decode conditioned ``(batch, n)`` LLRs on a compacting working set.
 
-        The reference (pinned) implementation: full-size state arrays with
-        an active-frame index.  :mod:`repro.decode.batched` overrides this
-        with a compacting working set; the per-frame numbers are identical
-        because every kernel reduces each row independently.
+        Finished frames are written to the output arrays and dropped from
+        the working arrays, so an iteration costs in proportion to the
+        frames still decoding.  Every kernel reduces each row on its own, so
+        a frame's bits, posterior, iteration count and flag do not depend on
+        the other rows of the batch: decoding it alone gives the same.
         """
-        batch = llrs.shape[0]
-        edges = self._edges
+        graph = self._graph
+        total = llrs.shape[0]
+        posterior_out = llrs.copy()
+        converged = np.zeros(total, dtype=bool)
+        iterations = np.zeros(total, dtype=np.int64)
 
-        # Initial bit-to-check messages are the channel LLRs on every edge.
-        bit_to_check = self._condition_messages(edges.gather_bits(llrs))
-        check_to_bit = np.zeros_like(bit_to_check)
-        posterior = llrs.copy()
-
-        # Iteration 0: check the channel hard decisions before any message
-        # passing.  A received word that is already a codeword records zero
-        # iterations (under syndrome stopping); FixedIterations never stops
-        # here, preserving the hardware's fixed decoding period.
-        syndrome_ok = edges.syndrome_ok(hard_decision(llrs))
-        converged = np.asarray(syndrome_ok, dtype=bool).copy()
+        # Iteration 0: the syndrome of the channel hard decisions, before any
+        # message passing.  Frames stopped here keep the channel LLRs as
+        # their posterior.
+        syndrome_ok = graph.syndrome_ok(hard_decision(llrs))
+        converged[:] = syndrome_ok
         stop = np.asarray(self.stopping.should_stop(0, syndrome_ok), dtype=bool)
-        active = ~stop
-        iterations = np.zeros(batch, dtype=np.int64)
+        frame_ids = np.nonzero(~stop)[0]
+        work_llrs = llrs[frame_ids]
+        state = self._initial_state(work_llrs)
 
         for iteration in range(1, self.max_iterations + 1):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
+            if frame_ids.size == 0:
                 break
-            new_check_to_bit = self._condition_messages(
-                self._check_node_update(bit_to_check[idx])
-            )
-            check_to_bit[idx] = new_check_to_bit
-            new_bit_to_check, new_posterior = edges.bit_node_update(
-                llrs[idx], new_check_to_bit
-            )
-            bit_to_check[idx] = self._condition_messages(new_bit_to_check)
-            posterior[idx] = new_posterior
-            iterations[idx] = iteration
+            state, posterior = self._iterate(work_llrs, state)
+            iterations[frame_ids] = iteration
 
-            hard = hard_decision(new_posterior)
-            syndrome_ok = edges.syndrome_ok(hard)
-            converged[idx] = syndrome_ok
-            stop = self.stopping.should_stop(iteration, syndrome_ok)
-            active[idx[np.asarray(stop, dtype=bool)]] = False
+            syndrome_ok = graph.syndrome_ok(hard_decision(posterior))
+            converged[frame_ids] = syndrome_ok
+            stop = np.asarray(
+                self.stopping.should_stop(iteration, syndrome_ok), dtype=bool
+            )
+            # Compact: write finished frames out, keep only the rest.  The
+            # final iteration finishes every remaining frame, so the output
+            # arrays are always fully written when the loop ends.
+            finished = stop if iteration < self.max_iterations else np.ones_like(stop)
+            if finished.any():
+                posterior_out[frame_ids[finished]] = posterior[finished]
+                keep = ~finished
+                frame_ids = frame_ids[keep]
+                work_llrs = work_llrs[keep]
+                state = [array[keep] for array in state]
 
-        return hard_decision(posterior), posterior, converged, iterations
+        return hard_decision(posterior_out), posterior_out, converged, iterations

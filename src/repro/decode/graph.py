@@ -7,7 +7,8 @@ working on the same :class:`~repro.codes.parity_check.ParityCheckMatrix`
 needs exactly the same index arrays, so they are built **once per matrix**
 and shared: :func:`tanner_graph` returns the cached
 :class:`TannerGraph` for a matrix (keyed by object identity, weakly
-referenced so graphs die with their matrices).
+referenced so graphs die with their matrices).  Lazily built layouts, such
+as the padded check-node layout, are therefore built once per matrix too.
 
 :class:`TannerGraph` stores the edges of a parity-check matrix in a
 CSR-style layout, twice:
@@ -24,9 +25,10 @@ All update helpers operate on arrays of shape ``(batch, num_edges)`` so
 that several frames are decoded concurrently, mirroring the high-speed
 hardware configuration that stores the messages of different frames in the
 same memory word.  The segment reductions act row by row, which is what
-makes the batched decoders in :mod:`repro.decode.batched` bit-identical to
-per-frame decoding: the values computed for one frame never depend on the
-other rows present in the batch.
+makes the decoders' compacting loop
+(:meth:`~repro.decode.base.MessagePassingDecoder._run_message_passing`)
+bit-identical to per-frame decoding: the values computed for one frame never
+depend on the other rows present in the batch.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class TannerGraph:
     """
 
     def __init__(self, parity_check: ParityCheckMatrix) -> None:
-        self._pcm = parity_check
+        # No reference to ``parity_check`` is kept: the cache below holds
+        # graphs strongly and their matrices weakly.
         check_idx, bit_idx = parity_check.edges()
         # The sparse matrix already stores edges sorted by (check, bit).
         self.edge_check = check_idx.astype(np.int64)
@@ -116,12 +119,6 @@ class TannerGraph:
         self._pad_layout: (
             tuple[int, np.ndarray, np.ndarray, np.ndarray] | None
         ) = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def parity_check(self) -> ParityCheckMatrix:
-        """The matrix these indices were built from."""
-        return self._pcm
 
     # ------------------------------------------------------------------ #
     # Segment reductions
@@ -443,19 +440,19 @@ class TannerGraph:
         return bit_to_check, posterior
 
     def syndrome_ok(self, hard_bits: np.ndarray) -> np.ndarray:
-        """Whether each frame of hard decisions satisfies every parity check.
+        """Whether each frame of ``(batch, n)`` hard decisions satisfies every check.
 
         Computed from the graph's own edge arrays: the syndrome bit of a
         check is the XOR of the hard decisions on its incident edges, so a
         gather plus one XOR segment reduction replaces the sparse
         matrix-vector product (whose ``np.add.at`` scatter dominated the
         batched profile).  Exact 0/1 arithmetic — the flags are identical to
-        ``ParityCheckMatrix.is_codeword``, which stays the pinned authority
-        (and the fallback for 1-D words and empty graphs).
+        ``ParityCheckMatrix.is_codeword``.
         """
         bits = np.asarray(hard_bits)
-        if bits.ndim != 2 or self.num_edges == 0:
-            return self._pcm.is_codeword(bits)
+        if self.num_edges == 0:
+            # No check has an edge, so every syndrome is zero.
+            return np.ones(bits.shape[0], dtype=bool)
         if bits.dtype != np.bool_:
             bits = bits != 0
         if self._padded_ok and bits.shape[0] >= _PADDED_KERNEL_MIN_ROWS:
@@ -483,7 +480,8 @@ class TannerGraph:
 #: One graph per live matrix.  Keyed by matrix *identity*: ParityCheckMatrix
 #: objects are immutable in practice and the QC codes cache their expansion,
 #: so every decoder built on the same code object shares one graph.  Weak
-#: references keep the cache from pinning matrices in memory.
+#: keys keep the cache from pinning matrices in memory, which holds because
+#: a graph keeps no reference to its matrix.
 _GRAPH_CACHE: "weakref.WeakKeyDictionary[ParityCheckMatrix, TannerGraph]" = (
     weakref.WeakKeyDictionary()
 )

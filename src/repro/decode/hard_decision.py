@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decode.base import FrameBatchDecoder
-from repro.decode.messages import EdgeStructure
+from repro.decode.graph import tanner_graph
 from repro.decode.result import DecodeResult
 from repro.encode.systematic import as_parity_check_matrix
 from repro.registry import Param, register_decoder
@@ -54,7 +54,6 @@ class GallagerBDecoder(FrameBatchDecoder):
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
         self.max_iterations = int(max_iterations)
         if flip_threshold is None:
             max_degree = int(self._pcm.bit_degrees().max()) if self._pcm.block_length else 1
@@ -146,7 +145,7 @@ class WeightedBitFlippingDecoder(FrameBatchDecoder):
         if flips_per_iteration < 1:
             raise ValueError("flips_per_iteration must be at least 1")
         self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
+        self._graph = tanner_graph(self._pcm)
         self.max_iterations = int(max_iterations)
         self.flips_per_iteration = int(flips_per_iteration)
 
@@ -169,9 +168,9 @@ class WeightedBitFlippingDecoder(FrameBatchDecoder):
         iterations = np.zeros(batch, dtype=np.int64)
 
         check_idx, bit_idx = self._pcm.edges()
-        edges = self._edges
+        graph = self._graph
         # Minimum reliability seen by each check (fixed across iterations).
-        min_reliability = edges.min_per_check(edges.gather_bits(reliability))
+        min_reliability = graph.min_per_check(graph.gather_bits(reliability))
 
         for frame in range(batch):
             frame_bits = bits[frame]

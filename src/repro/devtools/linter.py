@@ -104,11 +104,6 @@ class LinterConfig:
         Path suffixes exempt from both REP104 and REP110: the audited
         clock chokepoint itself, which exists precisely to contain the
         raw ``time`` calls.
-    batched_kernel_suffixes:
-        Path suffixes holding batched decoder kernels, where REP111 flags
-        Python-level per-frame loops (``for frame in batch:``, ``for i in
-        range(llrs.shape[0]):``): the batched hot path must stay
-        vectorized over the batch axis.
     """
 
     select: frozenset[str] = frozenset(r.code for r in DETERMINISM_RULES)
@@ -125,7 +120,6 @@ class LinterConfig:
     persistence_whitelist: tuple[str, ...] = ("repro/utils/files.py",)
     obs_scopes: tuple[str, ...] = ("repro/obs/",)
     wall_clock_whitelist: tuple[str, ...] = ("repro/obs/clock.py",)
-    batched_kernel_suffixes: tuple[str, ...] = ("repro/decode/batched.py",)
 
     def with_select(self, codes: Iterable[str]) -> "LinterConfig":
         """A copy enforcing only ``codes`` (validated against the catalog)."""
@@ -225,69 +219,6 @@ _POOL_METHODS = frozenset(
 _ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
 _SET_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter", "join"})
 
-#: Identifiers that denote the frame/batch axis in decoder kernels: a loop
-#: whose target or iterable resolves to one of these (or to any name
-#: containing "frame") is a per-frame Python loop under REP111.
-_FRAME_AXIS_NAMES = frozenset({"batch", "frames", "llrs", "codewords"})
-#: Builtins whose *arguments* decide what a loop iterates (REP111 looks
-#: through them: ``range(llrs.shape[0])``, ``enumerate(frames)``).
-_LOOP_WRAPPERS = frozenset({"range", "enumerate", "reversed", "zip"})
-
-
-def _smells_like_frames(name: str) -> bool:
-    lowered = name.lower()
-    return "frame" in lowered or lowered in _FRAME_AXIS_NAMES
-
-
-def _terminal_name(node: ast.expr) -> str | None:
-    """Last attribute segment of a Name/Attribute chain (``a.b.c`` -> ``c``)."""
-    dotted = _dotted(node)
-    if dotted is None:
-        return None
-    return dotted.rsplit(".", 1)[-1]
-
-
-def _references_frame_axis(node: ast.expr) -> bool:
-    """Whether any sub-expression names the frame axis or a batch dimension.
-
-    Catches both spellings of a frame count: a frame-smelling identifier
-    (``frames``, ``num_frames``, ``llrs``) and the leading batch dimension
-    ``<anything>.shape[0]``.
-    """
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and _smells_like_frames(sub.id):
-            return True
-        if isinstance(sub, ast.Attribute):
-            name = _terminal_name(sub)
-            if name is not None and _smells_like_frames(name):
-                return True
-        if isinstance(sub, ast.Subscript):
-            base = _terminal_name(sub.value)
-            if (
-                base == "shape"
-                and isinstance(sub.slice, ast.Constant)
-                and sub.slice.value == 0
-            ):
-                return True
-    return False
-
-
-def _iterates_per_frame(target: ast.expr, iterable: ast.expr) -> bool:
-    """Whether a loop (statement or comprehension) steps frame by frame."""
-    for sub in ast.walk(target):
-        if isinstance(sub, ast.Name) and _smells_like_frames(sub.id):
-            return True
-    name = _terminal_name(iterable)
-    if name is not None:
-        return _smells_like_frames(name)
-    if (
-        isinstance(iterable, ast.Call)
-        and isinstance(iterable.func, ast.Name)
-        and iterable.func.id in _LOOP_WRAPPERS
-    ):
-        return any(_references_frame_axis(arg) for arg in iterable.args)
-    return False
-
 
 def _is_set_expr(node: ast.expr) -> bool:
     """Whether ``node`` evaluates to a set with certainty (literal/ctor)."""
@@ -357,10 +288,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         return self._path_matches(
             self.config.persistence_suffixes
         ) and not self._path_matches(self.config.persistence_whitelist)
-
-    @property
-    def _batched_kernel_scope(self) -> bool:
-        return self._path_matches(self.config.batched_kernel_suffixes)
 
     @property
     def _obs_scope(self) -> bool:
@@ -598,22 +525,9 @@ class _DeterminismVisitor(ast.NodeVisitor):
             "or a deterministic sequence before results or output",
         )
 
-    def _emit_per_frame_loop(self, node: ast.AST) -> None:
-        self._emit(
-            "REP111",
-            node,
-            "per-frame Python loop in a batched decoder kernel defeats "
-            "the vectorized hot path; operate on the whole (batch, n) "
-            "array (compact the working set instead of looping frames)",
-        )
-
     def visit_For(self, node: ast.For) -> None:
         if _is_set_expr(node.iter):
             self._emit_set_iteration(node.iter)
-        if self._batched_kernel_scope and _iterates_per_frame(
-            node.target, node.iter
-        ):
-            self._emit_per_frame_loop(node)
         self.generic_visit(node)
 
     def _check_comprehension(
@@ -622,10 +536,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         for comp in node.generators:
             if _is_set_expr(comp.iter):
                 self._emit_set_iteration(comp.iter)
-            if self._batched_kernel_scope and _iterates_per_frame(
-                comp.target, comp.iter
-            ):
-                self._emit_per_frame_loop(node)
         self.generic_visit(node)
 
     visit_ListComp = _check_comprehension

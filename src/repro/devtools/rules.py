@@ -156,16 +156,6 @@ DETERMINISM_RULES: tuple[Rule, ...] = (
         "in repro.obs reintroduces unaudited clock reads — including the "
         "monotonic ones REP104 deliberately permits in simulation code.",
     ),
-    Rule(
-        "REP111",
-        "per-frame-python-loop",
-        "Python-level per-frame loop inside a batched decoder kernel",
-        "The batched decode path exists to amortize interpreter overhead "
-        "over the whole (batch, n) array; a `for frame in batch:` loop "
-        "reintroduces per-frame Python cost and silently erodes the "
-        "batched-vs-serial speedup the benchmarks pin. Vectorize over the "
-        "batch axis (or compact the working set) instead of looping frames.",
-    ),
 )
 
 SCHEMA_RULES: tuple[Rule, ...] = (

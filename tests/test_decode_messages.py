@@ -1,15 +1,20 @@
-"""Unit tests for repro.decode.messages (edge structure and update kernels)."""
+"""Unit tests for repro.decode.graph (shared Tanner graph and update kernels)."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.codes import build_scaled_ccsds_code
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode.messages import EdgeStructure
+from repro.decode import MinSumDecoder, NormalizedMinSumDecoder
+from repro.decode.graph import tanner_graph
 
 
 @pytest.fixture
 def small_structure(hamming_pcm):
-    return EdgeStructure(hamming_pcm)
+    return tanner_graph(hamming_pcm)
 
 
 def brute_force_min_sum(pcm, bit_to_check, scale=1.0, offset=0.0):
@@ -75,14 +80,14 @@ class TestStructure:
 
 class TestMinSumKernel:
     def test_matches_brute_force(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(3, structure.num_edges))
         fast = structure.min_sum_extrinsic(messages)
         slow = brute_force_min_sum(hamming_pcm, messages)
         assert np.allclose(fast, slow)
 
     def test_scale_and_offset(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(2, structure.num_edges))
         assert np.allclose(
             structure.min_sum_extrinsic(messages, scale=0.8),
@@ -94,7 +99,7 @@ class TestMinSumKernel:
         )
 
     def test_duplicate_minimum_handled(self, hamming_pcm):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         # All magnitudes equal: the extrinsic magnitude must stay that value.
         messages = np.ones((1, structure.num_edges))
         out = structure.min_sum_extrinsic(messages)
@@ -102,7 +107,7 @@ class TestMinSumKernel:
 
     def test_matches_brute_force_on_qc_code(self, scaled_code, rng):
         pcm = scaled_code.parity_check_matrix()
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         messages = rng.normal(size=(1, structure.num_edges))
         fast = structure.min_sum_extrinsic(messages)
         # Only check a subset of edges against brute force (the full brute
@@ -113,7 +118,7 @@ class TestMinSumKernel:
 
 class TestSumProductKernel:
     def test_matches_brute_force(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(2, structure.num_edges))
         assert np.allclose(
             structure.sum_product_extrinsic(messages),
@@ -123,14 +128,14 @@ class TestSumProductKernel:
 
     def test_min_sum_upper_bounds_bp(self, hamming_pcm, rng):
         """|min-sum output| >= |BP output| on every edge (the known bias)."""
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(4, structure.num_edges))
         ms = np.abs(structure.min_sum_extrinsic(messages))
         bp = np.abs(structure.sum_product_extrinsic(messages))
         assert (ms >= bp - 1e-9).all()
 
     def test_signs_agree(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(2, structure.num_edges)) * 3
         ms = structure.min_sum_extrinsic(messages)
         bp = structure.sum_product_extrinsic(messages)
@@ -156,3 +161,23 @@ class TestBitNodeUpdate:
     def test_syndrome_ok(self, small_structure):
         zero = np.zeros((2, 7), dtype=np.uint8)
         assert small_structure.syndrome_ok(zero).tolist() == [True, True]
+
+
+class TestGraphCache:
+    def test_decoders_share_the_graph_and_its_padded_layout(self, rng):
+        """A layout one decoder builds lazily is there for every other
+        decoder on the same matrix: they all hold the one cached graph."""
+        code = build_scaled_ccsds_code(31)
+        graph = tanner_graph(code.parity_check_matrix())
+        assert graph._pad_layout is None
+        llrs = rng.normal(2.0, 1.0, size=(64, code.block_length))
+        NormalizedMinSumDecoder(code, max_iterations=2).decode_batch(llrs)
+        assert graph._pad_layout is not None
+        assert MinSumDecoder(code).edge_structure is graph
+
+    def test_graphs_die_with_their_matrices(self):
+        codes = [build_scaled_ccsds_code(size) for size in (7, 11, 13, 17, 19)]
+        graphs = [weakref.ref(tanner_graph(c.parity_check_matrix())) for c in codes]
+        del codes
+        gc.collect()
+        assert [graph() for graph in graphs] == [None] * 5

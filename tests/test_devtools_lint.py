@@ -35,12 +35,10 @@ FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 #: The path each fixture is linted under.  REP107 only applies inside the
 #: persistence scope, so its fixtures are presented as the campaign store;
 #: REP110 only applies inside repro.obs, so its fixtures are presented as a
-#: telemetry consumer module; REP111 only applies inside the batched
-#: decoder kernels.
+#: telemetry consumer module.
 _LINT_PATHS = {
     "REP107": "src/repro/sim/campaign/store.py",
     "REP110": "src/repro/obs/consumers.py",
-    "REP111": "src/repro/decode/batched.py",
 }
 
 RULE_CODES = [r.code for r in DETERMINISM_RULES]
@@ -94,7 +92,7 @@ def test_good_fixture_is_clean(code):
 def test_bad_fixtures_fire_multiple_forms():
     """Each bad fixture covers more than one spelling of its hazard."""
     for code in ("REP101", "REP102", "REP103", "REP104", "REP105",
-                 "REP106", "REP107", "REP108", "REP109", "REP110", "REP111"):
+                 "REP106", "REP107", "REP108", "REP109", "REP110"):
         assert len(_lint_fixture(code, "bad")) >= 2, code
 
 
@@ -148,45 +146,6 @@ def test_rep104_datetime_branch_still_active_in_obs():
     assert [v.rule for v in lint_source(source, "src/repro/obs/events.py")] == [
         "REP104"
     ]
-
-
-def test_rep111_scoped_to_batched_kernels():
-    """The same per-frame loop is fine outside repro/decode/batched.py."""
-    source = (
-        "def decode_all(decoder, llrs):\n"
-        "    return [decoder.decode(frame) for frame in llrs]\n"
-        "def tally(llrs):\n"
-        "    out = 0\n"
-        "    for frame in llrs:\n"
-        "        out += int(frame.sum())\n"
-        "    return out\n"
-    )
-    assert lint_source(source, "src/repro/decode/base.py") == []
-    scoped = lint_source(source, "src/repro/decode/batched.py")
-    # Both spellings fire: the comprehension and the for statement.
-    assert [v.rule for v in scoped] == ["REP111", "REP111"]
-
-
-def test_rep111_iteration_and_layer_loops_stay_clean():
-    """O(iterations) loops are the batched kernel's legitimate structure."""
-    source = (
-        "def run(self, work):\n"
-        "    for iteration in range(1, self.max_iterations + 1):\n"
-        "        for layer in self._layers:\n"
-        "            work = work + 1\n"
-        "    return work\n"
-    )
-    assert lint_source(source, "src/repro/decode/batched.py") == []
-
-
-def test_rep111_flags_shape_zero_range_loops():
-    source = (
-        "def per_row(posterior):\n"
-        "    for index in range(posterior.shape[0]):\n"
-        "        posterior[index] *= 2\n"
-    )
-    scoped = lint_source(source, "src/repro/decode/batched.py")
-    assert [v.rule for v in scoped] == ["REP111"]
 
 
 def test_rep106_ignores_integer_comparison():

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.channel.quantize import FixedPointFormat, UniformQuantizer
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.codes.qc import CirculantSpec, QCLDPCCode
-from repro.decode import BatchedMinSumDecoder, DecodeResult, MinSumDecoder
-from repro.decode.messages import EdgeStructure
+from repro.decode import DecodeResult, MinSumDecoder
+from repro.decode.graph import tanner_graph
 from repro.gf2.circulant import Circulant
 from repro.gf2.dense import gf2_matmul, gf2_matvec, gf2_null_space, gf2_rank
 from repro.gf2.polynomial import poly_add, poly_degree, poly_divmod, poly_mul, poly_trim
@@ -201,7 +201,7 @@ class TestDecoderKernelProperties:
         if not matrix.any():
             return
         pcm = ParityCheckMatrix(matrix)
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         rng = np.random.default_rng(seed)
         messages = rng.normal(0, 3, size=(1, structure.num_edges))
         out = structure.min_sum_extrinsic(messages)
@@ -214,7 +214,7 @@ class TestDecoderKernelProperties:
         if not matrix.any():
             return
         pcm = ParityCheckMatrix(matrix)
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         rng = np.random.default_rng(seed)
         messages = rng.normal(0, 2, size=(1, structure.num_edges))
         bp = structure.sum_product_extrinsic(messages)
@@ -225,7 +225,7 @@ class TestDecoderKernelProperties:
     @given(binary_matrices, st.integers(0, 2**32 - 1))
     def test_bit_node_update_linearity_in_channel(self, matrix, seed):
         pcm = ParityCheckMatrix(matrix)
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         rng = np.random.default_rng(seed)
         llrs = rng.normal(size=(1, pcm.block_length))
         c2b = rng.normal(size=(1, structure.num_edges))
@@ -238,7 +238,7 @@ class TestDecoderKernelProperties:
 # Batched decoding invariants (small random parity-check matrices)
 # --------------------------------------------------------------------------- #
 class TestBatchedDecoderProperties:
-    """The batched/serial contract on arbitrary small codes, not just the
+    """The batch/per-frame contract on arbitrary small codes, not just the
     scaled CCSDS fixture: hypothesis draws the parity-check matrix."""
 
     @SETTINGS
@@ -249,9 +249,9 @@ class TestBatchedDecoderProperties:
         pcm = ParityCheckMatrix(matrix)
         rng = np.random.default_rng(seed)
         llrs = rng.normal(0.5, 1.5, size=(5, pcm.block_length))
-        got = BatchedMinSumDecoder(pcm, max_iterations=6).decode_batch(llrs)
-        serial = MinSumDecoder(pcm, max_iterations=6)
-        want = DecodeResult.stack([serial.decode(llrs[i]) for i in range(5)])
+        decoder = MinSumDecoder(pcm, max_iterations=6)
+        got = decoder.decode_batch(llrs)
+        want = DecodeResult.stack([decoder.decode(llrs[i]) for i in range(5)])
         assert np.array_equal(got.bits, want.bits)
         assert np.array_equal(got.iterations, want.iterations)
         assert np.array_equal(got.converged, want.converged)
@@ -268,8 +268,8 @@ class TestBatchedDecoderProperties:
         pcm = ParityCheckMatrix(matrix)
         rng = np.random.default_rng(seed)
         llrs = rng.normal(0.5, 1.5, size=(4, pcm.block_length))
-        short = BatchedMinSumDecoder(pcm, max_iterations=6).decode_batch(llrs)
-        long = BatchedMinSumDecoder(pcm, max_iterations=12).decode_batch(llrs)
+        short = MinSumDecoder(pcm, max_iterations=6).decode_batch(llrs)
+        long = MinSumDecoder(pcm, max_iterations=12).decode_batch(llrs)
         frozen = short.converged
         assert np.array_equal(long.iterations[frozen], short.iterations[frozen])
         assert np.array_equal(long.bits[frozen], short.bits[frozen])
@@ -293,14 +293,10 @@ class TestBatchedDecoderProperties:
             codeword = np.zeros(pcm.block_length, dtype=np.uint8)
         magnitudes = rng.uniform(0.5, 5.0, size=pcm.block_length)
         llrs = magnitudes * (1.0 - 2.0 * codeword.astype(np.float64))
-        for decoder in (
-            BatchedMinSumDecoder(pcm, max_iterations=6),
-            MinSumDecoder(pcm, max_iterations=6),
-        ):
-            result = decoder.decode(llrs)
-            assert bool(result.converged)
-            assert int(result.iterations) == 0
-            assert np.array_equal(result.bits, codeword)
+        result = MinSumDecoder(pcm, max_iterations=6).decode(llrs)
+        assert bool(result.converged)
+        assert int(result.iterations) == 0
+        assert np.array_equal(result.bits, codeword)
 
 
 # --------------------------------------------------------------------------- #

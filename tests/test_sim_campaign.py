@@ -780,10 +780,11 @@ class TestChannelAxisCampaigns:
 class TestBatchedGoldenCounts:
     """Golden-count fixture for the batched hot path.
 
-    The counts below were recorded with the *serial* ``nms`` kind; the
-    campaign here decodes through ``nms-batched`` (whole shards per
-    ``decode_batch`` call, compacted early termination) and must reproduce
-    them byte for byte — serial, pooled, and across a kill/resume cycle.
+    The counts below were recorded with the ``nms`` kind on its former
+    non-compacting loop; the campaign here names the ``nms-batched`` alias
+    (whole shards per ``decode_batch`` call, compacted early termination)
+    and must reproduce them byte for byte — serial, pooled, and across a
+    kill/resume cycle.
     """
 
     GOLDEN_BATCHED = {
@@ -846,6 +847,58 @@ class TestBatchedGoldenCounts:
             for label, curve in resumed.items()
         }
         assert got == self.GOLDEN_BATCHED
+
+
+class TestLayeredGoldenCounts:
+    """Golden-count fixture for the layered schedule.
+
+    Recorded on the scaled code with the two-loop decoder package, when
+    ``layered`` still ran its own full-array loop; every decoder now runs
+    the one compacting loop and must reproduce these counts byte for byte.
+    """
+
+    GOLDEN_LAYERED = {
+        "layered": [
+            {"ebn0_db": 2.0, "ber": 0.053629032258064514, "fer": 1.0,
+             "bit_errors": 266, "frame_errors": 10, "bits": 4960, "frames": 10,
+             "average_iterations": 8.0, "info_ber": 0.05298165137614679,
+             "info_bit_errors": 231, "info_bits": 4360},
+            {"ebn0_db": 4.0, "ber": 0.007459677419354839, "fer": 0.4,
+             "bit_errors": 74, "frame_errors": 8, "bits": 9920, "frames": 20,
+             "average_iterations": 4.4, "info_ber": 0.007454128440366973,
+             "info_bit_errors": 65, "info_bits": 8720},
+        ],
+    }
+
+    def layered_spec(self) -> CampaignSpec:
+        return CampaignSpec(
+            name="layered-golden",
+            seed=1234,
+            ebn0=(2.0, 4.0),
+            config=SimulationConfig(
+                max_frames=40, target_frame_errors=6, batch_frames=10,
+                all_zero_codeword=False,
+            ),
+            experiments=[
+                ExperimentSpec(
+                    label="layered",
+                    code=CodeSpec(family="scaled", circulant=31),
+                    decoder=DecoderSpec("layered", 8, params={"alpha": 1.25}),
+                ),
+            ],
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_layered_campaign_reproduces_golden_counts(self, tmp_path, workers):
+        spec = self.layered_spec()
+        curves = CampaignScheduler(
+            spec, ResultStore.create(tmp_path / "c", spec), workers=workers
+        ).run()
+        got = {
+            label: [p.as_dict() for p in curve.points]
+            for label, curve in curves.items()
+        }
+        assert got == self.GOLDEN_LAYERED
 
 
 class TestPreRedesignCompatibility:
@@ -923,8 +976,8 @@ class TestPreRedesignCompatibility:
         assert got == self.GOLDEN
 
     def test_batched_decoder_reproduces_serial_campaign_counts(self, tmp_path):
-        """Swapping ``nms`` for ``nms-batched`` in a spec is *only* a speed
-        knob: the stored curve points are byte for byte the same."""
+        """A spec naming the ``nms-batched`` alias instead of ``nms`` stores
+        the same curve points byte for byte."""
         spec = self.golden_spec()
         batched_spec = CampaignSpec(
             name=spec.name, seed=spec.seed, ebn0=spec.ebn0, config=spec.config,

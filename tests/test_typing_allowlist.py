@@ -24,7 +24,8 @@ PROMOTED = sorted(
     [
         *(REPO_ROOT / "src" / "repro" / "fabric").glob("*.py"),
         REPO_ROOT / "src" / "repro" / "decode" / "graph.py",
-        REPO_ROOT / "src" / "repro" / "decode" / "batched.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "base.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "layered.py",
     ]
 )
 
@@ -34,7 +35,7 @@ def test_mypy_ini_promotes_the_modules():
     config.read(REPO_ROOT / "mypy.ini")
     for section in (
         "mypy-repro.fabric,repro.fabric.*",
-        "mypy-repro.decode.graph,repro.decode.batched",
+        "mypy-repro.decode.graph,repro.decode.base,repro.decode.layered",
     ):
         assert config.has_section(section), section
         assert config.get(section, "ignore_errors") == "False"
