@@ -1,15 +1,15 @@
-"""FabricPool: drive point states through a broker instead of a process pool.
+"""FabricPool: the shard driver's executor over a work-lease broker.
 
-This is the fabric's coordinator.  It presents the same surface as
-:class:`~repro.sim.parallel.SharedWorkerPool` — ``run_states(states,
-on_point=, on_shard=)`` over the same :class:`~repro.sim.parallel.PointState`
-book-keeping — so :class:`~repro.sim.campaign.scheduler.CampaignScheduler`
-swaps it in without call-site changes.  The difference is *who executes a
-shard*: instead of ``apply_async`` onto pool processes, each shard becomes a
-self-describing :class:`~repro.fabric.jobs.ShardJob` submitted to a
-:class:`~repro.fabric.broker.Broker`, and any mix of executors may serve it:
+This is the fabric's coordinator.  It is an executor of the shard driver,
+:meth:`ShardExecutor.run_states <repro.sim.parallel.ShardExecutor.run_states>`
+— the same loop, over the same :class:`~repro.sim.parallel.PointState`
+book-keeping, that runs the serial and process-pool paths — so
+:class:`~repro.sim.campaign.scheduler.CampaignScheduler` swaps it in without
+call-site changes.  The difference is *who executes a shard*: each shard
+becomes a self-describing :class:`~repro.fabric.jobs.ShardJob` submitted to
+a :class:`~repro.fabric.broker.Broker`, and any mix of workers may serve it:
 
-* **embedded workers** — in-process executors stepped synchronously by the
+* **embedded workers** — in-process workers stepped synchronously by the
   coordinator loop.  Under the logical clock (``wall_clock=False``) the
   whole run is a deterministic discrete-event simulation: one loop
   iteration is one tick, lease grants and expiries happen at exact ticks,
@@ -22,19 +22,21 @@ self-describing :class:`~repro.fabric.jobs.ShardJob` submitted to a
   :class:`~repro.fabric.broker.FilesystemBroker`.  The coordinator then
   runs on the wall clock and merely submits, reclaims and folds.
 
-Determinism is inherited, not re-proven: shard sizes and seeds come from
-the same :class:`PointState` schedule the process pool uses, completion
-records are idempotent per shard address, and results are folded strictly
-in shard order with the stopping rule on the ordered prefix.  *Which*
-worker computed a shard, how often it was retried, and in what order
-completions landed are all invisible to the folded counts — that is the
-bit-identity guarantee the chaos battery pins.
+Each driver iteration runs the executor hooks in a fixed order: broker
+submit, reclaim and redispatch, embedded-worker steps, the fold of
+completion records (cancelling speculative shards beyond a stop), and the
+logical or wall-clock tick.  Determinism is inherited, not re-proven: shard
+sizes and seeds come from the same :class:`PointState` schedule every
+executor uses, completion records are idempotent per shard address, and
+the driver folds strictly in shard order with the stopping rule on the
+ordered prefix.  *Which* worker computed a shard, how often it was retried,
+and in what order completions landed are all invisible to the folded counts
+— that is the bit-identity guarantee the chaos battery pins.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,18 +45,28 @@ from repro.obs import clock
 from repro.fabric.broker import (
     Broker,
     FabricError,
+    FilesystemBroker,
     InProcessBroker,
-    LeasePolicy,
     LeasedShard,
 )
 from repro.fabric.faults import FaultPlan
 from repro.fabric.jobs import ShardJob, result_from_dict, result_to_dict, seed_to_dict
-from repro.sim.montecarlo import MonteCarloSimulator
-from repro.sim.parallel import PointState, PoolEntry
+from repro.sim.parallel import (
+    PointObserver,
+    PointState,
+    PoolEntry,
+    ShardExecutor,
+    ShardObserver,
+    ShardOutcome,
+    ShardRunner,
+    ShardTelemetry,
+)
 from repro.sim.results import SimulationPoint
-from repro.sim.sharding import consume_shard
 
-__all__ = ["FabricPool", "FabricJobError", "FabricStalledError", "FabricShardInfo"]
+__all__ = ["FabricPool", "FabricJobError", "FabricStalledError"]
+
+#: Idle sleep between wall-clock iterations that made no progress.
+_POLL_SECONDS = 0.05
 
 
 class FabricJobError(FabricError):
@@ -71,15 +83,8 @@ class FabricStalledError(FabricError):
     """
 
 
-@dataclass(frozen=True)
-class FabricShardInfo:
-    """Observer payload for one folded shard: who computed it (by name)."""
-
-    worker: str
-
-
 class _EmbeddedWorker:
-    """One synchronous in-process executor, scripted by the fault plan.
+    """One synchronous in-process worker, scripted by the fault plan.
 
     A worker holds at most one lease.  Each :meth:`step` advances it by one
     unit: lease a job, burn one execution tick (``FaultPlan.shard_ticks``
@@ -123,8 +128,10 @@ class _EmbeddedWorker:
         self._ticks_left -= 1
         if self._ticks_left > 0:
             return True
-        result = self._pool._execute(job)
-        first = self._pool.broker.complete(job.job_id, result, self.id)
+        result, _ = self._pool._runner.run(
+            job.key, job.ebn0_db, job.size, job.seed_sequence()
+        )
+        first = self._pool.broker.complete(job.job_id, result_to_dict(result), self.id)
         if not first:
             self._pool._emit("duplicate_completion", job=job.job_id, worker=self.id)
         self.completed += 1
@@ -132,8 +139,8 @@ class _EmbeddedWorker:
         return True
 
 
-class FabricPool:
-    """Coordinator driving :class:`PointState`\\ s through a work-lease broker.
+class FabricPool(ShardExecutor):
+    """Shard-driver executor submitting every shard to a work-lease broker.
 
     Parameters
     ----------
@@ -142,15 +149,15 @@ class FabricPool:
         entry key -> :class:`~repro.sim.parallel.PoolEntry`.  Embedded
         workers build one simulator per key, lazily, in this process.
     broker:
-        Any :class:`~repro.fabric.broker.Broker`; defaults to a fresh
-        :class:`~repro.fabric.broker.InProcessBroker` over ``policy``.
-    policy:
-        Lease policy for the default broker (ignored when ``broker`` is
-        given — a broker owns its policy).
+        Any :class:`~repro.fabric.broker.Broker` (it owns its lease
+        policy); defaults to a fresh
+        :class:`~repro.fabric.broker.InProcessBroker`.
     workers:
         Number of embedded workers (``w0`` … ``w{n-1}``).  ``0`` means the
         coordinator only submits and folds — external ``repro fabric
         worker`` processes must serve the queue (requires ``wall_clock``).
+        At most twice as many shards as workers (or as 4 presumed external
+        ones) are in flight.
     fault_plan:
         Scripted failure schedule for the embedded workers (chaos battery);
         ``None`` is fault-free.
@@ -159,11 +166,6 @@ class FabricPool:
         per tick, fully deterministic, no sleeping.  ``True`` reads
         :func:`repro.obs.clock.wall_time` so TTLs are seconds and external
         workers can participate.
-    poll_seconds:
-        Idle sleep between wall-clock iterations that made no progress.
-    max_inflight:
-        Cap on submitted-but-unfolded shards; defaults to twice the
-        executor count (embedded workers, or 4 presumed external ones).
     on_event:
         Fabric lifecycle observer: ``on_event(event, **fields)`` for
         ``worker_join`` / ``worker_leave`` / ``lease_granted`` /
@@ -171,6 +173,10 @@ class FabricPool:
         ``straggler_redispatch`` / ``duplicate_delivery`` /
         ``duplicate_completion``.  Strictly write-only, like all
         :mod:`repro.obs` hooks: counts are byte-identical with or without.
+
+    A clean :meth:`close` over a
+    :class:`~repro.fabric.broker.FilesystemBroker` writes its ``done``
+    marker, so external workers exit.
     """
 
     def __init__(
@@ -178,20 +184,14 @@ class FabricPool:
         entries: Mapping[Any, PoolEntry],
         *,
         broker: Broker | None = None,
-        policy: LeasePolicy | None = None,
         workers: int = 1,
         fault_plan: FaultPlan | None = None,
         wall_clock: bool = False,
-        poll_seconds: float = 0.05,
-        max_inflight: int | None = None,
         on_event: Callable[..., None] | None = None,
     ) -> None:
-        if not entries:
-            raise ValueError("a FabricPool needs at least one entry")
-        self.entries = dict(entries)
-        self.broker: Broker = broker if broker is not None else InProcessBroker(policy)
+        super().__init__(entries)
+        self.broker: Broker = broker if broker is not None else InProcessBroker()
         self.wall_clock = bool(wall_clock)
-        self.poll_seconds = float(poll_seconds)
         self._on_event = on_event
         plan = fault_plan or FaultPlan()
         if workers < 0:
@@ -205,51 +205,22 @@ class FabricPool:
         self._workers = [
             _EmbeddedWorker(self, f"w{index}", plan) for index in range(int(workers))
         ]
-        executors = len(self._workers) or 4
-        self.max_inflight = (
-            int(max_inflight) if max_inflight is not None else executors * 2
-        )
-        self._simulators: dict[Any, MonteCarloSimulator] = {}
+        self.max_inflight = 2 * (len(self._workers) or 4)
+        self._runner = ShardRunner(self.entries.__getitem__)
         self._lease_count = 0
         self._fault_plan = plan
         self._redispatched: set[str] = set()
-
-    # ------------------------------------------------------------------ #
-    def __enter__(self) -> "FabricPool":
-        return self
-
-    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
-        self.close()
+        self._now = 0.0
 
     def close(self, *, force: bool = False) -> None:
-        """API parity with :class:`SharedWorkerPool`; nothing to tear down."""
-
-    def warmup(self) -> None:
-        """API parity with :class:`SharedWorkerPool`; simulators build lazily."""
+        """After a clean run, mark a shared broker done so its workers exit."""
+        if not force and isinstance(self.broker, FilesystemBroker):
+            self.broker.mark_done()
 
     # ------------------------------------------------------------------ #
     def _emit(self, event: str, **fields: Any) -> None:
         if self._on_event is not None:
             self._on_event(event, **fields)
-
-    def _execute(self, job: ShardJob) -> dict[str, Any]:
-        """Compute one shard exactly as a pool worker would."""
-        simulator = self._simulators.get(job.key)
-        if simulator is None:
-            entry = self.entries[job.key]
-            simulator = MonteCarloSimulator(
-                entry.code,
-                entry.decoder_factory(),
-                config=entry.config,
-                rng=0,
-                pipeline=entry.pipeline,
-            )
-            self._simulators[job.key] = simulator
-        sigma = simulator.sigma_for(job.ebn0_db)
-        result = simulator.run_batch(
-            job.size, sigma, rng=np.random.default_rng(job.seed_sequence())
-        )
-        return result_to_dict(result)
 
     def _on_lease_granted(self, leased: LeasedShard, worker: str) -> None:
         self._emit(
@@ -264,32 +235,6 @@ class FabricPool:
                     "duplicate_delivery", job=leased.job.job_id, worker=worker
                 )
         self._lease_count += 1
-
-    # ------------------------------------------------------------------ #
-    def _submit_ready(self, active: Sequence[PointState], now: float) -> None:
-        inflight = sum(len(state.pending) for state in active)
-        made_submission = True
-        while inflight < self.max_inflight and made_submission:
-            made_submission = False
-            for state in active:
-                if inflight >= self.max_inflight:
-                    break
-                shard = state.next_shard()
-                if shard is None:
-                    continue
-                size, child = shard
-                job = ShardJob(
-                    key=str(state.key),
-                    ebn0_db=state.ebn0_db,
-                    shard_index=state.shards_dispatched,
-                    size=int(size),
-                    seed=seed_to_dict(child),
-                )
-                self.broker.submit(job, now=now)
-                state.pending.append((job.job_id, state.shards_dispatched, now))
-                state.shards_dispatched += 1
-                inflight += 1
-                made_submission = True
 
     def _reclaim_and_redispatch(self, now: float) -> None:
         for transition in self.broker.reclaim(now):
@@ -324,46 +269,6 @@ class FabricPool:
                     "straggler_redispatch", job=view.job_id, worker=view.worker
                 )
 
-    def _consume_ready(
-        self, state: PointState, on_shard: Callable | None
-    ) -> bool:
-        """Fold completed shards of ``state`` in strict shard order."""
-        progressed = False
-        while state.pending:
-            job_id, shard_index, dispatched_at = state.pending[0]
-            record = self.broker.result(job_id)
-            if record is None:
-                attempts = self.broker.dead_attempts(job_id)
-                if attempts is not None:
-                    raise FabricJobError(
-                        f"shard {job_id} failed {attempts} attempts and was "
-                        "dead-lettered; the fleet cannot finish this campaign"
-                    )
-                break
-            state.pending.popleft()
-            progressed = True
-            result = result_from_dict(record["result"])
-            if on_shard is not None:
-                on_shard(
-                    state,
-                    shard_index,
-                    result,
-                    FabricShardInfo(worker=str(record.get("worker", "?"))),
-                    dispatched_at,
-                )
-            if not state.stopped and not consume_shard(
-                state.counter, result, state.config
-            ):
-                # Stopping rule hit: everything dispatched beyond this shard
-                # is speculative.  Cancel what is still queued; anything
-                # already leased completes harmlessly (idempotent record,
-                # never folded) or expires into the cancelled set.
-                state.stopped = True
-                for speculative_id, _, _ in state.pending:
-                    self.broker.cancel(speculative_id)
-                state.pending.clear()
-        return progressed
-
     def _assert_not_stalled(self, active: Sequence[PointState]) -> None:
         if self.wall_clock:
             return  # external workers may join at any time
@@ -378,59 +283,83 @@ class FabricPool:
                 "store — resume with a healthy fleet)"
             )
 
+    # -- executor hooks ------------------------------------------------- #
+    def submit(
+        self,
+        state: PointState,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> str:
+        job = ShardJob(
+            key=str(state.key),
+            ebn0_db=state.ebn0_db,
+            shard_index=shard_index,
+            size=int(size),
+            seed=seed_to_dict(seed),
+        )
+        self.broker.submit(job, now=self._now)
+        return job.job_id
+
+    def result(self, handle: str) -> ShardOutcome | None:
+        record = self.broker.result(handle)
+        if record is None:
+            attempts = self.broker.dead_attempts(handle)
+            if attempts is not None:
+                raise FabricJobError(
+                    f"shard {handle} failed {attempts} attempts and was "
+                    "dead-lettered; the fleet cannot finish this campaign"
+                )
+            return None
+        telemetry = ShardTelemetry(
+            worker=str(record.get("worker", "?")),
+            started=None,
+            seconds=0.0,
+            stage_seconds=None,
+        )
+        return result_from_dict(record["result"]), telemetry
+
+    def cancel(self, handle: str) -> None:
+        # Anything already leased completes harmlessly (idempotent record,
+        # never folded) or expires into the cancelled set.
+        self.broker.cancel(handle)
+
+    def advance(self) -> bool:
+        self._reclaim_and_redispatch(self._now)
+        progressed = False
+        for worker in self._workers:
+            if worker.step(self._now):
+                progressed = True
+        return progressed
+
+    def idle(self, active: list[PointState], progressed: bool) -> None:
+        if self.wall_clock:
+            if not progressed:
+                time.sleep(_POLL_SECONDS)
+            self._now = clock.wall_time()
+        else:
+            self._assert_not_stalled(active)
+            self._now += 1.0
+
     # ------------------------------------------------------------------ #
     def run_states(
         self,
         states: Sequence[PointState],
         *,
-        on_point: Callable[[PointState, SimulationPoint], None] | None = None,
-        on_shard: Callable | None = None,
+        on_point: PointObserver | None = None,
+        on_shard: ShardObserver | None = None,
     ) -> list[SimulationPoint]:
-        """Drive every :class:`PointState` to completion through the broker.
+        """The shared driver on a fresh clock, with the embedded fleet joined.
 
-        Same contract as :meth:`SharedWorkerPool.run_states`: round-robin
-        dispatch, ``on_point`` in completion order, points returned in input
-        order, and — the entire reason this module exists — counts
-        bit-identical to the serial engine for any fleet and any failure
-        schedule the lease policy survives.
+        Counts are bit-identical to the serial engine for any fleet and any
+        failure schedule the lease policy survives.
         """
-        for state in states:
-            if state.key not in self.entries:
-                raise KeyError(f"state references unknown pool entry {state.key!r}")
-        if not states:
-            return []
+        self._now = clock.wall_time() if self.wall_clock else 0.0
         for worker in self._workers:
             self._emit("worker_join", worker=worker.id)
-        now = clock.wall_time() if self.wall_clock else 0.0
-        active = list(states)
         try:
-            while active:
-                self._submit_ready(active, now)
-                self._reclaim_and_redispatch(now)
-                progressed = False
-                for worker in self._workers:
-                    if worker.step(now):
-                        progressed = True
-                for state in active:
-                    if self._consume_ready(state, on_shard):
-                        progressed = True
-                finished = [state for state in active if state.done]
-                for state in finished:
-                    active.remove(state)
-                    progressed = True
-                    if on_point is not None:
-                        on_point(state, state.to_point())
-                if not active:
-                    break
-                if self.wall_clock:
-                    if not progressed:
-                        time.sleep(self.poll_seconds)
-                    now = clock.wall_time()
-                else:
-                    self._assert_not_stalled(active)
-                    now += 1.0
+            return super().run_states(states, on_point=on_point, on_shard=on_shard)
         finally:
             for worker in self._workers:
                 if not worker.dead:
                     self._emit("worker_leave", worker=worker.id)
-        return [state.to_point() for state in states]

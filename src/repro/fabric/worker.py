@@ -29,8 +29,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from repro.obs import clock
 from repro.fabric.broker import FabricError, FilesystemBroker
 from repro.fabric.jobs import ShardJob, result_to_dict
@@ -40,7 +38,7 @@ from repro.sim.campaign.spec import (
     DecoderSpec,
     config_from_dict,
 )
-from repro.sim.montecarlo import MonteCarloSimulator
+from repro.sim.parallel import PoolEntry, ShardRunner
 
 __all__ = ["run_worker", "default_worker_id"]
 
@@ -77,19 +75,14 @@ class _Heartbeat:
         self._thread.join()
 
 
-class _SimulatorCache:
-    """Rebuild simulators from the broker manifest's experiment specs."""
+def _manifest_entries(
+    entries: Mapping[str, Mapping[str, Any]],
+) -> Callable[[str], PoolEntry]:
+    """Resolve an entry key to the pool entry its manifest specs describe."""
+    codes: dict[str, Any] = {}
 
-    def __init__(self, entries: Mapping[str, Mapping[str, Any]]) -> None:
-        self._entries = entries
-        self._codes: dict[str, Any] = {}
-        self._simulators: dict[str, MonteCarloSimulator] = {}
-
-    def simulator_for(self, key: str) -> MonteCarloSimulator:
-        simulator = self._simulators.get(key)
-        if simulator is not None:
-            return simulator
-        entry = self._entries.get(key)
+    def entry_for(key: str) -> PoolEntry:
+        entry = entries.get(key)
         if entry is None:
             raise KeyError(
                 f"broker manifest has no entry {key!r}; the directory may "
@@ -97,19 +90,17 @@ class _SimulatorCache:
             )
         # Distinct experiments frequently share a code; build each once.
         code_key = json.dumps(entry["code"], sort_keys=True)
-        code = self._codes.get(code_key)
+        code = codes.get(code_key)
         if code is None:
-            code = CodeSpec.from_dict(entry["code"]).build()
-            self._codes[code_key] = code
-        simulator = MonteCarloSimulator(
+            code = codes[code_key] = CodeSpec.from_dict(entry["code"]).build()
+        return PoolEntry(
             code,
-            DecoderSpec.from_dict(entry["decoder"]).build(code),
-            config=config_from_dict(entry["config"]),
-            rng=0,
-            pipeline=ChannelSpec.from_dict(entry["channel"]).build(),
+            DecoderSpec.from_dict(entry["decoder"]).factory(code),
+            config_from_dict(entry["config"]),
+            ChannelSpec.from_dict(entry["channel"]).build(),
         )
-        self._simulators[key] = simulator
-        return simulator
+
+    return entry_for
 
 
 def _open_when_ready(
@@ -154,7 +145,7 @@ def run_worker(
     """
     broker = _open_when_ready(directory, poll_seconds, max_idle_seconds)
     worker = worker_id or default_worker_id()
-    cache = _SimulatorCache(broker.manifest.get("entries", {}))
+    runner = ShardRunner(_manifest_entries(broker.manifest.get("entries", {})))
     completed = 0
     idle_since: float | None = None
     while True:
@@ -174,12 +165,8 @@ def run_worker(
         job = leased.job
         if on_job is not None:
             on_job(job)
-        simulator = cache.simulator_for(job.key)
-        sigma = simulator.sigma_for(job.ebn0_db)
         with _Heartbeat(broker, job.job_id, worker):
-            result = simulator.run_batch(
-                job.size, sigma, rng=np.random.default_rng(job.seed_sequence())
-            )
+            result, _ = runner.run(job.key, job.ebn0_db, job.size, job.seed_sequence())
         broker.complete(job.job_id, result_to_dict(result), worker)
         completed += 1
         if max_jobs is not None and completed >= max_jobs:

@@ -12,9 +12,10 @@ that feed it — flows through this module, for two reasons:
   instead of clock reads scattered through consumers.
 * **Two clocks, two jobs.**  :func:`monotonic` (``time.perf_counter``) is
   for durations and event ordering — high resolution, never steps
-  backwards, meaningless across processes or runs.  :func:`wall_time`
-  (``time.time``) is for human-facing timestamps in telemetry artifacts
-  only; it must never feed simulation state, seeds or result files.
+  backwards, shared by the processes of one host, meaningless across hosts
+  or runs.  :func:`wall_time` (``time.time``) is for human-facing
+  timestamps in telemetry artifacts only; it must never feed simulation
+  state, seeds or result files.
 
 Telemetry is write-only with respect to simulation results: nothing read
 from these clocks may influence counts, and the telemetry-on/off
@@ -32,8 +33,10 @@ __all__ = ["monotonic", "wall_time", "wall_iso"]
 def monotonic() -> float:
     """Seconds on a monotonic high-resolution clock (for durations).
 
-    Values are only comparable within one process: ``time.perf_counter``
-    has an undefined epoch and restarts with the process, which is why
+    Values compare across the processes of one host — CPython's
+    ``time.perf_counter`` reads a system-wide clock (``CLOCK_MONOTONIC`` on
+    Linux) — so a pool worker's shard start stamp can be subtracted from
+    the parent's dispatch stamp.  The epoch is undefined, which is why
     event records carry a ``seq`` number for cross-run ordering.
     """
     return time.perf_counter()

@@ -9,20 +9,23 @@ target error count or frame budget is reached;
 :class:`~repro.sim.results.SimulationCurve` objects that can be serialized,
 compared and printed as the rows of a waterfall plot.
 
-:class:`~repro.sim.parallel.ParallelMonteCarloEngine` shards the same frame
-budgets over a ``multiprocessing`` worker pool (``EbN0Sweep(..., workers=N)``)
-and reproduces the serial engine's counts bit for bit for any worker count —
-the shard schedule and per-shard RNG streams live in
-:mod:`repro.sim.sharding` and are shared by both engines.
+Sweeps and campaigns run their points through one shard driver,
+:meth:`~repro.sim.parallel.ShardExecutor.run_states`, with three executors:
+in-process (:class:`~repro.sim.parallel.InlineExecutor`), a
+``multiprocessing`` worker pool (:class:`~repro.sim.parallel.SharedWorkerPool`,
+``EbN0Sweep(..., workers=N)``) and the distributed fabric
+(:class:`~repro.fabric.pool.FabricPool`).  Each reproduces
+``MonteCarloSimulator.run_point``'s counts bit for bit — the shard schedule
+and per-shard RNG streams live in :mod:`repro.sim.sharding`.
 
-:mod:`repro.sim.campaign` builds on the same pool to run whole experiment
-grids — many (code, decoder, channel, config) combinations — through one
-shared worker pool with an incrementally persisted, resumable result store.
+:mod:`repro.sim.campaign` runs whole experiment grids — many (code,
+decoder, channel, config) combinations — through one executor with an
+incrementally persisted, resumable result store.
 """
 
 from repro.sim.crossing import Crossing, crossing_ebn0, curve_crossing
 from repro.sim.montecarlo import BatchResult, MonteCarloSimulator, SimulationConfig
-from repro.sim.parallel import ParallelMonteCarloEngine, PoolEntry, SharedWorkerPool
+from repro.sim.parallel import InlineExecutor, PoolEntry, SharedWorkerPool
 from repro.sim.reference import shannon_limit_ebn0_db, uncoded_bpsk_ber
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.sim.sharding import consume_shard, iter_shard_sizes
@@ -33,7 +36,7 @@ __all__ = [
     "MonteCarloSimulator",
     "SimulationConfig",
     "BatchResult",
-    "ParallelMonteCarloEngine",
+    "InlineExecutor",
     "SharedWorkerPool",
     "PoolEntry",
     "iter_shard_sizes",

@@ -1,12 +1,15 @@
-"""Campaign scheduling: one shard stream, one shared worker pool.
+"""Campaign scheduling: one shard stream, one executor.
 
 The scheduler flattens every (experiment, Eb/N0) combination of a
 :class:`~repro.sim.campaign.spec.CampaignSpec` into a deterministic list of
-:class:`PointJob`\\ s and drives them through a *single*
+:class:`PointJob`\\ s and drives them all through one call of the shard
+driver (:meth:`~repro.sim.parallel.ShardExecutor.run_states`) on one
+executor: in process, a *single*
 :class:`~repro.sim.parallel.SharedWorkerPool` — experiments do not pay a
-pool each, and early-stopping points of one configuration release workers to
-the others.  Jobs are interleaved round-robin across experiments so every
-curve grows from its most informative (lowest-index) points first.
+pool each, and early-stopping points of one configuration release workers
+to the others — or the fabric's :class:`~repro.fabric.pool.FabricPool`.
+Jobs are interleaved round-robin across experiments so every curve grows
+from its most informative (lowest-index) points first.
 
 Seeds are a pure function of the spec: experiment ``i`` owns child ``i`` of
 ``SeedSequence(spec.seed)`` and point ``j`` of that experiment owns child
@@ -31,13 +34,19 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.obs import clock
-from repro.obs.probe import StageAccumulator
 from repro.obs.telemetry import Telemetry
 from repro.sim.campaign.spec import CampaignSpec, config_to_dict
 from repro.sim.campaign.store import ResultStore
-from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
-from repro.sim.parallel import PointState, PoolEntry, SharedWorkerPool
+from repro.sim.montecarlo import BatchResult, SimulationConfig
+from repro.sim.parallel import (
+    InlineExecutor,
+    PointState,
+    PoolEntry,
+    ShardExecutor,
+    ShardObserver,
+    ShardTelemetry,
+    SharedWorkerPool,
+)
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.utils.rng import as_seed_sequence
 
@@ -59,7 +68,7 @@ class PointJob:
 
 
 class CampaignScheduler:
-    """Run a campaign's point jobs through one shared worker pool.
+    """Run a campaign's point jobs through the shard driver on one executor.
 
     Parameters
     ----------
@@ -87,7 +96,7 @@ class CampaignScheduler:
         A :class:`~repro.fabric.FabricConfig` routes the shard stream
         through the campaign fabric (work-lease broker + embedded and/or
         external workers) instead of a process pool; ``None`` — the default
-        — keeps the classic pooled/serial paths.  ``workers`` is ignored
+        — keeps the pooled or in-process executor.  ``workers`` is ignored
         under the fabric; ``fabric.local_workers`` sizes the embedded
         fleet and ``fabric.broker_dir`` lets ``repro fabric worker``
         processes join.  Determinism is unchanged: the fabric folds the
@@ -212,25 +221,97 @@ class CampaignScheduler:
         jobs: list[PointJob],
         progress: Callable[[str, SimulationPoint], None] | None,
     ) -> None:
-        """Route pending jobs to the fabric, the pool or the serial path."""
-        if self.fabric is not None:
-            self._run_fabric(jobs, progress)
-        elif self.workers:
-            self._run_pooled(jobs, progress)
-        else:
-            self._run_serial(jobs, progress)
+        """Run the pending jobs through the shard driver on the chosen executor.
 
-    def _built_codes(self, labels: set[str]) -> dict[str, Any]:
-        """Build each distinct code once; map experiment label -> code."""
+        Every executor folds the same shard schedule in the same order, so
+        stored curves are byte-identical whichever one runs; points land in
+        the store as they complete.
+        """
+        telemetry = self.telemetry
+        entries = self._entries({job.label for job in jobs})
+        states = [
+            PointState(
+                job.label,
+                job.ebn0_db,
+                job.seed,
+                entries[job.label].config,
+                tag=job,
+            )
+            for job in jobs
+        ]
+        on_shard: ShardObserver | None = None
+        workers: dict[int | str, int] = {}
+        if telemetry is not None:
+            for job in jobs:
+                telemetry.emit(
+                    "job_dispatched",
+                    experiment=job.label,
+                    point_index=job.point_index,
+                    ebn0_db=job.ebn0_db,
+                )
+            on_shard = _shard_observer(telemetry, workers)
+        try:
+            with self._executor(entries) as executor:
+                executor.run_states(
+                    states,
+                    on_point=lambda state, point: self._record(
+                        state.key, point, progress
+                    ),
+                    on_shard=on_shard,
+                )
+        finally:
+            if telemetry is not None:
+                for worker in workers.values():
+                    telemetry.emit("worker_down", worker=worker)
+
+    def _executor(self, entries: dict[str, PoolEntry]) -> ShardExecutor:
+        """The fabric, a worker pool, or in-process shards."""
+        if self.fabric is None:
+            if self.workers:
+                return SharedWorkerPool(
+                    entries, workers=self.workers, mp_context=self._mp_context
+                )
+            return InlineExecutor(entries)
+        from repro.fabric import FabricPool, FilesystemBroker, InProcessBroker
+
+        fabric = self.fabric
+        broker: Any
+        if fabric.broker_dir:
+            broker = FilesystemBroker.create(
+                fabric.broker_dir,
+                self._fabric_manifest(),
+                policy=fabric.policy,
+                fresh=fabric.fresh,
+            )
+        else:
+            broker = InProcessBroker(fabric.policy)
+        return FabricPool(
+            entries,
+            broker=broker,
+            workers=fabric.local_workers,
+            fault_plan=fabric.fault_plan,
+            wall_clock=fabric.resolved_wall_clock(),
+            on_event=self.telemetry.emit if self.telemetry is not None else None,
+        )
+
+    def _entries(self, labels: set[str]) -> dict[str, PoolEntry]:
+        """One pool entry per experiment in ``labels``; each code built once."""
         by_spec: dict[Any, Any] = {}
-        codes: dict[str, Any] = {}
+        entries: dict[str, PoolEntry] = {}
         for experiment in self.spec.experiments:
             if experiment.label not in labels:
                 continue
             if experiment.code not in by_spec:
                 by_spec[experiment.code] = experiment.code.build()
-            codes[experiment.label] = by_spec[experiment.code]
-        return codes
+            code = by_spec[experiment.code]
+            entries[experiment.label] = PoolEntry(
+                code,
+                experiment.decoder.factory(code),
+                self._resolved_config(experiment.label),
+                experiment.channel.build(),
+                profiled=self.telemetry is not None,
+            )
+        return entries
 
     def _resolved_config(self, label: str) -> SimulationConfig:
         config = self._resolved_configs.get(label)
@@ -265,187 +346,6 @@ class CampaignScheduler:
         if progress is not None:
             progress(label, point)
 
-    def _serial_shard_observer(
-        self, simulator: MonteCarloSimulator, label: str, ebn0_db: float
-    ) -> Callable[[int, Any, float], None]:
-        """Per-job ``on_shard`` closure for the serial path (worker id 0)."""
-        if self.telemetry is None:  # pragma: no cover - telemetry path only
-            raise RuntimeError("shard observer requires telemetry")
-        recorder: Telemetry = self.telemetry
-        probe = simulator.probe
-        accumulator = probe if isinstance(probe, StageAccumulator) else None
-        mark = [accumulator.checkpoint()] if accumulator is not None else None
-
-        def on_shard(index: int, shard: Any, seconds: float) -> None:
-            stage_seconds = None
-            if accumulator is not None and mark is not None:
-                _, _, stage_seconds = accumulator.since(mark[0])
-                mark[0] = accumulator.checkpoint()
-            recorder.record_shard(
-                experiment=label,
-                ebn0_db=ebn0_db,
-                shard_index=index,
-                frames=shard.frames,
-                frame_errors=shard.frame_errors,
-                seconds=seconds,
-                queue_seconds=0.0,
-                worker=0,
-                stage_seconds=stage_seconds,
-            )
-
-        return on_shard
-
-    def _run_serial(
-        self,
-        jobs: list[PointJob],
-        progress: Callable[[str, SimulationPoint], None] | None,
-    ) -> None:
-        telemetry = self.telemetry
-        codes = self._built_codes({job.label for job in jobs})
-        experiments = {e.label: e for e in self.spec.experiments}
-        simulators: dict[str, MonteCarloSimulator] = {}
-        if telemetry is not None:
-            telemetry.emit("worker_up", worker=0)
-        try:
-            for job in jobs:
-                simulator = simulators.get(job.label)
-                if simulator is None:
-                    experiment = experiments[job.label]
-                    code = codes[job.label]
-                    simulator = MonteCarloSimulator(
-                        code,
-                        experiment.decoder.build(code),
-                        config=experiment.resolve_config(self.spec.config),
-                        rng=0,
-                        pipeline=experiment.channel.build(),
-                        probe=StageAccumulator() if telemetry is not None else None,
-                    )
-                    simulators[job.label] = simulator
-                on_shard: Callable[[int, Any, float], None] | None = None
-                if telemetry is not None:
-                    telemetry.emit(
-                        "job_dispatched",
-                        experiment=job.label,
-                        point_index=job.point_index,
-                        ebn0_db=job.ebn0_db,
-                    )
-                    on_shard = self._serial_shard_observer(
-                        simulator, job.label, job.ebn0_db
-                    )
-                point = simulator.run_point(
-                    job.ebn0_db, rng=job.seed, on_shard=on_shard
-                )
-                self._record(job.label, point, progress)
-        finally:
-            if telemetry is not None:
-                telemetry.emit("worker_down", worker=0)
-
-    def _run_pooled(
-        self,
-        jobs: list[PointJob],
-        progress: Callable[[str, SimulationPoint], None] | None,
-    ) -> None:
-        telemetry = self.telemetry
-        labels = {job.label for job in jobs}
-        codes = self._built_codes(labels)
-        entries: dict[str, PoolEntry] = {}
-        for experiment in self.spec.experiments:
-            if experiment.label not in labels:
-                continue
-            code = codes[experiment.label]
-            entries[experiment.label] = PoolEntry(
-                code,
-                experiment.decoder.factory(code),
-                experiment.resolve_config(self.spec.config),
-                experiment.channel.build(),
-                profiled=telemetry is not None,
-            )
-        states = [
-            PointState(
-                job.label,
-                job.ebn0_db,
-                job.seed,
-                entries[job.label].config,
-                tag=job,
-            )
-            for job in jobs
-        ]
-        on_shard: Callable[[Any, int, Any, Any, float], None] | None = None
-        seen_workers: set[int] = set()
-        if telemetry is not None:
-            recorder: Telemetry = telemetry
-            for job in jobs:
-                recorder.emit(
-                    "job_dispatched",
-                    experiment=job.label,
-                    point_index=job.point_index,
-                    ebn0_db=job.ebn0_db,
-                )
-
-            def _pool_shard_observer(
-                state: Any,
-                shard_index: int,
-                result: Any,
-                shard: Any,
-                dispatched_at: float,
-            ) -> None:
-                worker = shard.worker if shard is not None else 0
-                if worker not in seen_workers:
-                    seen_workers.add(worker)
-                    recorder.emit("worker_up", worker=worker)
-                seconds = shard.seconds if shard is not None else 0.0
-                queue_seconds = 0.0
-                if shard is not None:
-                    # Queue wait = in-pool time minus worker compute time:
-                    # both ends of the interval are parent-side reads of the
-                    # same monotonic clock.
-                    queue_seconds = max(
-                        clock.monotonic() - dispatched_at - seconds, 0.0
-                    )
-                recorder.record_shard(
-                    experiment=state.key,
-                    ebn0_db=state.ebn0_db,
-                    shard_index=shard_index,
-                    frames=result.frames,
-                    frame_errors=result.frame_errors,
-                    seconds=seconds,
-                    queue_seconds=queue_seconds,
-                    worker=worker,
-                    stage_seconds=shard.stage_seconds if shard is not None else None,
-                )
-
-            on_shard = _pool_shard_observer
-
-        try:
-            with SharedWorkerPool(
-                entries, workers=self.workers, mp_context=self._mp_context
-            ) as pool:
-                pool.run_states(
-                    states,
-                    on_point=lambda state, point: self._record(
-                        state.key, point, progress
-                    ),
-                    on_shard=on_shard,
-                )
-        finally:
-            if telemetry is not None:
-                for worker in sorted(seen_workers):
-                    telemetry.emit("worker_down", worker=worker)
-
-    def _fabric_entries(self, labels: set[str]) -> dict[str, PoolEntry]:
-        codes = self._built_codes(labels)
-        entries: dict[str, PoolEntry] = {}
-        for experiment in self.spec.experiments:
-            if experiment.label not in labels:
-                continue
-            entries[experiment.label] = PoolEntry(
-                codes[experiment.label],
-                experiment.decoder.factory(codes[experiment.label]),
-                experiment.resolve_config(self.spec.config),
-                experiment.channel.build(),
-            )
-        return entries
-
     def _fabric_manifest(self) -> dict[str, Any]:
         """Self-contained entry specs external workers rebuild from.
 
@@ -466,101 +366,43 @@ class CampaignScheduler:
             }
         return {"campaign": self.spec.name, "entries": entries}
 
-    def _run_fabric(
-        self,
-        jobs: list[PointJob],
-        progress: Callable[[str, SimulationPoint], None] | None,
+
+def _shard_observer(
+    recorder: Telemetry, workers: dict[int | str, int]
+) -> ShardObserver:
+    """Book each folded shard as a ``shard_completed`` event.
+
+    Workers — pool or serial processes by pid, fabric workers by name — are
+    numbered by first appearance in ``workers``, and ``worker_up`` marks
+    each one.  Queue wait runs from dispatch to the worker's start stamp,
+    both read from the host's monotonic clock, so it excludes the
+    simulator build and any wait for an earlier shard's fold.
+    """
+
+    def observe(
+        state: PointState,
+        shard_index: int,
+        result: BatchResult,
+        shard: ShardTelemetry,
+        dispatched_at: float,
     ) -> None:
-        """Drive the pending jobs through the campaign fabric.
+        worker = workers.get(shard.worker)
+        if worker is None:
+            worker = workers[shard.worker] = len(workers)
+            recorder.emit("worker_up", worker=worker)
+        queue_seconds = 0.0
+        if shard.started is not None:
+            queue_seconds = max(shard.started - dispatched_at, 0.0)
+        recorder.record_shard(
+            experiment=state.key,
+            ebn0_db=state.ebn0_db,
+            shard_index=shard_index,
+            frames=result.frames,
+            frame_errors=result.frame_errors,
+            seconds=shard.seconds,
+            queue_seconds=queue_seconds,
+            worker=worker,
+            stage_seconds=shard.stage_seconds,
+        )
 
-        Same shard schedule, same fold order, same stopping rule as the
-        pooled path — only the executor changes, so stored curves stay
-        byte-identical (the chaos battery's core assertion).  With a
-        ``broker_dir`` the run is joinable by ``repro fabric worker``
-        processes; a clean finish writes the broker's ``done`` marker so
-        they exit.
-        """
-        from repro.fabric import FabricPool, FilesystemBroker, InProcessBroker
-
-        fabric = self.fabric
-        assert fabric is not None  # _dispatch routed us here
-        telemetry = self.telemetry
-        labels = {job.label for job in jobs}
-        entries = self._fabric_entries(labels)
-        if fabric.broker_dir:
-            broker: Any = FilesystemBroker.create(
-                fabric.broker_dir,
-                self._fabric_manifest(),
-                policy=fabric.policy,
-                fresh=fabric.fresh,
-            )
-        else:
-            broker = InProcessBroker(fabric.policy)
-        states = [
-            PointState(
-                job.label,
-                job.ebn0_db,
-                job.seed,
-                entries[job.label].config,
-                tag=job,
-            )
-            for job in jobs
-        ]
-        on_event: Callable[..., None] | None = None
-        on_shard: Callable[[Any, int, Any, Any, float], None] | None = None
-        if telemetry is not None:
-            recorder: Telemetry = telemetry
-            for job in jobs:
-                recorder.emit(
-                    "job_dispatched",
-                    experiment=job.label,
-                    point_index=job.point_index,
-                    ebn0_db=job.ebn0_db,
-                )
-            on_event = recorder.emit
-            # Fabric workers are named; shard_completed's worker field is an
-            # int, so names map to indices by first appearance (stable for a
-            # deterministic schedule).
-            worker_indices: dict[str, int] = {}
-
-            def _fabric_shard_observer(
-                state: Any,
-                shard_index: int,
-                result: Any,
-                shard: Any,
-                dispatched_at: float,
-            ) -> None:
-                name = shard.worker if shard is not None else "?"
-                index = worker_indices.setdefault(name, len(worker_indices))
-                recorder.record_shard(
-                    experiment=state.key,
-                    ebn0_db=state.ebn0_db,
-                    shard_index=shard_index,
-                    frames=result.frames,
-                    frame_errors=result.frame_errors,
-                    seconds=0.0,
-                    queue_seconds=0.0,
-                    worker=index,
-                    stage_seconds=None,
-                )
-
-            on_shard = _fabric_shard_observer
-
-        with FabricPool(
-            entries,
-            broker=broker,
-            workers=fabric.local_workers,
-            fault_plan=fabric.fault_plan,
-            wall_clock=fabric.resolved_wall_clock(),
-            poll_seconds=fabric.poll_seconds,
-            on_event=on_event,
-        ) as pool:
-            pool.run_states(
-                states,
-                on_point=lambda state, point: self._record(
-                    state.key, point, progress
-                ),
-                on_shard=on_shard,
-            )
-        if hasattr(broker, "mark_done"):
-            broker.mark_done()
+    return observe

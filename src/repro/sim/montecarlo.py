@@ -10,9 +10,9 @@ practice: the relative accuracy is set by the error count, not the frame
 count) or a frame budget is exhausted.
 
 The shard decomposition is deterministic given the configuration (see
-:mod:`repro.sim.sharding`), which is what lets the parallel engine in
-:mod:`repro.sim.parallel` distribute the same shards over a worker pool and
-reproduce this serial engine's counts exactly.
+:mod:`repro.sim.sharding`), which is what lets the shard driver in
+:mod:`repro.sim.parallel` distribute the same shards over any executor and
+reproduce this reference loop's counts exactly.
 
 The simulator understands both plain codes (``QCLDPCCode`` /
 ``ParityCheckMatrix``) and :class:`~repro.codes.shortening.ShortenedCode`
@@ -270,10 +270,9 @@ class MonteCarloSimulator:
     ) -> BatchResult:
         """Simulate one shard of ``batch`` frames and return its counts.
 
-        This is the unit of work the parallel engine ships to pool workers:
-        it is stateless apart from the decoder object, so the same
-        ``(batch, sigma, rng)`` triple produces the same counts in any
-        process.
+        This is the unit of work every shard executor runs: it is stateless
+        apart from the decoder object, so the same ``(batch, sigma, rng)``
+        triple produces the same counts in any process.
         """
         if batch < 1:
             raise ValueError("batch must be positive")
@@ -354,7 +353,7 @@ class MonteCarloSimulator:
             info_bit_errors=counter.info_bit_errors,
         )
 
-    def run_point(self, ebn0_db: float, *, rng=None, on_shard=None) -> SimulationPoint:
+    def run_point(self, ebn0_db: float, *, rng=None) -> SimulationPoint:
         """Simulate one Eb/N0 point until the stopping rule triggers.
 
         Shards are executed in order, each with a child stream spawned from
@@ -362,27 +361,18 @@ class MonteCarloSimulator:
         children, so each point of a sweep gets independent noise.
 
         ``rng`` overrides the simulator's seed for this point only, so one
-        simulator instance can serve many independently seeded points (the
-        sweep and campaign engines derive one child seed per point and rely
-        on this for their resume guarantee).
+        simulator instance can serve many independently seeded points.
 
-        ``on_shard`` is a telemetry observer called after each shard as
-        ``on_shard(index, shard_result, seconds)``.  It is write-only:
-        shard sizing, RNG spawning and the stopping rule are identical
-        whether or not it is set (the only difference is timing the
-        ``run_batch`` call).
+        This is the reference loop: the shard driver of
+        :mod:`repro.sim.parallel` never calls it, and the executor
+        conformance test pins every executor to its counts.
         """
         sigma = self.sigma_for(ebn0_db)
         counter = ErrorCounter()
         seed_seq = as_seed_sequence(self._rng if rng is None else rng)
-        for index, size in enumerate(iter_shard_sizes(self.config)):
+        for size in iter_shard_sizes(self.config):
             (child,) = seed_seq.spawn(1)
-            if on_shard is None:
-                shard = self.run_batch(size, sigma, rng=np.random.default_rng(child))
-            else:
-                started = clock.monotonic()
-                shard = self.run_batch(size, sigma, rng=np.random.default_rng(child))
-                on_shard(index, shard, clock.monotonic() - started)
+            shard = self.run_batch(size, sigma, rng=np.random.default_rng(child))
             if not consume_shard(counter, shard, self.config):
                 break
         return point_from_counter(ebn0_db, counter)

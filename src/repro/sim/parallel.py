@@ -1,49 +1,50 @@
-"""Sharded parallel Monte-Carlo engines built on one shared worker pool.
+"""One shard driver and its three executors.
 
-Two layers live here:
+Every Eb/N0 point a sweep or campaign simulates is a run of *shards*: the
+deterministic batch schedule of the point's config
+(:func:`repro.sim.sharding.iter_shard_sizes`), shard ``i`` drawing from
+child ``i`` of the point's :class:`numpy.random.SeedSequence`.
+:meth:`ShardExecutor.run_states` is the one loop that drives points to
+completion: it dispatches shards round-robin across the active points under
+an in-flight cap, folds results into each point's
+:class:`~repro.sim.statistics.ErrorCounter` strictly in shard order, applies
+the stopping rule to that ordered prefix — speculative shards dispatched
+beyond the stop are dropped or cancelled, never counted — and reports each
+point as it completes.
 
-* :class:`SharedWorkerPool` — a ``multiprocessing`` pool whose workers hold a
-  *registry* of simulators, one per :class:`PoolEntry` (code + decoder
-  factory + config), built lazily on first use.  Any mix of experiments can
-  therefore be dispatched through a single pool: the campaign scheduler in
-  :mod:`repro.sim.campaign` flattens every configuration of a campaign into
-  one stream of shard tasks instead of paying a pool per sweep.
-* :class:`ParallelMonteCarloEngine` — the single-experiment engine from PR 1,
-  now a thin wrapper around a one-entry :class:`SharedWorkerPool`.  Its API
-  and determinism contract are unchanged.
+An executor only says *where a shard runs*:
 
-The determinism contract is per Eb/N0 point and holds for both layers:
+* :class:`InlineExecutor` — in this process, one shard in flight, so points
+  complete one at a time in input order (the serial path of the campaign
+  scheduler and of :class:`~repro.sim.sweep.EbN0Sweep`);
+* :class:`SharedWorkerPool` — a ``multiprocessing`` pool whose workers
+  serve shards of any number of experiments;
+* :class:`~repro.fabric.pool.FabricPool` — a work-lease broker served by
+  embedded and external fabric workers.
 
-* the shard sizes come from the deterministic schedule
-  (:func:`repro.sim.sharding.iter_shard_sizes`) of the point's *own* config,
-  so they do not depend on the worker count or on what else shares the pool;
-* shard ``i`` of a point always draws from child ``i`` of the point's
-  :class:`numpy.random.SeedSequence` (spawned in shard order);
-* shard results are folded into the point's
-  :class:`~repro.sim.statistics.ErrorCounter` in shard order, and the
-  stopping rule is applied to that ordered prefix — speculative shards that
-  were dispatched beyond the stopping point are discarded, never counted.
+Each executor resolves a shard through the same :class:`PoolEntry` (code,
+decoder factory, config, channel pipeline) and the same shard body,
+:class:`ShardRunner`.  Since the shard schedule, the per-shard streams and
+the counted prefix never depend on the executor, a point yields
+bit-identical counts for any executor, any worker count and any co-scheduled
+workload — equal to :meth:`MonteCarloSimulator.run_point
+<repro.sim.montecarlo.MonteCarloSimulator.run_point>`, the independent
+reference loop.
 
-For a fixed seed a point therefore yields bit-identical counts for any
-number of workers (including the serial engine) and for any co-scheduled
-workload.
-
-Workers are long-lived: each pool process builds one simulator per entry in
-its initializer registry the first time a shard for that entry arrives, so
-expensive construction (systematic encoder, edge structure) is paid once per
-worker per experiment.  On platforms whose default start method is ``fork``
-(Linux) codes and decoder factories are inherited without pickling, so
-lambdas work; with ``spawn`` start methods they must be picklable.
+Pool workers are long-lived and build one simulator per entry the first
+time a shard for that entry arrives.  On platforms whose default start
+method is ``fork`` (Linux) codes and decoder factories are inherited without
+pickling, so lambdas work; with ``spawn`` start methods they must be
+picklable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,19 +59,21 @@ from repro.sim.montecarlo import (
 from repro.sim.results import SimulationPoint
 from repro.sim.sharding import consume_shard, iter_shard_sizes
 from repro.sim.statistics import ErrorCounter
-from repro.utils.rng import as_seed_sequence, spawn_seed_sequences
 
-__all__ = ["PoolEntry", "PointState", "SharedWorkerPool", "ParallelMonteCarloEngine"]
-
-# Worker-process state: the entry registry shipped by the initializer and the
-# simulators built (lazily, per entry key) from it.
-_WORKER_ENTRIES: dict = {}
-_WORKER_SIMULATORS: dict = {}
+__all__ = [
+    "PoolEntry",
+    "PointState",
+    "ShardTelemetry",
+    "ShardRunner",
+    "ShardExecutor",
+    "InlineExecutor",
+    "SharedWorkerPool",
+]
 
 
 @dataclass(frozen=True)
 class PoolEntry:
-    """One simulatable configuration a :class:`SharedWorkerPool` can serve.
+    """One simulatable configuration an executor can serve.
 
     ``decoder_factory`` is a zero-argument callable returning a fresh
     decoder; it runs once per worker process (per entry).  ``pipeline`` is
@@ -78,107 +81,114 @@ class PoolEntry:
     (:class:`~repro.channel.pipeline.ChannelPipeline`) this entry simulates
     over; ``None`` means the default BPSK/AWGN pipeline.
 
-    ``profiled`` switches worker-side telemetry on for this entry: shard
-    tasks time themselves and attach a per-stage breakdown (from a
-    :class:`~repro.obs.probe.StageAccumulator` probe).  The flag travels
-    inside the entry registry, so forked and spawned workers agree with the
-    parent without consulting environment variables.  Profiling never
-    changes counts — the byte-identity telemetry test pins that.
+    ``profiled`` adds a per-stage breakdown (from a
+    :class:`~repro.obs.probe.StageAccumulator` probe) to each shard's
+    telemetry.  The flag travels inside the entry, so forked and spawned
+    workers agree with the parent without consulting environment variables.
+    Profiling never changes counts — the byte-identity telemetry test pins
+    that.
     """
 
-    code: object
-    decoder_factory: Callable[[], object]
+    code: Any
+    decoder_factory: Callable[[], Any]
     config: SimulationConfig = field(default_factory=SimulationConfig)
-    pipeline: object | None = None
+    pipeline: Any = None
     profiled: bool = False
 
-
-def _init_worker(entries: dict, eager: bool) -> None:
-    """Pool initializer: receive the entry registry.
-
-    With ``eager`` every simulator is built here, inside the initializer —
-    the single-experiment engine uses this so :meth:`SharedWorkerPool.warmup`
-    keeps construction cost out of timed runs; campaigns build lazily so a
-    worker only pays for the experiments it actually serves.
-    """
-    global _WORKER_ENTRIES, _WORKER_SIMULATORS
-    _WORKER_ENTRIES = dict(entries)
-    _WORKER_SIMULATORS = {}
-    if eager:
-        for key in _WORKER_ENTRIES:
-            _simulator_for(key)
-
-
-def _simulator_for(key) -> MonteCarloSimulator:
-    simulator = _WORKER_SIMULATORS.get(key)
-    if simulator is None:
-        entry = _WORKER_ENTRIES.get(key)
-        if entry is None:  # pragma: no cover - defensive; keys come from entries
-            raise RuntimeError(f"worker pool has no entry {key!r}")
-        simulator = MonteCarloSimulator(
-            entry.code,
-            entry.decoder_factory(),
-            config=entry.config,
+    def build(self) -> MonteCarloSimulator:
+        """The simulator every executor runs this entry's shards on."""
+        return MonteCarloSimulator(
+            self.code,
+            self.decoder_factory(),
+            config=self.config,
             rng=0,
-            pipeline=entry.pipeline,
-            probe=StageAccumulator() if entry.profiled else None,
+            pipeline=self.pipeline,
+            probe=StageAccumulator() if self.profiled else None,
         )
-        _WORKER_SIMULATORS[key] = simulator
-    return simulator
-
-
-def _worker_probe() -> int:
-    """Trivial task used by :meth:`SharedWorkerPool.warmup`."""
-    if not _WORKER_ENTRIES:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool was not initialized")
-    return len(_WORKER_ENTRIES)
 
 
 @dataclass(frozen=True)
-class _ShardTelemetry:
-    """Worker-side measurements of one shard (picklable, observation-only)."""
+class ShardTelemetry:
+    """Where and when one shard ran (picklable, observation-only).
 
-    worker: int
-    seconds: float
-    stage_seconds: dict | None
-
-
-def _run_shard(key, ebn0_db: float, size: int, seed_seq):
-    """Task body: simulate one shard on this worker's simulator for ``key``.
-
-    Returns ``(BatchResult, _ShardTelemetry | None)`` — telemetry only when
-    the entry is ``profiled``, so unprofiled runs pay no timing at all.
+    ``worker`` identifies the executing process (a pid) or fabric worker (a
+    name).  ``started`` is the worker's start stamp on the host's monotonic
+    clock, taken before any lazy simulator build; ``None`` when unknown (a
+    fabric completion record carries only the worker's name).  ``seconds``
+    runs from that stamp to the shard's end; ``stage_seconds`` is the
+    per-stage split of profiled entries.
     """
-    simulator = _simulator_for(key)
-    sigma = simulator.sigma_for(ebn0_db)
-    probe = simulator.probe
-    if probe is None:
-        result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed_seq))
-        return result, None
-    mark = probe.checkpoint()
-    started = clock.monotonic()
-    result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed_seq))
-    seconds = clock.monotonic() - started
-    _, _, stage_seconds = probe.since(mark)
-    return result, _ShardTelemetry(os.getpid(), seconds, stage_seconds)
+
+    worker: int | str
+    started: float | None
+    seconds: float
+    stage_seconds: dict[str, float] | None
+
+
+#: A shard's counts plus where and when it ran.
+ShardOutcome = tuple[BatchResult, ShardTelemetry]
+
+
+class ShardRunner:
+    """The one shard body: simulators built lazily, one per entry key.
+
+    ``entry_for`` resolves a key to its :class:`PoolEntry`; it is called
+    once per key, on the first shard of that key.
+    """
+
+    def __init__(self, entry_for: Callable[[Any], PoolEntry]) -> None:
+        self._entry_for = entry_for
+        self._simulators: dict[Any, MonteCarloSimulator] = {}
+
+    def run(
+        self, key: Any, ebn0_db: float, size: int, seed: np.random.SeedSequence
+    ) -> ShardOutcome:
+        """Simulate one shard of ``size`` frames from its child ``seed``.
+
+        The telemetry's time includes the simulator build on a key's first
+        shard; its stage split is filled in for profiled entries only.
+        """
+        started = clock.monotonic()
+        simulator = self._simulators.get(key)
+        if simulator is None:
+            simulator = self._simulators[key] = self._entry_for(key).build()
+        sigma = simulator.sigma_for(ebn0_db)
+        rng = np.random.default_rng(seed)
+        probe = simulator.probe
+        stage_seconds: dict[str, float] | None = None
+        if isinstance(probe, StageAccumulator):
+            mark = probe.checkpoint()
+            result = simulator.run_batch(size, sigma, rng=rng)
+            _, _, stage_seconds = probe.since(mark)
+        else:
+            result = simulator.run_batch(size, sigma, rng=rng)
+        seconds = clock.monotonic() - started
+        return result, ShardTelemetry(os.getpid(), started, seconds, stage_seconds)
 
 
 class PointState:
-    """Book-keeping of one in-flight Eb/N0 point.
+    """Book-keeping of one Eb/N0 point while the driver runs it.
 
-    ``key`` selects the worker-side simulator (the :class:`PoolEntry`),
-    ``tag`` is opaque caller metadata handed back with the completed point.
+    ``key`` selects the :class:`PoolEntry`, ``tag`` is opaque caller
+    metadata handed back with the completed point.
     """
 
-    def __init__(self, key, ebn0_db: float, seed_seq, config: SimulationConfig, tag=None):
+    def __init__(
+        self,
+        key: Any,
+        ebn0_db: float,
+        seed_seq: np.random.SeedSequence,
+        config: SimulationConfig,
+        tag: Any = None,
+    ) -> None:
         self.key = key
         self.ebn0_db = float(ebn0_db)
         self.seed_seq = seed_seq
         self.config = config
         self.tag = tag
         self.sizes = iter_shard_sizes(config)
-        # (AsyncResult, shard_index, dispatched_at) tuples, in shard order.
-        self.pending: deque = deque()
+        # (executor handle, shard_index, dispatched_at) tuples, in shard order.
+        self.pending: deque[tuple[Any, int, float]] = deque()
         self.shards_dispatched = 0
         self.counter = ErrorCounter()
         self.stopped = False  # stopping rule triggered; discard further shards
@@ -188,7 +198,7 @@ class PointState:
     def done(self) -> bool:
         return self.stopped or (self.exhausted and not self.pending)
 
-    def next_shard(self):
+    def next_shard(self) -> tuple[int, np.random.SeedSequence] | None:
         """Next ``(size, child_seed)`` to dispatch, or ``None``."""
         if self.stopped or self.exhausted:
             return None
@@ -200,34 +210,197 @@ class PointState:
         (child,) = self.seed_seq.spawn(1)
         return size, child
 
-    def consume_ready(self, observer=None) -> bool:
-        """Fold completed shards (in shard order) into the counter.
-
-        Returns ``True`` when at least one shard was consumed.  ``observer``
-        is the telemetry hook, called per consumed shard as
-        ``observer(state, shard_index, result, shard_telemetry,
-        dispatched_at)`` — strictly after the result exists and before the
-        stopping rule, so it can never influence either.
-        """
-        progressed = False
-        while self.pending and self.pending[0][0].ready():
-            async_result, shard_index, dispatched_at = self.pending.popleft()
-            result, shard_telemetry = async_result.get()
-            progressed = True
-            if observer is not None:
-                observer(self, shard_index, result, shard_telemetry, dispatched_at)
-            if not self.stopped and not consume_shard(self.counter, result, self.config):
-                # Stopping rule hit: everything already dispatched beyond
-                # this shard is speculative and must not be counted.
-                self.stopped = True
-                self.pending.clear()
-        return progressed
-
     def to_point(self) -> SimulationPoint:
         return point_from_counter(self.ebn0_db, self.counter)
 
 
-class SharedWorkerPool:
+#: ``on_point(state, point)``, called as each point completes.
+PointObserver = Callable[[PointState, SimulationPoint], None]
+#: ``on_shard(state, shard_index, result, telemetry, dispatched_at)``.
+ShardObserver = Callable[[PointState, int, BatchResult, ShardTelemetry, float], None]
+
+
+class ShardExecutor:
+    """The shard driver; subclasses say where a shard runs.
+
+    A subclass supplies :meth:`submit`, :meth:`result` and
+    :attr:`max_inflight`, and may override the :meth:`cancel`,
+    :meth:`advance` and :meth:`idle` hooks.  Executors are context managers
+    whose exit calls :meth:`close`.
+    """
+
+    #: Cap on submitted-but-unfolded shards across all points.
+    max_inflight: int
+
+    def __init__(self, entries: Mapping[Any, PoolEntry]) -> None:
+        if not entries:
+            raise ValueError(f"a {type(self).__name__} needs at least one entry")
+        self.entries = dict(entries)
+
+    def __enter__(self) -> "ShardExecutor":
+        return self
+
+    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
+        self.close(force=exc_type is not None)
+
+    def close(self, *, force: bool = False) -> None:
+        """Release the executor (idempotent); ``force`` when unwinding an error."""
+
+    # -- executor hooks ------------------------------------------------- #
+    def submit(
+        self,
+        state: PointState,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> Any:
+        """Start one shard; return the handle :meth:`result` polls."""
+        raise NotImplementedError
+
+    def result(self, handle: Any) -> ShardOutcome | None:
+        """The shard's outcome, or ``None`` while it is still running."""
+        raise NotImplementedError
+
+    def cancel(self, handle: Any) -> None:
+        """A speculative shard beyond a stop will never be folded."""
+
+    def advance(self) -> bool:
+        """Work between dispatch and fold; ``True`` when anything happened."""
+        return False
+
+    def idle(self, active: list[PointState], progressed: bool) -> None:
+        """End of one loop iteration with points still active."""
+
+    # -- the driver ----------------------------------------------------- #
+    def run_states(
+        self,
+        states: Sequence[PointState],
+        *,
+        on_point: PointObserver | None = None,
+        on_shard: ShardObserver | None = None,
+    ) -> list[SimulationPoint]:
+        """Drive every :class:`PointState` to completion; points in input order.
+
+        Dispatch is round-robin across the active states, so every point
+        keeps the executor fed and early-stopping points release capacity
+        quickly.  ``on_point`` fires as each point completes (completion
+        order).  ``on_shard`` observes each folded shard — with dispatch
+        timestamps taken only when it is set — strictly after the result
+        exists and before the stopping rule.  Both callbacks are
+        write-only: dispatch order, RNG spawning and stopping decisions are
+        identical with or without them.
+        """
+        for state in states:
+            if state.key not in self.entries:
+                raise KeyError(f"state references unknown pool entry {state.key!r}")
+        active = list(states)
+        while active:
+            self._dispatch(active, timed=on_shard is not None)
+            progressed = self.advance()
+            for state in active:
+                if self._fold(state, on_shard):
+                    progressed = True
+            finished = [state for state in active if state.done]
+            for state in finished:
+                active.remove(state)
+                if on_point is not None:
+                    on_point(state, state.to_point())
+            if active:
+                self.idle(active, progressed or bool(finished))
+        return [state.to_point() for state in states]
+
+    def _dispatch(self, active: list[PointState], *, timed: bool) -> None:
+        """Submit shards round-robin across ``active`` up to the cap."""
+        inflight = sum(len(state.pending) for state in active)
+        submitted = True
+        while inflight < self.max_inflight and submitted:
+            submitted = False
+            for state in active:
+                if inflight >= self.max_inflight:
+                    break
+                shard = state.next_shard()
+                if shard is None:
+                    continue
+                size, child = shard
+                index = state.shards_dispatched
+                dispatched_at = clock.monotonic() if timed else 0.0
+                handle = self.submit(state, index, size, child)
+                state.pending.append((handle, index, dispatched_at))
+                state.shards_dispatched += 1
+                inflight += 1
+                submitted = True
+
+    def _fold(self, state: PointState, on_shard: ShardObserver | None) -> bool:
+        """Fold finished shards of ``state`` in shard order; ``True`` if any."""
+        progressed = False
+        while state.pending:
+            handle, shard_index, dispatched_at = state.pending[0]
+            outcome = self.result(handle)
+            if outcome is None:
+                break
+            state.pending.popleft()
+            progressed = True
+            result, telemetry = outcome
+            if on_shard is not None:
+                on_shard(state, shard_index, result, telemetry, dispatched_at)
+            if not consume_shard(state.counter, result, state.config):
+                # Stopping rule hit: everything already dispatched beyond
+                # this shard is speculative and must not be counted.
+                state.stopped = True
+                for speculative, _, _ in state.pending:
+                    self.cancel(speculative)
+                state.pending.clear()
+        return progressed
+
+
+class InlineExecutor(ShardExecutor):
+    """Run each shard in this process as it is submitted.
+
+    With one shard in flight every shard is folded right after it ran, so
+    points complete one at a time in input order and nothing is ever
+    speculative.  Simulators build lazily, once per entry.
+    """
+
+    max_inflight = 1
+
+    def __init__(self, entries: Mapping[Any, PoolEntry]) -> None:
+        super().__init__(entries)
+        self._runner = ShardRunner(self.entries.__getitem__)
+
+    def submit(
+        self,
+        state: PointState,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> ShardOutcome:
+        return self._runner.run(state.key, state.ebn0_db, size, seed)
+
+    def result(self, handle: ShardOutcome) -> ShardOutcome:
+        return handle
+
+
+# Worker-process state: the shard body over the entry registry shipped by
+# the pool initializer.
+_WORKER_RUNNER: ShardRunner | None = None
+
+
+def _init_worker(entries: dict[Any, PoolEntry]) -> None:
+    """Pool initializer: receive the entry registry."""
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = ShardRunner(entries.__getitem__)
+
+
+def _run_shard(
+    key: Any, ebn0_db: float, size: int, seed: np.random.SeedSequence
+) -> ShardOutcome:
+    """Pool task: one shard on this worker's simulator for ``key``."""
+    if _WORKER_RUNNER is None:  # pragma: no cover - the initializer always ran
+        raise RuntimeError("worker pool was not initialized")
+    return _WORKER_RUNNER.run(key, ebn0_db, size, seed)
+
+
+class SharedWorkerPool(ShardExecutor):
     """One worker pool serving shard tasks for any number of experiments.
 
     Parameters
@@ -241,13 +414,9 @@ class SharedWorkerPool:
     mp_context:
         ``multiprocessing`` context (or start-method name); defaults to
         ``fork`` when available so non-picklable factories work.
-    eager_build:
-        Build every entry's simulator in each worker's initializer instead
-        of lazily on first shard.  With this set, :meth:`warmup` guarantees
-        construction cost stays out of subsequent runs.
 
-    The pool is a context manager; processes start lazily on first use and
-    are torn down by :meth:`close` / ``with``-exit.
+    Processes start lazily on the first shard and are torn down by
+    :meth:`close` / ``with``-exit.
     """
 
     #: Dispatch at most this many shards per worker ahead of aggregation.
@@ -255,17 +424,14 @@ class SharedWorkerPool:
 
     def __init__(
         self,
-        entries: Mapping[object, PoolEntry],
+        entries: Mapping[Any, PoolEntry],
         *,
         workers: int | None = None,
-        mp_context=None,
-        eager_build: bool = False,
-    ):
-        if not entries:
-            raise ValueError("a SharedWorkerPool needs at least one entry")
-        self.entries = dict(entries)
-        self.eager_build = bool(eager_build)
+        mp_context: Any = None,
+    ) -> None:
+        super().__init__(entries)
         self.workers = max(1, int(workers or os.cpu_count() or 1))
+        self.max_inflight = self.workers * self._INFLIGHT_PER_WORKER
         if mp_context is None or isinstance(mp_context, str):
             methods = multiprocessing.get_all_start_methods()
             method = mp_context if isinstance(mp_context, str) else (
@@ -273,16 +439,7 @@ class SharedWorkerPool:
             )
             mp_context = multiprocessing.get_context(method)
         self._ctx = mp_context
-        self._pool = None
-
-    # ------------------------------------------------------------------ #
-    def __enter__(self) -> "SharedWorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        # Bail out hard when an exception is unwinding (a Ctrl-C must not
-        # wait for speculative shards); shut down gracefully otherwise.
-        self.close(force=exc_type is not None)
+        self._pool: Any = None
 
     def close(self, *, force: bool = False) -> None:
         """Shut the worker pool down (idempotent).
@@ -304,7 +461,7 @@ class SharedWorkerPool:
             self._pool.join()
             self._pool = None
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> Any:
         if self._pool is None:
             if self._ctx.get_start_method() != "fork":
                 # Spawn/forkserver pickle the initargs; fail with an
@@ -325,226 +482,30 @@ class SharedWorkerPool:
             self._pool = self._ctx.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self.entries, self.eager_build),
+                initargs=(self.entries,),
             )
         return self._pool
 
-    def warmup(self) -> None:
-        """Start the pool and wait until it serves one trivial task per worker.
-
-        Useful before timing measurements: worker start-up (process fork,
-        registry transfer, and — with ``eager_build`` — per-worker simulator
-        construction) otherwise lands inside the first measured run.
-        Without ``eager_build`` simulators still build lazily on the first
-        shard of each entry.
-        """
-        pool = self._ensure_pool()
-        probes = [pool.apply_async(_worker_probe, ()) for _ in range(self.workers)]
-        for result in probes:
-            result.get()
-
-    # ------------------------------------------------------------------ #
-    def run_states(
+    def submit(
         self,
-        states: Sequence[PointState],
-        *,
-        on_point: Callable[[PointState, SimulationPoint], None] | None = None,
-        on_shard: Callable | None = None,
-    ) -> list[SimulationPoint]:
-        """Drive every :class:`PointState` to completion over the pool.
-
-        Dispatch is round-robin across the active states, so every point
-        keeps the pool fed and early-stopping points release capacity
-        quickly; ``on_point`` fires as each point completes (completion
-        order, not input order).  Returns the points in input order.
-
-        ``on_shard`` is the telemetry observer threaded into
-        :meth:`PointState.consume_ready`; when set, dispatch timestamps are
-        taken so the observer can split queue wait from compute.  Both
-        callbacks are write-only with respect to the run: dispatch order,
-        RNG spawning and stopping decisions are identical with or without
-        them.
-        """
-        for state in states:
-            if state.key not in self.entries:
-                raise KeyError(f"state references unknown pool entry {state.key!r}")
-        if not states:
-            return []
-        pool = self._ensure_pool()
-        max_inflight = self.workers * self._INFLIGHT_PER_WORKER
-        active = list(states)
-        while active:
-            inflight = sum(len(state.pending) for state in active)
-            made_submission = True
-            while inflight < max_inflight and made_submission:
-                made_submission = False
-                for state in active:
-                    if inflight >= max_inflight:
-                        break
-                    shard = state.next_shard()
-                    if shard is None:
-                        continue
-                    size, child = shard
-                    dispatched_at = (
-                        clock.monotonic() if on_shard is not None else 0.0
-                    )
-                    state.pending.append(
-                        (
-                            pool.apply_async(
-                                _run_shard, (state.key, state.ebn0_db, size, child)
-                            ),
-                            state.shards_dispatched,
-                            dispatched_at,
-                        )
-                    )
-                    state.shards_dispatched += 1
-                    inflight += 1
-                    made_submission = True
-
-            progressed = False
-            for state in active:
-                if state.consume_ready(on_shard):
-                    progressed = True
-            finished = [state for state in active if state.done]
-            for state in finished:
-                active.remove(state)
-                if on_point is not None:
-                    on_point(state, state.to_point())
-            if active and not progressed and not finished:
-                # Nothing ready yet: block briefly on an outstanding shard
-                # instead of spinning.
-                outstanding = next(
-                    (state.pending[0][0] for state in active if state.pending), None
-                )
-                if outstanding is not None:
-                    outstanding.wait(0.01)
-                else:  # pragma: no cover - all pending empty implies done
-                    time.sleep(0.001)
-        return [state.to_point() for state in states]
-
-
-class ParallelMonteCarloEngine:
-    """Worker-pool Monte-Carlo engine for one code + decoder-factory pair.
-
-    Parameters
-    ----------
-    code:
-        Code (or ``ShortenedCode``) to simulate.
-    decoder_factory:
-        Zero-argument callable returning a fresh decoder; called once in
-        every worker process.
-    config:
-        Batching and stopping rules (shared by every point).
-    workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    mp_context:
-        ``multiprocessing`` context (or start-method name); defaults to
-        ``fork`` when available so non-picklable factories work.
-    pipeline:
-        Optional :class:`~repro.channel.pipeline.ChannelPipeline` (modulator
-        + channel model) every worker simulates over; ``None`` is the
-        default BPSK/AWGN pipeline.  Must be picklable under non-``fork``
-        start methods (the built-in pipelines are).
-
-    The engine is a context manager; the pool is created lazily on first use
-    and torn down by :meth:`close` / ``with``-exit.
-    """
-
-    _ENTRY_KEY = "point"
-
-    def __init__(
-        self,
-        code,
-        decoder_factory: Callable[[], object],
-        *,
-        config: SimulationConfig | None = None,
-        workers: int | None = None,
-        mp_context=None,
-        pipeline=None,
-    ):
-        self.config = config or SimulationConfig()
-        self._shared = SharedWorkerPool(
-            {self._ENTRY_KEY: PoolEntry(code, decoder_factory, self.config, pipeline)},
-            workers=workers,
-            mp_context=mp_context,
-            # One entry that every worker will serve: build it in the
-            # initializer so warmup() excludes construction from timed runs.
-            eager_build=True,
+        state: PointState,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> Any:
+        return self._ensure_pool().apply_async(
+            _run_shard, (state.key, state.ebn0_db, size, seed)
         )
 
-    # ------------------------------------------------------------------ #
-    @property
-    def workers(self) -> int:
-        return self._shared.workers
+    def result(self, handle: Any) -> ShardOutcome | None:
+        # get() re-raises a worker's exception in the parent.
+        return handle.get() if handle.ready() else None
 
-    @property
-    def _pool(self):
-        return self._shared._pool
-
-    def _ensure_pool(self):
-        return self._shared._ensure_pool()
-
-    def __enter__(self) -> "ParallelMonteCarloEngine":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self._shared.close(force=exc_type is not None)
-
-    def close(self, *, force: bool = False) -> None:
-        """Shut the worker pool down (idempotent); see
-        :meth:`SharedWorkerPool.close` for the ``force`` semantics."""
-        self._shared.close(force=force)
-
-    def warmup(self) -> None:
-        """Start the pool and wait until every worker served a trivial task."""
-        self._shared.warmup()
-
-    # ------------------------------------------------------------------ #
-    def run_point(self, ebn0_db: float, *, rng=None) -> SimulationPoint:
-        """Simulate one Eb/N0 point across the pool.
-
-        ``rng`` seeds the point exactly like the serial simulator's ``rng``
-        argument: the same seed gives bit-identical counts.
-        """
-        (point,) = self.run_point_jobs([(float(ebn0_db), as_seed_sequence(rng))])
-        return point
-
-    def run_sweep(
-        self,
-        ebn0_grid: Sequence[float],
-        *,
-        rng=None,
-        progress: Callable[[SimulationPoint], None] | None = None,
-    ) -> list[SimulationPoint]:
-        """Simulate every grid point, keeping independent points in flight.
-
-        ``rng`` is the master seed; every point receives child stream ``i``
-        of :func:`repro.utils.rng.spawn_seed_sequences` — the same derivation
-        the serial sweep uses, so serial and parallel sweeps agree exactly.
-        ``progress`` is invoked with each :class:`SimulationPoint` as it
-        completes (completion order, not grid order).
-        """
-        grid = [float(x) for x in ebn0_grid]
-        seeds = spawn_seed_sequences(rng, len(grid))
-        return self.run_point_jobs(list(zip(grid, seeds)), progress=progress)
-
-    def run_point_jobs(
-        self,
-        jobs: Sequence[tuple[float, np.random.SeedSequence]],
-        *,
-        progress: Callable[[SimulationPoint], None] | None = None,
-    ) -> list[SimulationPoint]:
-        """Simulate explicit ``(ebn0_db, seed_sequence)`` jobs over the pool.
-
-        This is the resume primitive: a caller that re-derives the full
-        grid's seed sequences but submits only the missing points gets counts
-        bit-identical to an uninterrupted run.
-        """
-        states = [
-            PointState(self._ENTRY_KEY, ebn0, seed, self.config)
-            for ebn0, seed in jobs
-        ]
-        on_point = None
-        if progress is not None:
-            on_point = lambda state, point: progress(point)  # noqa: E731
-        return self._shared.run_states(states, on_point=on_point)
+    def idle(self, active: list[PointState], progressed: bool) -> None:
+        if progressed:
+            return
+        # Nothing ready yet: block briefly on the oldest outstanding shard
+        # instead of spinning.
+        oldest = next((state.pending[0][0] for state in active if state.pending), None)
+        if oldest is not None:
+            oldest.wait(0.01)

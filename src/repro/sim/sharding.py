@@ -1,4 +1,4 @@
-"""Deterministic shard planning shared by the serial and parallel engines.
+"""Deterministic shard planning shared by the reference loop and the shard driver.
 
 A Monte-Carlo point is simulated as a sequence of *shards* — independent
 batches of frames, each driven by its own child RNG stream spawned (in shard
@@ -13,9 +13,10 @@ are a pure function of the :class:`~repro.sim.montecarlo.SimulationConfig`:
 Because the sizes do not depend on observed errors, the schedule can be
 dispatched speculatively to a worker pool; the *stopping rule* is then applied
 to the shard results in shard order (:func:`consume_shard`), counting exactly
-the prefix of shards the serial engine would have executed.  This is what
-makes the parallel engine bit-identical to the serial one for any worker
-count: same shard sizes, same per-shard streams, same counted prefix.
+the prefix of shards ``MonteCarloSimulator.run_point`` would have executed.
+This is what makes every executor of the shard driver bit-identical to that
+reference loop for any worker count: same shard sizes, same per-shard
+streams, same counted prefix.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def consume_shard(
     Must be called in shard order.  Returns ``False`` once the global
     stopping rule triggers (target frame errors reached or the frame budget
     is exhausted); shards after that point must be discarded, not counted —
-    both engines rely on this prefix semantics for determinism.
+    the reference loop and the shard driver rely on this prefix semantics
+    for determinism.
     """
     counter.update(
         bit_errors=result.bit_errors,

@@ -2,7 +2,8 @@
 
 An :class:`EbN0Sweep` is the one-configuration special case of the campaign
 layer (:mod:`repro.sim.campaign`): it derives one child seed stream per grid
-point, runs the missing points serially or over a worker pool, and can
+point, runs the missing points through the shard driver of
+:mod:`repro.sim.parallel` (in process or over a worker pool), and can
 *resume* from a previously saved :class:`SimulationCurve` — because the seed
 of point ``i`` depends only on the master seed and the grid position, a
 resumed sweep completes with counts bit-identical to an uninterrupted one.
@@ -10,19 +11,29 @@ resumed sweep completes with counts bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
-from repro.sim.parallel import ParallelMonteCarloEngine
+from repro.sim.montecarlo import SimulationConfig
+from repro.sim.parallel import (
+    InlineExecutor,
+    PointState,
+    PoolEntry,
+    ShardExecutor,
+    SharedWorkerPool,
+)
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.utils.formatting import format_table
-from repro.utils.rng import ensure_rng, spawn_seed_sequences
+from repro.utils.rng import as_seed_sequence
 
 __all__ = ["EbN0Sweep"]
 
 _UNSET = object()
+
+#: The sweep's single pool entry.
+_KEY = "point"
 
 
 class EbN0Sweep:
@@ -40,12 +51,13 @@ class EbN0Sweep:
         Stopping/batching rules shared by every point.
     rng:
         Master seed; each Eb/N0 point receives an independent child stream so
-        results do not depend on the evaluation order.
+        results do not depend on the evaluation order.  The seed is captured
+        here: every :meth:`run` derives the same stream for a grid position.
     workers:
         Default worker count for :meth:`run`.  ``None`` (the default) runs
         serially in-process; any positive count shards the frame budgets over
-        a :class:`~repro.sim.parallel.ParallelMonteCarloEngine` pool.  For a
-        fixed master seed the counts are identical either way.
+        a :class:`~repro.sim.parallel.SharedWorkerPool`.  For a fixed master
+        seed the counts are identical either way.
     pipeline:
         Optional :class:`~repro.channel.pipeline.ChannelPipeline` (modulator
         + channel model) replacing the default BPSK/AWGN link — e.g. built
@@ -65,7 +77,9 @@ class EbN0Sweep:
         self._code = code
         self._decoder_factory = decoder_factory
         self._config = config or SimulationConfig()
-        self._rng = ensure_rng(rng)
+        # A private copy that is never spawned from: every run derives the
+        # same streams, whatever later spawns from the caller's generator.
+        self._seed = copy.deepcopy(as_seed_sequence(rng))
         self._workers = workers
         self._pipeline = pipeline
 
@@ -116,66 +130,33 @@ class EbN0Sweep:
         else:
             curve = SimulationCurve(label=label, metadata=dict(metadata or {}))
             completed = set()
-        streams = spawn_seed_sequences(self._rng, len(grid))
-        jobs = [
-            (ebn0, stream)
+        streams = copy.deepcopy(self._seed).spawn(len(grid))
+        states = [
+            PointState(_KEY, ebn0, stream, self._config)
             for ebn0, stream in zip(grid, streams)
             if ebn0 not in completed
         ]
         if workers is _UNSET:
             workers = self._workers
-        if workers:
-            points = self._run_parallel(jobs, int(workers), progress)
-        else:
-            points = self._run_serial(jobs, progress)
-        for point in points:
-            curve.add(point)
-        return curve
-
-    # ------------------------------------------------------------------ #
-    def _run_serial(
-        self,
-        jobs: list[tuple[float, np.random.SeedSequence]],
-        progress: Callable[[str], None] | None,
-    ) -> list[SimulationPoint]:
-        if not jobs:
-            return []
-        simulator = MonteCarloSimulator(
-            self._code,
-            self._decoder_factory(),
-            config=self._config,
-            rng=0,
-            pipeline=self._pipeline,
+        entries = {
+            _KEY: PoolEntry(
+                self._code, self._decoder_factory, self._config, self._pipeline
+            )
+        }
+        executor: ShardExecutor = (
+            SharedWorkerPool(entries, workers=int(workers))
+            if workers
+            else InlineExecutor(entries)
         )
-        points = []
-        for ebn0_db, stream in jobs:
-            point = simulator.run_point(ebn0_db, rng=stream)
-            points.append(point)
-            if progress is not None:
-                progress(_progress_line(point))
-        return points
 
-    def _run_parallel(
-        self,
-        jobs: list[tuple[float, np.random.SeedSequence]],
-        workers: int,
-        progress: Callable[[str], None] | None,
-    ) -> list[SimulationPoint]:
-        if not jobs:
-            return []
-
-        def emit(point: SimulationPoint) -> None:
+        def on_point(state: PointState, point: SimulationPoint) -> None:
             if progress is not None:
                 progress(_progress_line(point))
 
-        with ParallelMonteCarloEngine(
-            self._code,
-            self._decoder_factory,
-            config=self._config,
-            workers=workers,
-            pipeline=self._pipeline,
-        ) as engine:
-            return engine.run_point_jobs(jobs, progress=emit)
+        with executor:
+            for point in executor.run_states(states, on_point=on_point):
+                curve.add(point)
+        return curve
 
     @staticmethod
     def format_curves(curves: Sequence[SimulationCurve]) -> str:

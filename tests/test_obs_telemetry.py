@@ -102,6 +102,49 @@ class TestByteIdentity:
         assert not (tmp_path / "c" / "telemetry" / "metrics.json").exists()
 
 
+class TestQueueWait:
+    def test_first_shard_queue_wait_excludes_the_simulator_build(
+        self, tmp_path, monkeypatch
+    ):
+        """Queue wait ends when a worker starts a shard, not when it is folded.
+
+        The decoder build sleeps 0.3 s inside the pool worker, on the first
+        shard: that time belongs to the shard's ``seconds``.
+        """
+        import time
+
+        build = DecoderSpec.build
+
+        def slow_build(self, code):
+            time.sleep(0.3)
+            return build(self, code)
+
+        monkeypatch.setattr(DecoderSpec, "build", slow_build)
+        spec = CampaignSpec(
+            name="queue-wait",
+            seed=3,
+            ebn0=(3.0,),
+            config=SimulationConfig(
+                max_frames=20, target_frame_errors=50, batch_frames=10,
+                all_zero_codeword=True,
+            ),
+            experiments=[
+                ExperimentSpec(
+                    label="nms",
+                    code=CodeSpec(family="scaled", circulant=31),
+                    decoder=DecoderSpec("nms", 8),
+                )
+            ],
+        )
+        run_campaign(tmp_path / "c", workers=1, telemetry=True, spec=spec)
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        (first,) = [
+            r for r in events_of_type(records, "shard_completed")
+            if r["shard_index"] == 0
+        ]
+        assert first["queue_seconds"] < 0.3 <= first["seconds"]
+
+
 # --------------------------------------------------------------------- #
 # Event log schema
 # --------------------------------------------------------------------- #

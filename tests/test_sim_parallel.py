@@ -1,4 +1,4 @@
-"""Tests for the sharded parallel Monte-Carlo engine and shard planning."""
+"""Tests for the shard driver, its executors and shard planning."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,15 @@ import pytest
 from repro.decode import MinSumDecoder, NormalizedMinSumDecoder
 from repro.sim import (
     EbN0Sweep,
+    InlineExecutor,
     MonteCarloSimulator,
-    ParallelMonteCarloEngine,
     PoolEntry,
     SharedWorkerPool,
     SimulationConfig,
     iter_shard_sizes,
 )
 from repro.sim.parallel import PointState
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import as_seed_sequence, spawn_seed_sequences
 
 
 def _factory_for(code, iterations=8):
@@ -33,6 +33,16 @@ class _ExplodingDecoder:
 
 def _exploding_decoder_factory():
     return _ExplodingDecoder()
+
+
+def _pooled_point(code, factory, config, ebn0_db, seed, workers=2):
+    """One point over a one-entry SharedWorkerPool, seeded like run_point."""
+    entries = {"point": PoolEntry(code, factory, config)}
+    with SharedWorkerPool(entries, workers=workers) as pool:
+        (point,) = pool.run_states(
+            [PointState("point", ebn0_db, as_seed_sequence(seed), config)]
+        )
+    return point
 
 
 class TestShardSchedule:
@@ -88,10 +98,7 @@ class TestParallelDeterminism:
         ).run_point(2.0)
         assert serial.frame_errors >= 6  # the early-stop path is exercised
         for workers in (1, 2, 4):
-            with ParallelMonteCarloEngine(
-                scaled_code, factory, config=config, workers=workers
-            ) as engine:
-                point = engine.run_point(2.0, rng=42)
+            point = _pooled_point(scaled_code, factory, config, 2.0, 42, workers)
             assert point == serial
 
     def test_run_point_matches_serial_with_adaptive_batching(self, scaled_code):
@@ -108,10 +115,7 @@ class TestParallelDeterminism:
             scaled_code, factory(), config=config, rng=9
         ).run_point(7.0)
         assert serial.frames == 80  # high SNR: budget exhausted, batches grew
-        with ParallelMonteCarloEngine(
-            scaled_code, factory, config=config, workers=2
-        ) as engine:
-            assert engine.run_point(7.0, rng=9) == serial
+        assert _pooled_point(scaled_code, factory, config, 7.0, 9) == serial
 
     def test_sweep_matches_serial(self, scaled_code):
         config = SimulationConfig(
@@ -151,52 +155,37 @@ class TestParallelEngineBehaviour:
         assert all("Eb/N0" in m for m in messages)
 
     def test_empty_grid(self, scaled_code):
-        with ParallelMonteCarloEngine(
-            scaled_code, _factory_for(scaled_code), workers=2
-        ) as engine:
-            assert engine.run_sweep([]) == []
+        curve = EbN0Sweep(
+            scaled_code, _factory_for(scaled_code), rng=1, workers=2
+        ).run([])
+        assert curve.points == []
 
     def test_pool_is_reused_across_points(self, scaled_code):
         config = SimulationConfig(
             max_frames=10, target_frame_errors=5, batch_frames=5, all_zero_codeword=True
         )
-        with ParallelMonteCarloEngine(
-            scaled_code, _factory_for(scaled_code), config=config, workers=2
-        ) as engine:
-            engine.run_point(4.0, rng=1)
-            pool = engine._pool
-            engine.run_point(5.0, rng=1)
-            assert engine._pool is pool
-        assert engine._pool is None  # closed on exit
-
-    def test_warmup_does_not_change_results(self, scaled_code):
-        config = SimulationConfig(
-            max_frames=20, target_frame_errors=5, batch_frames=10, all_zero_codeword=True
-        )
-        factory = _factory_for(scaled_code)
-        serial = MonteCarloSimulator(
-            scaled_code, factory(), config=config, rng=21
-        ).run_point(3.0)
-        with ParallelMonteCarloEngine(
-            scaled_code, factory, config=config, workers=2
-        ) as engine:
-            engine.warmup()
-            assert engine.run_point(3.0, rng=21) == serial
+        entries = {"point": PoolEntry(scaled_code, _factory_for(scaled_code), config)}
+        with SharedWorkerPool(entries, workers=2) as pool:
+            pool.run_states([PointState("point", 4.0, as_seed_sequence(1), config)])
+            processes = pool._pool
+            pool.run_states([PointState("point", 5.0, as_seed_sequence(1), config)])
+            assert pool._pool is processes
+        assert pool._pool is None  # closed on exit
 
     def test_spawn_context_rejects_unpicklable_factory(self, scaled_code):
         import multiprocessing
 
         if "spawn" not in multiprocessing.get_all_start_methods():  # pragma: no cover
             pytest.skip("spawn start method unavailable")
-        engine = ParallelMonteCarloEngine(
-            scaled_code,
-            _factory_for(scaled_code),  # closure: not picklable
+        pool = SharedWorkerPool(
+            # closure: not picklable
+            {"point": PoolEntry(scaled_code, _factory_for(scaled_code))},
             workers=2,
             mp_context="spawn",
         )
         with pytest.raises(TypeError, match="picklable"):
-            engine._ensure_pool()
-        engine.close()
+            pool._ensure_pool()
+        pool.close()
 
     def test_shortened_code_random_data_parallel(self, scaled_code, scaled_encoder):
         from repro.codes.shortening import ShortenedCode
@@ -209,73 +198,73 @@ class TestParallelEngineBehaviour:
         serial = MonteCarloSimulator(
             shortened, factory(), config=config, rng=6
         ).run_point(6.0)
-        with ParallelMonteCarloEngine(
-            shortened, factory, config=config, workers=2
-        ) as engine:
-            parallel = engine.run_point(6.0, rng=6)
+        parallel = _pooled_point(shortened, factory, config, 6.0, 6)
         assert parallel == serial
         assert parallel.bits == parallel.frames * shortened.transmitted_code_bits
 
 
+def _executor(kind, entries):
+    if kind == "inline":
+        return InlineExecutor(entries)
+    if kind == "pool":
+        return SharedWorkerPool(entries, workers=2)
+    from repro.fabric import FabricPool, InProcessBroker
+
+    return FabricPool(entries, broker=InProcessBroker(), workers=2)
+
+
+@pytest.mark.parametrize("kind", ["inline", "pool", "fabric"])
+def test_executor_conformance(scaled_code, kind):
+    """Every executor drives points exactly like the reference loop.
+
+    Two entries share one batch and some points stop early, so the pool
+    drops and the fabric cancels speculative shards; each point must still
+    equal ``MonteCarloSimulator.run_point`` for its entry and seed.
+    """
+    config_a = SimulationConfig(
+        max_frames=40, target_frame_errors=6, batch_frames=10, all_zero_codeword=True
+    )
+    config_b = SimulationConfig(
+        max_frames=30, target_frame_errors=4, batch_frames=5, all_zero_codeword=True
+    )
+    entries = {
+        "nms": PoolEntry(scaled_code, _factory_for(scaled_code), config_a),
+        "ms": PoolEntry(
+            scaled_code,
+            lambda: MinSumDecoder(scaled_code, max_iterations=8),
+            config_b,
+        ),
+    }
+    jobs = [("nms", 2.0), ("ms", 2.0), ("nms", 4.0), ("ms", 4.0)]
+    states = [
+        PointState(key, ebn0, seed, entries[key].config, tag={"job": index})
+        for index, ((key, ebn0), seed) in enumerate(
+            zip(jobs, spawn_seed_sequences(17, len(jobs)))
+        )
+    ]
+    completed = []
+    with _executor(kind, entries) as executor:
+        points = executor.run_states(
+            states, on_point=lambda state, point: completed.append((state.tag, point))
+        )
+        assert executor.run_states([]) == []
+        with pytest.raises(KeyError):
+            executor.run_states([PointState("other", 3.0, as_seed_sequence(1), config_a)])
+
+    expected = [
+        MonteCarloSimulator(
+            scaled_code, entries[key].decoder_factory(), config=entries[key].config, rng=0
+        ).run_point(ebn0, rng=seed)
+        for (key, ebn0), seed in zip(jobs, spawn_seed_sequences(17, len(jobs)))
+    ]
+    assert points == expected  # input order, reference counts
+    assert any(p.frames < entries[k].config.max_frames for p, (k, _) in zip(points, jobs))
+    assert sorted(tag["job"] for tag, _ in completed) == [0, 1, 2, 3]
+    assert all(point == expected[tag["job"]] for tag, point in completed)
+
+
 class TestSharedWorkerPool:
-    """The multi-experiment pool underneath the campaign scheduler."""
-
-    def test_mixed_entries_reproduce_their_serial_engines(self, scaled_code):
-        config_a = SimulationConfig(
-            max_frames=40, target_frame_errors=6, batch_frames=10, all_zero_codeword=True
-        )
-        config_b = SimulationConfig(
-            max_frames=30, target_frame_errors=4, batch_frames=5, all_zero_codeword=True
-        )
-        entries = {
-            "nms": PoolEntry(scaled_code, _factory_for(scaled_code), config_a),
-            "ms": PoolEntry(
-                scaled_code,
-                lambda: MinSumDecoder(scaled_code, max_iterations=8),
-                config_b,
-            ),
-        }
-        seeds = spawn_seed_sequences(17, 4)
-        states = [
-            PointState("nms", 2.0, seeds[0], config_a),
-            PointState("ms", 2.0, seeds[1], config_b),
-            PointState("nms", 4.0, seeds[2], config_a),
-            PointState("ms", 4.0, seeds[3], config_b),
-        ]
-        with SharedWorkerPool(entries, workers=3) as pool:
-            points = pool.run_states(states)
-        # Each point must match the serial engine for its own entry+seed.
-        seeds = spawn_seed_sequences(17, 4)
-        serial_nms = MonteCarloSimulator(
-            scaled_code, _factory_for(scaled_code)(), config=config_a, rng=0
-        )
-        serial_ms = MonteCarloSimulator(
-            scaled_code, MinSumDecoder(scaled_code, max_iterations=8), config=config_b, rng=0
-        )
-        assert points[0] == serial_nms.run_point(2.0, rng=seeds[0])
-        assert points[1] == serial_ms.run_point(2.0, rng=seeds[1])
-        assert points[2] == serial_nms.run_point(4.0, rng=seeds[2])
-        assert points[3] == serial_ms.run_point(4.0, rng=seeds[3])
-
-    def test_on_point_receives_state_and_tag(self, scaled_code):
-        config = SimulationConfig(
-            max_frames=10, target_frame_errors=50, batch_frames=5, all_zero_codeword=True
-        )
-        entries = {"only": PoolEntry(scaled_code, _factory_for(scaled_code), config)}
-        (seed,) = spawn_seed_sequences(1, 1)
-        states = [PointState("only", 3.0, seed, config, tag={"marker": 42})]
-        seen = []
-        with SharedWorkerPool(entries, workers=2) as pool:
-            pool.run_states(states, on_point=lambda s, p: seen.append((s.tag, p.frames)))
-        assert seen == [({"marker": 42}, 10)]
-
-    def test_unknown_state_key_rejected(self, scaled_code):
-        config = SimulationConfig(max_frames=10, target_frame_errors=5, batch_frames=5)
-        entries = {"only": PoolEntry(scaled_code, _factory_for(scaled_code), config)}
-        (seed,) = spawn_seed_sequences(1, 1)
-        with SharedWorkerPool(entries, workers=1) as pool:
-            with pytest.raises(KeyError):
-                pool.run_states([PointState("other", 3.0, seed, config)])
+    """Pool-specific behaviour underneath the campaign scheduler."""
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -356,3 +345,33 @@ class TestSweepResume:
         )
         assert calls == []
         assert resumed.points == full.points
+
+
+class TestSweepSeeding:
+    """A sweep's point seeds depend only on its master seed and grid position."""
+
+    CONFIG = SimulationConfig(
+        max_frames=20, target_frame_errors=50, batch_frames=10, all_zero_codeword=True
+    )
+    GRID = [1.0, 1.5, 2.0]
+
+    def test_reused_sweep_repeats_its_curve(self, scaled_code):
+        factory = _factory_for(scaled_code)
+        sweep = EbN0Sweep(scaled_code, factory, config=self.CONFIG, rng=7)
+        first = sweep.run(self.GRID)
+        assert all(point.bit_errors > 0 for point in first.points)
+        assert sweep.run(self.GRID).points == first.points
+        fresh = EbN0Sweep(scaled_code, factory, config=self.CONFIG, rng=7)
+        assert fresh.run(self.GRID).points == first.points
+
+    def test_resume_on_the_same_sweep_matches_uninterrupted(self, scaled_code):
+        from repro.sim import SimulationCurve
+
+        sweep = EbN0Sweep(
+            scaled_code, _factory_for(scaled_code), config=self.CONFIG, rng=23
+        )
+        full = sweep.run(self.GRID, label="nms")
+        partial = SimulationCurve(label="nms")
+        partial.add(full.points[0])
+        partial.add(full.points[2])
+        assert sweep.run(self.GRID, resume=partial).points == full.points

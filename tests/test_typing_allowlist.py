@@ -26,6 +26,7 @@ PROMOTED = sorted(
         REPO_ROOT / "src" / "repro" / "decode" / "graph.py",
         REPO_ROOT / "src" / "repro" / "decode" / "base.py",
         REPO_ROOT / "src" / "repro" / "decode" / "layered.py",
+        REPO_ROOT / "src" / "repro" / "sim" / "parallel.py",
     ]
 )
 
@@ -36,6 +37,7 @@ def test_mypy_ini_promotes_the_modules():
     for section in (
         "mypy-repro.fabric,repro.fabric.*",
         "mypy-repro.decode.graph,repro.decode.base,repro.decode.layered",
+        "mypy-repro.sim.parallel",
     ):
         assert config.has_section(section), section
         assert config.get(section, "ignore_errors") == "False"
