@@ -266,6 +266,63 @@ def test_executor_conformance(scaled_code, kind):
 class TestSharedWorkerPool:
     """Pool-specific behaviour underneath the campaign scheduler."""
 
+    def test_mixed_entries_reproduce_their_serial_engines(self, scaled_code):
+        config_a = SimulationConfig(
+            max_frames=40, target_frame_errors=6, batch_frames=10, all_zero_codeword=True
+        )
+        config_b = SimulationConfig(
+            max_frames=30, target_frame_errors=4, batch_frames=5, all_zero_codeword=True
+        )
+        entries = {
+            "nms": PoolEntry(scaled_code, _factory_for(scaled_code), config_a),
+            "ms": PoolEntry(
+                scaled_code,
+                lambda: MinSumDecoder(scaled_code, max_iterations=8),
+                config_b,
+            ),
+        }
+        seeds = spawn_seed_sequences(17, 4)
+        states = [
+            PointState("nms", 2.0, seeds[0], config_a),
+            PointState("ms", 2.0, seeds[1], config_b),
+            PointState("nms", 4.0, seeds[2], config_a),
+            PointState("ms", 4.0, seeds[3], config_b),
+        ]
+        with SharedWorkerPool(entries, workers=3) as pool:
+            points = pool.run_states(states)
+        # Each point must match the serial engine for its own entry+seed.
+        seeds = spawn_seed_sequences(17, 4)
+        serial_nms = MonteCarloSimulator(
+            scaled_code, _factory_for(scaled_code)(), config=config_a, rng=0
+        )
+        serial_ms = MonteCarloSimulator(
+            scaled_code, MinSumDecoder(scaled_code, max_iterations=8), config=config_b, rng=0
+        )
+        assert points[0] == serial_nms.run_point(2.0, rng=seeds[0])
+        assert points[1] == serial_ms.run_point(2.0, rng=seeds[1])
+        assert points[2] == serial_nms.run_point(4.0, rng=seeds[2])
+        assert points[3] == serial_ms.run_point(4.0, rng=seeds[3])
+
+    def test_on_point_receives_state_and_tag(self, scaled_code):
+        config = SimulationConfig(
+            max_frames=10, target_frame_errors=50, batch_frames=5, all_zero_codeword=True
+        )
+        entries = {"only": PoolEntry(scaled_code, _factory_for(scaled_code), config)}
+        (seed,) = spawn_seed_sequences(1, 1)
+        states = [PointState("only", 3.0, seed, config, tag={"marker": 42})]
+        seen = []
+        with SharedWorkerPool(entries, workers=2) as pool:
+            pool.run_states(states, on_point=lambda s, p: seen.append((s.tag, p.frames)))
+        assert seen == [({"marker": 42}, 10)]
+
+    def test_unknown_state_key_rejected(self, scaled_code):
+        config = SimulationConfig(max_frames=10, target_frame_errors=5, batch_frames=5)
+        entries = {"only": PoolEntry(scaled_code, _factory_for(scaled_code), config)}
+        (seed,) = spawn_seed_sequences(1, 1)
+        with SharedWorkerPool(entries, workers=1) as pool:
+            with pytest.raises(KeyError):
+                pool.run_states([PointState("other", 3.0, seed, config)])
+
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
             SharedWorkerPool({})
