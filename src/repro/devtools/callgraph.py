@@ -31,13 +31,16 @@ __all__ = [
     "FunctionScope",
     "Project",
     "annotation_name",
+    "import_table",
     "module_name_for_path",
 ]
 
 #: Pseudo-function name holding a module's top-level (non-def) statements.
 MODULE_SCOPE = "<module>"
 
-_LIFECYCLE_METHODS = frozenset(
+#: The broker lease-lifecycle methods (REP403); a class defining three of
+#: them is broker-shaped.
+LIFECYCLE_METHODS = frozenset(
     {"submit", "lease", "heartbeat", "complete", "reclaim"}
 )
 
@@ -116,7 +119,7 @@ class ClassInfo:
         """Broker by name or by shape (≥3 lease-lifecycle methods)."""
         if self.name.endswith("Broker"):
             return True
-        return len(_LIFECYCLE_METHODS & set(self.methods)) >= 3
+        return len(LIFECYCLE_METHODS & set(self.methods)) >= 3
 
 
 @dataclass
@@ -514,7 +517,7 @@ def _parse_module(path: str, source: str) -> ModuleInfo:
     tree = ast.parse(source, filename=path)
     name = module_name_for_path(path)
     info = ModuleInfo(name=name, path=path, source=source, tree=tree)
-    _collect_imports(info)
+    info.imports = import_table(tree, path)
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[stmt.name] = _function_info(info, stmt, cls=None)
@@ -523,15 +526,24 @@ def _parse_module(path: str, source: str) -> ModuleInfo:
     return info
 
 
-def _collect_imports(info: ModuleInfo) -> None:
-    package_parts = info.name.split(".")
-    is_package = info.path.endswith("__init__.py")
-    for stmt in ast.walk(info.tree):
+def import_table(tree: ast.AST, path: str) -> dict[str, str]:
+    """Local name → dotted target for every import anywhere in ``tree``.
+
+    ``np`` → ``numpy``, ``default_rng`` → ``numpy.random.default_rng``; the
+    first binding of a name wins.  ``path`` is the reported path of the
+    module, against which relative imports resolve.  The per-file linter
+    and the project symbol table both resolve call targets through this
+    one table.
+    """
+    imports: dict[str, str] = {}
+    package_parts = module_name_for_path(path).split(".")
+    is_package = path.endswith("__init__.py")
+    for stmt in ast.walk(tree):
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 local = alias.asname or alias.name.split(".")[0]
                 target = alias.name if alias.asname else alias.name.split(".")[0]
-                info.imports.setdefault(local, target)
+                imports.setdefault(local, target)
         elif isinstance(stmt, ast.ImportFrom):
             base: list[str]
             if stmt.level == 0:
@@ -548,7 +560,8 @@ def _collect_imports(info: ModuleInfo) -> None:
                     continue
                 local = alias.asname or alias.name
                 target = f"{prefix}.{alias.name}" if prefix else alias.name
-                info.imports.setdefault(local, target)
+                imports.setdefault(local, target)
+    return imports
 
 
 def _function_info(
@@ -656,7 +669,7 @@ def _walk_statements(
         else:
             for value in _stmt_expressions(stmt):
                 _resolve_expression(project, scope, value, in_nested)
-        for body in _stmt_bodies(stmt):
+        for body in stmt_bodies(stmt):
             _walk_statements(project, scope, body, in_nested=in_nested)
 
 
@@ -714,7 +727,8 @@ def _stmt_expressions(stmt: ast.stmt) -> list[ast.expr]:
     return values
 
 
-def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
+def stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
+    """The statement blocks nested in ``stmt``, handlers included."""
     bodies: list[list[ast.stmt]] = []
     for attr in ("body", "orelse", "finalbody"):
         block = getattr(stmt, attr, None)

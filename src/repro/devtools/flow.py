@@ -20,10 +20,20 @@ two interprocedural rule families:
 * ``REP4xx`` — *fabric/persistence protocol*.  REP401: broker
   state-mutators must take explicit ``now`` and never reach a wall-clock
   read through any call chain.  REP402: persistence-scope code must not
-  reach a raw (non-atomic) write through project helpers — the
-  interprocedural extension of REP107.  REP403: modules driving a broker
-  must respect the lease lifecycle (submit→lease→heartbeat→complete/
-  reclaim).
+  reach a raw (non-atomic) write through project helpers.  It shares
+  :func:`~repro.devtools.linter.raw_write` with REP107, which checks the
+  persistence modules' own code; REP402 checks every project function
+  they call, so neither rule covers the other.  REP403: modules driving a
+  broker must respect the lease lifecycle (submit→lease→heartbeat→
+  complete/reclaim).
+
+Calls are matched by canonical name after import-alias resolution through
+:func:`~repro.devtools.callgraph.import_table`, the resolver the per-file
+linter uses too, so a ``from``-import
+(``from numpy.random import default_rng as mk``) cannot hide a call site
+from either analyzer.  The hazards both analyzers match (wall-clock reads,
+pool dispatch methods, raw writes and the persistence scope) are defined
+once, in :mod:`repro.devtools.linter`.
 
 Findings are :class:`FlowViolation`\\ s — ordinary linter violations (same
 identity, ``noqa`` and baseline machinery) that additionally carry the
@@ -41,6 +51,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.devtools.callgraph import (
+    LIFECYCLE_METHODS,
     MODULE_SCOPE,
     CallSite,
     ClassInfo,
@@ -50,13 +61,20 @@ from repro.devtools.callgraph import (
     Project,
     annotation_name,
     dotted_name,
+    stmt_bodies,
 )
 from repro.devtools.linter import (
-    DEFAULT_CONFIG as _LINT_DEFAULTS,
+    PERSISTENCE_SCOPE,
+    PERSISTENCE_WHITELIST,
+    POOL_METHODS,
+    RNG_CHOKEPOINT,
+    SEEDABLE,
+    WALL_CLOCK,
     Violation,
     _noqa_directives,
     _suppressed,
     iter_python_files,
+    raw_write,
 )
 
 __all__ = [
@@ -99,108 +117,16 @@ class FlowViolation(Violation):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """What the flow analyzer enforces and where.
+    """Which flow rules run, and where REP402 looks.
 
-    Path entries are posix suffixes/fragments like the linter's; canonical
-    names (``numpy.random.default_rng``) are matched after import-alias
-    resolution, so ``from numpy.random import default_rng as mk`` cannot
-    hide a call site.
+    The persistence scope and whitelist are posix path suffixes, shared
+    with REP107 by default; fixture projects point them at their own
+    files.
     """
 
     select: frozenset[str] = frozenset(FLOW_CODES)
-    #: Modules allowed to materialize Generators without provenance — the
-    #: audited RNG chokepoint itself.
-    rng_chokepoints: tuple[str, ...] = ("repro/utils/rng.py",)
-    #: Canonical callables whose result *is* RNG provenance.
-    source_functions: tuple[str, ...] = (
-        "numpy.random.SeedSequence",
-        "repro.utils.rng.ensure_rng",
-        "repro.utils.rng.as_seed_sequence",
-        "repro.utils.rng.spawn_seed_sequences",
-        "repro.utils.rng.spawn_rngs",
-    )
-    #: Canonical callables that materialize a Generator (REP301 sites).
-    generator_constructors: tuple[str, ...] = (
-        "numpy.random.default_rng",
-        "numpy.random.Generator",
-    )
-    #: Parameter/attribute names treated as seed provenance.
-    rng_name_hints: frozenset[str] = frozenset(
-        {
-            "rng",
-            "rngs",
-            "seed",
-            "seeds",
-            "seedseq",
-            "seedseqs",
-            "seed_seq",
-            "seed_seqs",
-            "seed_sequence",
-            "seed_sequences",
-            "generator",
-            "generators",
-            "bit_generator",
-            "bitgen",
-        }
-    )
-    #: Annotation class names treated as seed provenance.
-    rng_annotation_hints: tuple[str, ...] = (
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "SeedLike",
-    )
-    #: Method names whose call result carries provenance.
-    taint_methods: frozenset[str] = frozenset({"spawn", "seed_sequence"})
-    #: Attribute calls that hand work to another worker/process (REP303).
-    dispatch_methods: frozenset[str] = frozenset(
-        {
-            "apply",
-            "apply_async",
-            "map",
-            "map_async",
-            "starmap",
-            "starmap_async",
-            "imap",
-            "imap_unordered",
-            "submit",
-        }
-    )
-    #: The broker lease lifecycle, in protocol order.
-    lifecycle_methods: tuple[str, ...] = (
-        "submit",
-        "lease",
-        "heartbeat",
-        "complete",
-        "reclaim",
-    )
-    #: Lifecycle methods that mutate broker state on a clock (REP401).
-    time_mutators: frozenset[str] = frozenset(
-        {"submit", "lease", "heartbeat", "reclaim"}
-    )
-    #: Broker *implementations* — exempt from the consumer-side REP403.
-    broker_impl_suffixes: tuple[str, ...] = ("repro/fabric/broker.py",)
-    #: REP402 scope and whitelist: shared with REP107 by default.
-    persistence_suffixes: tuple[str, ...] = _LINT_DEFAULTS.persistence_suffixes
-    persistence_whitelist: tuple[str, ...] = (
-        _LINT_DEFAULTS.persistence_whitelist
-    )
-    #: Canonical wall-clock reads no broker method may reach (REP401).
-    wall_clock_names: tuple[str, ...] = (
-        "time.time",
-        "time.time_ns",
-        "time.ctime",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-        "repro.obs.clock.wall_time",
-        "repro.obs.clock.wall_iso",
-    )
+    persistence_suffixes: tuple[str, ...] = PERSISTENCE_SCOPE
+    persistence_whitelist: tuple[str, ...] = PERSISTENCE_WHITELIST
 
     def with_select(self, codes: Iterable[str]) -> "FlowConfig":
         """A copy enforcing only the flow codes in ``codes``."""
@@ -211,8 +137,67 @@ class FlowConfig:
 DEFAULT_FLOW_CONFIG = FlowConfig()
 
 
-def _matches(path: str, suffixes: Sequence[str]) -> bool:
-    return any(path.endswith(suffix) for suffix in suffixes)
+#: Canonical callables that materialize a Generator (REP301 sites).
+_GENERATOR_CONSTRUCTORS = frozenset(
+    {
+        "numpy.random.default_rng",
+        "numpy.random.Generator",
+    }
+)
+#: Canonical callables whose result *is* RNG provenance: the seedable
+#: numpy constructors, Generator and the repro.utils.rng chokepoints.
+_RNG_SOURCES = (
+    SEEDABLE
+    | _GENERATOR_CONSTRUCTORS
+    | frozenset(
+        {
+            "repro.utils.rng.ensure_rng",
+            "repro.utils.rng.as_seed_sequence",
+            "repro.utils.rng.spawn_seed_sequences",
+            "repro.utils.rng.spawn_rngs",
+        }
+    )
+)
+#: Parameter/attribute names treated as seed provenance.
+_RNG_NAME_HINTS = frozenset(
+    {
+        "rng",
+        "rngs",
+        "seed",
+        "seeds",
+        "seedseq",
+        "seedseqs",
+        "seed_seq",
+        "seed_seqs",
+        "seed_sequence",
+        "seed_sequences",
+        "generator",
+        "generators",
+        "bit_generator",
+        "bitgen",
+    }
+)
+#: Annotation class names treated as seed provenance.
+_RNG_ANNOTATION_HINTS = (
+    "Generator",
+    "SeedSequence",
+    "BitGenerator",
+    "SeedLike",
+)
+#: Method names whose call result carries provenance.
+_TAINT_METHODS = frozenset({"spawn", "seed_sequence"})
+#: Lifecycle methods that mutate broker state on a clock (REP401).
+_TIME_MUTATORS = frozenset({"submit", "lease", "heartbeat", "reclaim"})
+#: What no broker method may reach (REP401): every wall-clock read,
+#: including the audited telemetry chokepoint's.
+_BROKER_CLOCK_READS = WALL_CLOCK | frozenset(
+    {
+        "repro.obs.clock.wall_time",
+        "repro.obs.clock.wall_iso",
+    }
+)
+#: The broker *implementation* — exempt from the consumer-side REP403.
+_BROKER_IMPL = "repro/fabric/broker.py"
 
 
 # --------------------------------------------------------------------------- #
@@ -233,7 +218,7 @@ class _FlowAnalyzer:
     # ------------------------------------------------------------------ #
     def rng_like_name(self, name: str) -> bool:
         base = name.strip("_").lower()
-        if base in self.config.rng_name_hints:
+        if base in _RNG_NAME_HINTS:
             return True
         return base.endswith(
             ("_rng", "_seed", "_seed_seq", "_seed_sequence", "_generator")
@@ -244,7 +229,7 @@ class _FlowAnalyzer:
         if name is None:
             return False
         terminal = name.split(".")[-1]
-        return terminal in self.config.rng_annotation_hints
+        return terminal in _RNG_ANNOTATION_HINTS
 
     def initial_env(self, fn: FunctionInfo) -> dict[str, int]:
         env: dict[str, int] = {}
@@ -269,7 +254,6 @@ class _FlowAnalyzer:
         self, scope: FunctionScope, env: dict[str, int], expr: ast.expr
     ) -> int:
         """The taint level of ``expr`` under ``env`` (conservative)."""
-        config = self.config
         if isinstance(expr, ast.Name):
             return env.get(expr.id, _CLEAN)
         if isinstance(expr, ast.Await):
@@ -303,9 +287,7 @@ class _FlowAnalyzer:
             return max(levels, default=_CLEAN)
         if isinstance(expr, ast.Call):
             target, resolved = self.call_target(scope, expr)
-            if target in config.source_functions:
-                return _DIRECT
-            if target in config.generator_constructors:
+            if target in _RNG_SOURCES:
                 return _DIRECT
             if isinstance(resolved, FunctionInfo) and self.returns_taint.get(
                 resolved.qualname, False
@@ -317,7 +299,7 @@ class _FlowAnalyzer:
                 if attr == "spawn":
                     receiver = self.taint(scope, env, expr.func.value)
                     return _DIRECT if receiver != _CLEAN else _CLEAN
-                if attr in config.taint_methods:
+                if attr in _TAINT_METHODS:
                     return _DIRECT
             if target in ("int", "float", "abs", "tuple", "list", "sorted"):
                 levels = [self.taint(scope, env, a) for a in args]
@@ -371,17 +353,8 @@ class _FlowAnalyzer:
                 for child in ast.iter_child_nodes(stmt):
                     if isinstance(child, ast.expr):
                         self.taint(scope, env, child)
-            for body in (
-                getattr(stmt, "body", None),
-                getattr(stmt, "orelse", None),
-                getattr(stmt, "finalbody", None),
-            ):
-                if isinstance(body, list) and body and isinstance(
-                    body[0], ast.stmt
-                ):
-                    self._taint_walk(scope, env, body)
-            for handler in getattr(stmt, "handlers", []) or []:
-                self._taint_walk(scope, env, handler.body)
+            for body in stmt_bodies(stmt):
+                self._taint_walk(scope, env, body)
 
     def _bind(self, env: dict[str, int], target: ast.expr, level: int) -> None:
         if level == _CLEAN:
@@ -435,17 +408,8 @@ class _FlowAnalyzer:
                     continue
                 if isinstance(stmt, ast.Return):
                     collected.append(stmt)
-                for body in (
-                    getattr(stmt, "body", None),
-                    getattr(stmt, "orelse", None),
-                    getattr(stmt, "finalbody", None),
-                ):
-                    if isinstance(body, list) and body and isinstance(
-                        body[0], ast.stmt
-                    ):
-                        walk(body)
-                for handler in getattr(stmt, "handlers", []) or []:
-                    walk(handler.body)
+                for body in stmt_bodies(stmt):
+                    walk(body)
 
         walk(node.body)
         return collected
@@ -510,11 +474,11 @@ class _FlowAnalyzer:
     def check_generator_sites(
         self, fn: FunctionInfo, env: dict[str, int]
     ) -> None:
-        if _matches(fn.path, self.config.rng_chokepoints):
+        if fn.path.endswith(RNG_CHOKEPOINT):
             return
         scope = self.project.scope(fn)
         for site in scope.calls:
-            if site.target not in self.config.generator_constructors:
+            if site.target not in _GENERATOR_CONSTRUCTORS:
                 continue
             call = site.node
             args = list(call.args) + [kw.value for kw in call.keywords]
@@ -568,9 +532,7 @@ class _FlowAnalyzer:
         return False
 
     def check_conjured_rng(self, fn: FunctionInfo) -> None:
-        if fn.name == MODULE_SCOPE or _matches(
-            fn.path, self.config.rng_chokepoints
-        ):
+        if fn.name == MODULE_SCOPE or fn.path.endswith(RNG_CHOKEPOINT):
             return
         has_seed_param = any(
             self.rng_like_name(p)
@@ -580,11 +542,8 @@ class _FlowAnalyzer:
         if has_seed_param:
             return
         scope = self.project.scope(fn)
-        sources = set(self.config.source_functions) | set(
-            self.config.generator_constructors
-        )
         for site in scope.calls:
-            if site.target not in sources:
+            if site.target not in _RNG_SOURCES:
                 continue
             call = site.node
             args = list(call.args) + [kw.value for kw in call.keywords]
@@ -634,7 +593,7 @@ class _FlowAnalyzer:
                         if (
                             isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
-                            and node.func.attr in self.config.dispatch_methods
+                            and node.func.attr in POOL_METHODS
                         ):
                             for name in self._tainted_name_args(node, env):
                                 events.append((name, node, loop))
@@ -643,17 +602,8 @@ class _FlowAnalyzer:
                     if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While))
                     else loop
                 )
-                for body in (
-                    getattr(stmt, "body", None),
-                    getattr(stmt, "orelse", None),
-                    getattr(stmt, "finalbody", None),
-                ):
-                    if isinstance(body, list) and body and isinstance(
-                        body[0], ast.stmt
-                    ):
-                        walk(body, inner)
-                for handler in getattr(stmt, "handlers", []) or []:
-                    walk(handler.body, inner)
+                for body in stmt_bodies(stmt):
+                    walk(body, inner)
 
         walk(fn.node.body, None)
         if not events:
@@ -865,9 +815,7 @@ class _FlowAnalyzer:
             for klass in module.classes.values():
                 if not klass.is_broker_shaped:
                     continue
-                for mname in sorted(
-                    self.config.time_mutators & set(klass.methods)
-                ):
+                for mname in sorted(_TIME_MUTATORS & set(klass.methods)):
                     method = klass.methods[mname]
                     if "now" in method.params:
                         continue
@@ -914,7 +862,7 @@ class _FlowAnalyzer:
             current, path = queue.pop(0)
             scope = self.project.scope(current)
             for site in scope.calls:
-                if site.target in self.config.wall_clock_names:
+                if site.target in _BROKER_CLOCK_READS:
                     return path + [
                         f"wall-clock call {site.target} at "
                         f"{current.path}:{site.node.lineno}"
@@ -960,28 +908,7 @@ class _FlowAnalyzer:
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            kind: str | None = None
-            func = node.func
-            if (
-                isinstance(func, ast.Name) and func.id == "open"
-            ) or (isinstance(func, ast.Attribute) and func.attr == "open"):
-                mode = None
-                if len(node.args) >= 2:
-                    mode = node.args[1]
-                for kw in node.keywords:
-                    if kw.arg == "mode":
-                        mode = kw.value
-                if (
-                    isinstance(mode, ast.Constant)
-                    and isinstance(mode.value, str)
-                    and any(c in mode.value for c in "wax+")
-                ):
-                    kind = f"open(mode={mode.value!r})"
-            elif isinstance(func, ast.Attribute) and func.attr in (
-                "write_text",
-                "write_bytes",
-            ):
-                kind = f".{func.attr}()"
+            kind = raw_write(node)
             if kind is None:
                 continue
             codes = noqa.get(node.lineno)
@@ -996,14 +923,14 @@ class _FlowAnalyzer:
     def check_persistence_reach(self) -> None:
         config = self.config
         for fn in self.project.iter_functions():
-            if not _matches(fn.path, config.persistence_suffixes):
+            if not fn.path.endswith(config.persistence_suffixes):
                 continue
-            if _matches(fn.path, config.persistence_whitelist):
+            if fn.path.endswith(config.persistence_whitelist):
                 continue
             self._persistence_bfs(fn)
 
     def _persistence_bfs(self, origin: FunctionInfo) -> None:
-        config = self.config
+        whitelist = self.config.persistence_whitelist
         visited: set[str] = {origin.qualname}
         queue: list[tuple[FunctionInfo, list[str], ast.Call | None]] = [
             (origin, [self._def_ref(origin)], None)
@@ -1015,7 +942,7 @@ class _FlowAnalyzer:
                 resolved = site.resolved
                 if not isinstance(resolved, FunctionInfo):
                     continue
-                if _matches(resolved.path, config.persistence_whitelist):
+                if resolved.path.endswith(whitelist):
                     continue
                 if resolved.qualname in visited:
                     continue
@@ -1061,11 +988,10 @@ class _FlowAnalyzer:
         return False
 
     def check_lease_lifecycle(self) -> None:
-        lifecycle = set(self.config.lifecycle_methods)
         protocol = self._broker_protocol()
         for module_name in sorted(self.project.modules):
             module = self.project.modules[module_name]
-            if _matches(module.path, self.config.broker_impl_suffixes):
+            if module.path.endswith(_BROKER_IMPL):
                 continue
             if any(k.is_broker_shaped for k in module.classes.values()):
                 continue
@@ -1081,7 +1007,7 @@ class _FlowAnalyzer:
                     if not isinstance(node.func, ast.Attribute):
                         continue
                     attr = node.func.attr
-                    if attr not in lifecycle:
+                    if attr not in LIFECYCLE_METHODS:
                         continue
                     if not self._broker_receiver(scope, node.func.value):
                         continue

@@ -6,6 +6,14 @@ catalog in :mod:`repro.devtools.rules`.  It is importable machinery first
 and a CLI second: tests feed sources through :func:`lint_source` directly,
 the ``repro lint`` command wraps :func:`lint_paths`.
 
+Every call target is resolved to a canonical dotted name through the
+module's import table (:func:`repro.devtools.callgraph.import_table`, the
+resolver the flow analyzer uses too), so a ``from``-import such as
+``from numpy.random import seed`` or ``from time import ctime as now``
+cannot hide a call site.  Each hazard the rules match is defined once,
+below, and :mod:`repro.devtools.flow` reuses the ones it shares: wall-clock
+reads, pool dispatch methods, :func:`raw_write` and the persistence scope.
+
 Suppression and debt management:
 
 * a trailing ``# repro: noqa[REP103]`` comment (comma-separated codes, or
@@ -26,6 +34,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro.devtools.callgraph import dotted_name, import_table
 from repro.devtools.rules import ALL_RULES, DETERMINISM_RULES
 
 __all__ = [
@@ -78,48 +87,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class LinterConfig:
-    """What the determinism linter enforces and where.
+    """Which determinism rules the linter enforces.
 
     Attributes
     ----------
     select:
         Rule codes to enforce (default: every ``REP1xx`` rule).
-    unseeded_whitelist:
-        Path suffixes (posix form) where REP103's unseeded fallback is the
-        documented, warning-emitting default — only
-        ``repro/utils/rng.py`` by default.
-    persistence_suffixes:
-        Path suffixes whose writes REP107 constrains to the atomic helper:
-        the campaign store and everything that persists curves.
-    persistence_whitelist:
-        Path suffixes exempt from REP107 inside the persistence scope —
-        the atomic-write helper itself must, of course, write.
-    obs_scopes:
-        Path fragments marking the telemetry subsystem, where REP110
-        requires every clock read — wall *and* monotonic — to go through
-        the audited ``repro.obs.clock`` chokepoint.  Inside this scope
-        REP104's time-module branch stands down in favour of REP110 (its
-        datetime branch still applies).
-    wall_clock_whitelist:
-        Path suffixes exempt from both REP104 and REP110: the audited
-        clock chokepoint itself, which exists precisely to contain the
-        raw ``time`` calls.
     """
 
     select: frozenset[str] = frozenset(r.code for r in DETERMINISM_RULES)
-    unseeded_whitelist: tuple[str, ...] = ("repro/utils/rng.py",)
-    persistence_suffixes: tuple[str, ...] = (
-        "repro/sim/campaign/store.py",
-        "repro/sim/campaign/spec.py",
-        "repro/sim/results.py",
-        "repro/fabric/broker.py",
-        "repro/fabric/pool.py",
-        "repro/obs/metrics.py",
-        "repro/obs/events.py",
-    )
-    persistence_whitelist: tuple[str, ...] = ("repro/utils/files.py",)
-    obs_scopes: tuple[str, ...] = ("repro/obs/",)
-    wall_clock_whitelist: tuple[str, ...] = ("repro/obs/clock.py",)
 
     def with_select(self, codes: Iterable[str]) -> "LinterConfig":
         """A copy enforcing only ``codes`` (validated against the catalog)."""
@@ -170,25 +146,43 @@ def _suppressed(
 
 
 # --------------------------------------------------------------------------- #
-# Name-resolution helpers
+# Where the path-scoped rules apply (posix path suffixes)
 # --------------------------------------------------------------------------- #
-def _dotted(node: ast.expr) -> str | None:
-    """The dotted-name form of a Name/Attribute chain, or ``None``."""
-    parts: list[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
+#: The audited RNG module.  REP103's unseeded fallback is its documented,
+#: warning-emitting default, and the flow rules let it materialize
+#: Generators without provenance.
+RNG_CHOKEPOINT = "repro/utils/rng.py"
+#: The campaign store and everything else that persists state.  REP107
+#: holds their own writes to the atomic helper; REP402 holds every project
+#: function they call to it.
+PERSISTENCE_SCOPE = (
+    "repro/sim/campaign/store.py",
+    "repro/sim/campaign/spec.py",
+    "repro/sim/results.py",
+    "repro/fabric/broker.py",
+    "repro/fabric/pool.py",
+    "repro/obs/metrics.py",
+    "repro/obs/events.py",
+)
+#: Exempt from REP107 and REP402: the atomic-write helper itself must, of
+#: course, write.
+PERSISTENCE_WHITELIST = ("repro/utils/files.py",)
+#: The telemetry subsystem (a path fragment), where REP110 requires every
+#: clock read — wall *and* monotonic — to go through the audited
+#: ``repro.obs.clock`` chokepoint.
+_OBS_SCOPE = "repro/obs/"
+#: The clock chokepoint itself, exempt from REP104 and REP110: it exists
+#: precisely to contain the raw ``time`` calls.
+_CLOCK_CHOKEPOINT = "repro/obs/clock.py"
 
-
+# --------------------------------------------------------------------------- #
+# The hazards, as canonical dotted names
+# --------------------------------------------------------------------------- #
 #: Legacy global-state entry points of ``numpy.random`` — everything that
-#: draws from (or mutates) the hidden module-level RandomState.
-_LEGACY_NUMPY_RANDOM = frozenset(
-    {
+#: draws from (or mutates) the hidden module-level RandomState (REP101).
+LEGACY_NUMPY_RANDOM = frozenset(
+    f"numpy.random.{name}"
+    for name in (
         "seed", "rand", "randn", "randint", "random", "random_sample",
         "ranf", "sample", "random_integers", "choice", "shuffle",
         "permutation", "bytes", "normal", "standard_normal", "uniform",
@@ -196,28 +190,102 @@ _LEGACY_NUMPY_RANDOM = frozenset(
         "laplace", "logistic", "lognormal", "rayleigh", "triangular",
         "vonmises", "wald", "weibull", "zipf", "get_state", "set_state",
         "RandomState",
-    }
+    )
 )
-
-_WALL_CLOCK_TIME = frozenset({"time", "time_ns"})
-_WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
-#: Every clock-reading function of the ``time`` module — what REP110 keeps
-#: out of repro.obs consumers (superset of the wall-clock pair REP104 flags).
-_TIMING_FUNCTIONS = frozenset(
+#: Constructors that fall back to OS entropy when given no seed (REP103).
+SEEDABLE = frozenset({"numpy.random.default_rng", "numpy.random.SeedSequence"})
+#: Wall-clock reads: REP104 in library code, and REP401 anywhere a broker
+#: mutator's call chain reaches.
+WALL_CLOCK = frozenset(
     {
-        "time", "time_ns", "perf_counter", "perf_counter_ns",
-        "monotonic", "monotonic_ns", "process_time", "process_time_ns",
-        "thread_time", "thread_time_ns",
+        "time.time",
+        "time.time_ns",
+        "time.ctime",
+        "time.localtime",
+        "time.gmtime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
     }
 )
-_POOL_METHODS = frozenset(
+#: Every clock read of the ``time`` module, wall and duration alike.
+#: Inside repro.obs each one fires REP110, which supersedes REP104 there.
+TIME_CLOCKS = frozenset(
+    {name for name in WALL_CLOCK if name.startswith("time.")}
+    | {
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.thread_time",
+        "time.thread_time_ns",
+    }
+)
+#: Ambient OS entropy outside the SeedSequence tree (REP109), as is every
+#: function of the ``secrets`` module.
+AMBIENT_ENTROPY = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+#: Methods that hand a callable to a worker pool or executor: REP108 wants
+#: their targets picklable, REP303 a fresh RNG for every dispatch.
+POOL_METHODS = frozenset(
     {
-        "map", "map_async", "imap", "imap_unordered", "apply",
-        "apply_async", "starmap", "starmap_async", "submit",
+        "apply",
+        "apply_async",
+        "map",
+        "map_async",
+        "starmap",
+        "starmap_async",
+        "imap",
+        "imap_unordered",
+        "submit",
     }
 )
-_ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+#: Module-level ``open`` functions that take the mode second, like the
+#: builtin.
+_MODULE_OPENS = frozenset(
+    f"{module}.open"
+    for module in ("io", "gzip", "bz2", "lzma", "codecs", "tarfile")
+)
 _SET_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter", "join"})
+
+
+def raw_write(call: ast.Call) -> str | None:
+    """How ``call`` writes a file in place, or ``None`` if it does not.
+
+    A raw write is what REP107 forbids in the persistence modules and
+    REP402 in every project function they call.  ``write_text`` and
+    ``write_bytes`` always write.  An ``open`` writes when its mode
+    contains ``w``, ``a``, ``x`` or ``+``.  The mode is the ``mode=``
+    keyword; otherwise the second positional argument of the builtin and
+    of the module-level ``io``/``gzip``/``bz2``/``lzma``/``codecs``/
+    ``tarfile`` ``open``; otherwise the first positional argument of any
+    other ``.open`` (``Path.open``).
+    """
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in (
+        "write_text",
+        "write_bytes",
+    ):
+        return f".{func.attr}()"
+    name = dotted_name(func)
+    if name == "open" or name in _MODULE_OPENS:
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        name, position = ".open", 0
+    else:
+        return None
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if (
+        isinstance(mode, ast.Constant)
+        and isinstance(mode.value, str)
+        and any(flag in mode.value for flag in "wax+")
+    ):
+        return f"{name}(mode={mode.value!r})"
+    return None
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -243,26 +311,24 @@ def _is_float_literal(node: ast.expr) -> bool:
 class _DeterminismVisitor(ast.NodeVisitor):
     """Single-pass AST walk emitting determinism violations."""
 
-    def __init__(self, path: str, source_lines: Sequence[str], config: LinterConfig):
+    def __init__(
+        self,
+        path: str,
+        source_lines: Sequence[str],
+        config: LinterConfig,
+        imports: dict[str, str],
+    ) -> None:
         self.path = path
         self.lines = source_lines
         self.config = config
+        #: Local name -> canonical dotted target (callgraph.import_table).
+        self.imports = imports
         self.violations: list[Violation] = []
-        # Import tracking — alias name -> canonical module / object.
-        self.numpy_random_aliases: set[str] = set()      # bound to numpy.random
-        self.numpy_aliases: set[str] = set()             # bound to numpy
-        self.default_rng_names: set[str] = set()         # from numpy.random import default_rng
-        self.seed_sequence_names: set[str] = set()       # ... import SeedSequence
-        self.time_module_aliases: set[str] = set()
-        self.wall_clock_names: set[str] = set()          # from time import time
-        self.timing_names: set[str] = set()              # ... import perf_counter, ...
-        self.datetime_module_aliases: set[str] = set()
-        self.datetime_class_aliases: set[str] = set()    # from datetime import datetime
-        self.date_class_aliases: set[str] = set()        # from datetime import date
-        self.os_aliases: set[str] = set()
-        self.uuid_aliases: set[str] = set()
-        self.secrets_aliases: set[str] = set()
-        self.entropy_names: set[str] = set()             # from uuid import uuid4, ...
+        self.persistence_scope = path.endswith(PERSISTENCE_SCOPE) and not (
+            path.endswith(PERSISTENCE_WHITELIST)
+        )
+        self.clock_chokepoint = path.endswith(_CLOCK_CHOKEPOINT)
+        self.obs_scope = _OBS_SCOPE in path and not self.clock_chokepoint
         # Nested-function names per enclosing function scope (REP108).
         self._function_depth = 0
         self.nested_functions: set[str] = set()
@@ -280,26 +346,18 @@ class _DeterminismVisitor(ast.NodeVisitor):
             Violation(code, self.path, line, column, message, snippet)
         )
 
-    def _path_matches(self, suffixes: tuple[str, ...]) -> bool:
-        return any(self.path.endswith(suffix) for suffix in suffixes)
-
-    @property
-    def _persistence_scope(self) -> bool:
-        return self._path_matches(
-            self.config.persistence_suffixes
-        ) and not self._path_matches(self.config.persistence_whitelist)
-
-    @property
-    def _obs_scope(self) -> bool:
-        """Inside repro.obs but not the audited clock chokepoint itself."""
-        return any(
-            fragment in self.path for fragment in self.config.obs_scopes
-        ) and not self._path_matches(self.config.wall_clock_whitelist)
+    def _callee(self, func: ast.expr) -> str | None:
+        """Canonical dotted name of an imported call target, else ``None``."""
+        dotted = dotted_name(func)
+        if dotted is None:
+            return None
+        head, dot, rest = dotted.partition(".")
+        mapped = self.imports.get(head)
+        return None if mapped is None else mapped + dot + rest
 
     # -- imports -------------------------------------------------------- #
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
             if alias.name == "random":
                 self._emit(
                     "REP102",
@@ -307,60 +365,16 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     "library code must not use the stdlib `random` module; "
                     "derive numpy Generators via repro.utils.rng instead",
                 )
-            elif alias.name == "numpy.random":
-                # `import numpy.random` binds `numpy`; with asname it binds
-                # the submodule directly.
-                if alias.asname:
-                    self.numpy_random_aliases.add(alias.asname)
-                else:
-                    self.numpy_aliases.add("numpy")
-            elif alias.name == "numpy":
-                self.numpy_aliases.add(bound)
-            elif alias.name == "time":
-                self.time_module_aliases.add(bound)
-            elif alias.name == "datetime":
-                self.datetime_module_aliases.add(bound)
-            elif alias.name == "os":
-                self.os_aliases.add(bound)
-            elif alias.name == "uuid":
-                self.uuid_aliases.add(bound)
-            elif alias.name == "secrets":
-                self.secrets_aliases.add(bound)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if node.level == 0 and module == "random":
+        if node.level == 0 and node.module == "random":
             self._emit(
                 "REP102",
                 node,
                 "library code must not use the stdlib `random` module; "
                 "derive numpy Generators via repro.utils.rng instead",
             )
-        for alias in node.names:
-            bound = alias.asname or alias.name
-            if module == "numpy" and alias.name == "random":
-                self.numpy_random_aliases.add(bound)
-            elif module == "numpy.random":
-                if alias.name == "default_rng":
-                    self.default_rng_names.add(bound)
-                elif alias.name == "SeedSequence":
-                    self.seed_sequence_names.add(bound)
-            elif module == "time" and alias.name in _TIMING_FUNCTIONS:
-                if alias.name in _WALL_CLOCK_TIME:
-                    self.wall_clock_names.add(bound)
-                self.timing_names.add(bound)
-            elif module == "datetime":
-                if alias.name == "datetime":
-                    self.datetime_class_aliases.add(bound)
-                elif alias.name == "date":
-                    self.date_class_aliases.add(bound)
-            elif module == "os" and alias.name == "urandom":
-                self.entropy_names.add(bound)
-            elif module == "uuid" and alias.name in ("uuid1", "uuid4"):
-                self.entropy_names.add(bound)
-            elif module == "secrets":
-                self.entropy_names.add(bound)
         self.generic_visit(node)
 
     # -- scopes (REP108 bookkeeping) ------------------------------------ #
@@ -379,57 +393,30 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- calls ---------------------------------------------------------- #
     def visit_Call(self, node: ast.Call) -> None:
-        self._check_numpy_random_call(node)
-        self._check_wall_clock(node)
-        self._check_obs_clock_bypass(node)
+        callee = self._callee(node.func)
+        if callee is not None:
+            self._check_numpy_random_call(node, callee)
+            self._check_clock(node, callee)
+            self._check_entropy(node, callee)
         self._check_set_consumer(node)
         self._check_persistence_write(node)
         self._check_pool_target(node)
-        self._check_entropy(node)
         self.generic_visit(node)
 
-    def _numpy_random_attr(self, func: ast.expr) -> str | None:
-        """``attr`` when ``func`` is ``<numpy.random>.attr``, else ``None``."""
-        if not isinstance(func, ast.Attribute):
-            return None
-        value = func.value
-        if isinstance(value, ast.Name) and value.id in self.numpy_random_aliases:
-            return func.attr
-        if (
-            isinstance(value, ast.Attribute)
-            and value.attr == "random"
-            and isinstance(value.value, ast.Name)
-            and value.value.id in self.numpy_aliases
-        ):
-            return func.attr
-        return None
-
-    def _check_numpy_random_call(self, node: ast.Call) -> None:
-        attr = self._numpy_random_attr(node.func)
-        name: str | None = None
-        if attr is not None:
-            if attr in _LEGACY_NUMPY_RANDOM:
-                self._emit(
-                    "REP101",
-                    node,
-                    f"legacy global numpy.random.{attr}() draws from hidden "
-                    "process state; use an explicit Generator from "
-                    "repro.utils.rng",
-                )
-                return
-            name = attr
-        elif isinstance(node.func, ast.Name):
-            if node.func.id in self.default_rng_names:
-                name = "default_rng"
-            elif node.func.id in self.seed_sequence_names:
-                name = "SeedSequence"
-        if name in ("default_rng", "SeedSequence"):
+    def _check_numpy_random_call(self, node: ast.Call, callee: str) -> None:
+        if callee in LEGACY_NUMPY_RANDOM:
+            self._emit(
+                "REP101",
+                node,
+                f"legacy global {callee}() draws from hidden process state; "
+                "use an explicit Generator from repro.utils.rng",
+            )
+        elif callee in SEEDABLE:
             seeded = bool(node.args) or any(
                 kw.arg in ("seed", "entropy") for kw in node.keywords
             )
-            if not seeded and not self._path_matches(
-                self.config.unseeded_whitelist
-            ):
+            if not seeded and not self.path.endswith(RNG_CHOKEPOINT):
+                name = callee.rpartition(".")[2]
                 self._emit(
                     "REP103",
                     node,
@@ -438,83 +425,30 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     "SeedSequence (repro.utils.rng)",
                 )
 
-    def _check_wall_clock(self, node: ast.Call) -> None:
-        if self._path_matches(self.config.wall_clock_whitelist):
+    def _check_clock(self, node: ast.Call, callee: str) -> None:
+        if self.clock_chokepoint:
             return  # the audited repro.obs.clock chokepoint
-        func = node.func
-        # Inside repro.obs the time-module branch stands down: REP110 covers
-        # every direct time-module clock call there (wall and monotonic).
-        obs = self._obs_scope
-        if isinstance(func, ast.Name) and func.id in self.wall_clock_names:
-            if not obs:
-                self._emit(
-                    "REP104",
-                    node,
-                    "wall-clock read: time.time() must not feed seeds, "
-                    "filenames or stored metadata (use perf_counter for "
-                    "durations)",
-                )
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        value = func.value
-        if (
-            func.attr in _WALL_CLOCK_TIME
-            and isinstance(value, ast.Name)
-            and value.id in self.time_module_aliases
-        ):
-            if not obs:
-                self._emit(
-                    "REP104",
-                    node,
-                    f"wall-clock read: time.{func.attr}() must not feed "
-                    "seeds, filenames or stored metadata (use perf_counter "
-                    "for durations)",
-                )
-            return
-        if func.attr in _WALL_CLOCK_DATETIME:
-            target: str | None = None
-            if isinstance(value, ast.Name):
-                if value.id in self.datetime_class_aliases:
-                    target = f"datetime.{func.attr}"
-                elif value.id in self.date_class_aliases and func.attr == "today":
-                    target = "date.today"
-            elif (
-                isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id in self.datetime_module_aliases
-                and value.attr in ("datetime", "date")
-            ):
-                target = f"{value.attr}.{func.attr}"
-            if target is not None:
-                self._emit(
-                    "REP104",
-                    node,
-                    f"wall-clock read: {target}() must not feed seeds, "
-                    "filenames or stored metadata",
-                )
-
-    def _check_obs_clock_bypass(self, node: ast.Call) -> None:
-        if not self._obs_scope:
-            return
-        func = node.func
-        called: str | None = None
-        if isinstance(func, ast.Name) and func.id in self.timing_names:
-            called = func.id
-        elif (
-            isinstance(func, ast.Attribute)
-            and func.attr in _TIMING_FUNCTIONS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.time_module_aliases
-        ):
-            called = func.attr
-        if called is not None:
+        # Inside repro.obs, REP110 covers every time-module clock read, so
+        # one call never fires twice; datetime reads still fire REP104.
+        if self.obs_scope and callee in TIME_CLOCKS:
             self._emit(
                 "REP110",
                 node,
-                f"time.{called}() bypasses the audited telemetry clock; "
+                f"{callee}() bypasses the audited telemetry clock; "
                 "repro.obs code must read clocks through repro.obs.clock "
                 "(monotonic()/wall_time()) only",
+            )
+        elif callee in WALL_CLOCK:
+            hint = (
+                " (use perf_counter for durations)"
+                if callee.startswith("time.")
+                else ""
+            )
+            self._emit(
+                "REP104",
+                node,
+                f"wall-clock read: {callee}() must not feed seeds, "
+                f"filenames or stored metadata{hint}",
             )
 
     def _emit_set_iteration(self, node: ast.AST) -> None:
@@ -569,45 +503,22 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_persistence_write(self, node: ast.Call) -> None:
-        if not self._persistence_scope:
+        if not self.persistence_scope:
             return
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            mode: ast.expr | None = None
-            if len(node.args) >= 2:
-                mode = node.args[1]
-            for kw in node.keywords:
-                if kw.arg == "mode":
-                    mode = kw.value
-            if (
-                isinstance(mode, ast.Constant)
-                and isinstance(mode.value, str)
-                and any(c in mode.value for c in "wax")
-            ):
-                self._emit(
-                    "REP107",
-                    node,
-                    "persistence code must write via "
-                    "repro.utils.files.atomic_write_text (temp file + "
-                    "rename), not open() — readers may observe a partial "
-                    "file",
-                )
-        elif isinstance(func, ast.Attribute) and func.attr in (
-            "write_text",
-            "write_bytes",
-        ):
+        kind = raw_write(node)
+        if kind is not None:
             self._emit(
                 "REP107",
                 node,
-                f"persistence code must write via "
-                f"repro.utils.files.atomic_write_text, not "
-                f".{func.attr}() — readers may observe a partial file",
+                "persistence code must write via "
+                "repro.utils.files.atomic_write_text (temp file + rename), "
+                f"not {kind} — readers may observe a partial file",
             )
 
     def _check_pool_target(self, node: ast.Call) -> None:
         func = node.func
         candidates: list[ast.expr] = []
-        if isinstance(func, ast.Attribute) and func.attr in _POOL_METHODS:
+        if isinstance(func, ast.Attribute) and func.attr in POOL_METHODS:
             if node.args:
                 candidates.append(node.args[0])
             candidates.extend(
@@ -637,36 +548,15 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     "targets must be module-level functions",
                 )
 
-    def _check_entropy(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in self.entropy_names:
+    def _check_entropy(self, node: ast.Call, callee: str) -> None:
+        if callee in AMBIENT_ENTROPY or callee.startswith("secrets."):
             self._emit(
                 "REP109",
                 node,
-                f"{func.id}() draws ambient OS entropy outside the "
+                f"{callee}() draws ambient OS entropy outside the "
                 "SeedSequence tree; derive randomness from the experiment "
                 "seed instead",
             )
-            return
-        dotted = _dotted(func) if isinstance(func, ast.Attribute) else None
-        if dotted is None:
-            return
-        head, _, rest = dotted.partition(".")
-        if head in self.os_aliases and rest == "urandom":
-            canonical = "os.urandom"
-        elif head in self.uuid_aliases and rest in ("uuid1", "uuid4"):
-            canonical = f"uuid.{rest}"
-        elif head in self.secrets_aliases and rest:
-            canonical = f"secrets.{rest}"
-        else:
-            return
-        self._emit(
-            "REP109",
-            node,
-            f"{canonical}() draws ambient OS entropy outside the "
-            "SeedSequence tree; derive randomness from the experiment seed "
-            "instead",
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -687,7 +577,9 @@ def lint_source(
     """
     posix = Path(path).as_posix() if not isinstance(path, str) else path
     tree = ast.parse(source, filename=posix)
-    visitor = _DeterminismVisitor(posix, source.splitlines(), config)
+    visitor = _DeterminismVisitor(
+        posix, source.splitlines(), config, import_table(tree, posix)
+    )
     visitor.visit(tree)
     directives = _noqa_directives(source)
     kept = [v for v in visitor.violations if not _suppressed(v, directives)]

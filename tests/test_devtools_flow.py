@@ -306,6 +306,27 @@ def test_good_fixture_is_clean(code):
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
+def test_rep402_reaches_path_open_write():
+    """A helper writing through ``path.open("w")`` is a raw write too."""
+    sources = {
+        "disk.py": (
+            "def dump(path, text):\n"
+            "    with path.open(\"w\") as handle:\n"
+            "        handle.write(text)\n"
+        ),
+        "state_store.py": (
+            "from disk import dump\n"
+            "def save_state(path, text):\n"
+            "    dump(path, text)\n"
+        ),
+    }
+    violations = analyze_sources(sources, config=_FIXTURE_CONFIGS["REP402"])
+    assert [(v.rule, v.path, v.line) for v in violations] == [
+        ("REP402", "state_store.py", 3)
+    ]
+    assert "disk.py:2" in violations[0].evidence[-1]
+
+
 def test_violation_dict_carries_evidence():
     violations, _ = _analyze_fixture("REP402", "bad")
     payload = violations[0].as_dict()

@@ -99,6 +99,20 @@ def test_bad_fixtures_fire_multiple_forms():
 # --------------------------------------------------------------------------- #
 # Targeted rule behaviour
 # --------------------------------------------------------------------------- #
+def test_rep101_from_import_spelling():
+    """A ``from numpy.random import`` cannot hide a legacy call."""
+    source = (
+        "from numpy.random import seed, normal\n"
+        "seed(1)\n"
+        "noise = normal(0.0, 1.0)\n"
+    )
+    violations = lint_source(source, "src/repro/x.py")
+    assert [(v.rule, v.line) for v in violations] == [
+        ("REP101", 2),
+        ("REP101", 3),
+    ]
+
+
 def test_rep103_whitelisted_in_rng_module():
     source = "import numpy as np\nrng = np.random.default_rng()\n"
     assert lint_source(source, "src/repro/utils/rng.py") == []
@@ -148,6 +162,34 @@ def test_rep104_datetime_branch_still_active_in_obs():
     ]
 
 
+#: time-module wall-clock reads beyond time()/time_ns().
+_TIME_WALL_READS = (
+    "import time\n"
+    "a = time.ctime()\n"
+    "b = time.localtime()\n"
+    "c = time.gmtime()\n"
+)
+
+
+def test_rep104_time_module_wall_reads():
+    violations = lint_source(_TIME_WALL_READS, "src/repro/sim/montecarlo.py")
+    assert [(v.rule, v.line) for v in violations] == [
+        ("REP104", 2),
+        ("REP104", 3),
+        ("REP104", 4),
+    ]
+
+
+def test_rep110_time_module_wall_reads_in_obs():
+    """Inside repro.obs the same reads fire REP110 only, never REP104."""
+    violations = lint_source(_TIME_WALL_READS, "src/repro/obs/events.py")
+    assert [(v.rule, v.line) for v in violations] == [
+        ("REP110", 2),
+        ("REP110", 3),
+        ("REP110", 4),
+    ]
+
+
 def test_rep106_ignores_integer_comparison():
     source = "def f(n):\n    return n == 0\n"
     assert lint_source(source, "src/repro/x.py") == []
@@ -163,6 +205,32 @@ def test_rep107_only_in_persistence_scope():
 def test_rep107_read_mode_is_fine():
     source = "def f(p):\n    return open(p).read()\n"
     assert lint_source(source, "src/repro/sim/results.py") == []
+
+
+def test_rep107_open_mode_spellings():
+    """Path.open's mode is its first argument; '+' opens for writing; the
+    module-level gzip.open takes its mode second, like the builtin."""
+    store = "src/repro/sim/campaign/store.py"
+    writes = (
+        "def save(path, text):\n"
+        "    with path.open(\"w\") as handle:\n"
+        "        handle.write(text)\n"
+        "    with open(path, \"r+\") as handle:\n"
+        "        handle.write(text)\n"
+    )
+    assert [(v.rule, v.line) for v in lint_source(writes, store)] == [
+        ("REP107", 2),
+        ("REP107", 4),
+    ]
+    reads = (
+        "import gzip\n"
+        "def load(path):\n"
+        "    path.open().close()\n"
+        "    open(path).close()\n"
+        "    path.open(\"rb\").close()\n"
+        "    return gzip.open(\"data.gz\", \"rb\").read()\n"
+    )
+    assert lint_source(reads, store) == []
 
 
 #: Newly audited persistence paths (PR 10 scope widening), each with its

@@ -27,6 +27,9 @@ PROMOTED = sorted(
         REPO_ROOT / "src" / "repro" / "decode" / "base.py",
         REPO_ROOT / "src" / "repro" / "decode" / "layered.py",
         REPO_ROOT / "src" / "repro" / "sim" / "parallel.py",
+        REPO_ROOT / "src" / "repro" / "devtools" / "linter.py",
+        REPO_ROOT / "src" / "repro" / "devtools" / "flow.py",
+        REPO_ROOT / "src" / "repro" / "devtools" / "callgraph.py",
     ]
 )
 
