@@ -10,22 +10,41 @@ and shared: :func:`tanner_graph` returns the cached
 referenced so graphs die with their matrices).  Lazily built layouts, such
 as the padded check-node layout, are therefore built once per matrix too.
 
-:class:`TannerGraph` stores the edges of a parity-check matrix in a
-CSR-style layout, twice:
+:class:`TannerGraph` stores the edges of a parity-check matrix in two
+layouts:
 
 * sorted by check node (row-major) — used for the check-node (CN) update,
   where the minimum / sign product over each check's incident edges is
   computed with ``np.minimum.reduceat`` / ``np.add.reduceat`` over
   contiguous segments;
-* a permutation to bit-node (column-major) order — used for the bit-node
-  (BN) update, where per-bit sums of incoming messages are computed the
-  same way.
+* slot-major by bit node — row ``s`` of ``bit_slot_edges`` holds the edge
+  in slot ``s`` of every bit, counting each bit's edges in bit-sorted
+  (column-major) order — used for the bit-node (BN) update, where per-bit
+  sums of incoming messages are one gather and one add per slot.
+
+The bit-node sum has a fixed order, and it is the contract that any other
+implementation of :meth:`TannerGraph.sum_per_bit` (a native kernel, say)
+must match bit for bit.  For a bit whose messages are ``m0, m1, …,
+m_{d-1}`` in bit-sorted edge order, the sum is::
+
+    m0 + ((m1 + m2) + … + m_{d-1})
+
+the first message plus the left-to-right sum of the rest.  This is exactly
+what ``np.add.reduceat`` over bit-sorted segments computes for ``d <= 8``:
+numpy's reduce loop adds the pairwise sum of the rest to the first element,
+and a pairwise sum of fewer than 8 terms runs left to right.  So the two
+are bit-identical, signed zeros included, and decoding results recorded
+with ``reduceat`` still hold.  From ``d = 9`` on, numpy's pairwise sum
+switches to an 8-way unrolled tree and the two can differ in the last ulp;
+:meth:`~TannerGraph.sum_per_bit` keeps the documented order.  No
+registered code has such a bit: the C2 code and its scaled twins have bit
+degree 4, the AR4JA codes 2, 3 and 6.
 
 All update helpers operate on arrays of shape ``(batch, num_edges)`` so
 that several frames are decoded concurrently, mirroring the high-speed
 hardware configuration that stores the messages of different frames in the
-same memory word.  The segment reductions act row by row, which is what
-makes the decoders' compacting loop
+same memory word.  Every reduction acts row by row, which is what makes
+the decoders' compacting loop
 (:meth:`~repro.decode.base.MessagePassingDecoder._run_message_passing`)
 bit-identical to per-frame decoding: the values computed for one frame never
 depend on the other rows present in the batch.
@@ -64,9 +83,13 @@ class TannerGraph:
     check_ids, check_starts:
         Non-empty check ids and the start offset of each check's contiguous
         edge segment (CSR row pointers without the trailing sentinel).
-    bit_order, bit_ids, bit_starts:
-        Stable permutation of the edges into bit-sorted (CSC) order and the
-        matching segment boundaries.
+    bit_slot_edges:
+        Slot-major bit layout, shape ``(max_bit_degree, num_bits)``: row
+        ``s`` holds, for every bit, the edge in slot ``s`` of the bit's
+        edges in bit-sorted (CSC) order, which lists them by check.  A bit
+        with no edge in slot ``s`` holds edge 0 there, and
+        :meth:`sum_per_bit` replaces the value gathered for it with the
+        additive identity.
     edge_check_degree:
         Degree of the check each edge belongs to; degree-1 checks carry no
         extrinsic information, which the update kernels special-case.
@@ -87,20 +110,29 @@ class TannerGraph:
         self.check_ids, self.check_starts = np.unique(
             self.edge_check, return_index=True
         )
-        # Permutation into bit-sorted order and its segment boundaries.
-        self.bit_order = np.argsort(self.edge_bit, kind="stable")
-        sorted_bits = self.edge_bit[self.bit_order]
-        self.bit_ids, self.bit_starts = np.unique(sorted_bits, return_index=True)
+        # Slot-major bit layout: slot ``s`` of a bit is its ``s``-th edge in
+        # bit-sorted order (a stable sort keeps each bit's edges by check).
+        bit_order = np.argsort(self.edge_bit, kind="stable")
+        bit_degrees = np.bincount(self.edge_bit, minlength=self.num_bits)
+        bit_starts = np.cumsum(bit_degrees) - bit_degrees
+        bit_width = int(bit_degrees.max()) if self.num_edges else 0
+        self.bit_slot_edges = np.zeros((bit_width, self.num_bits), dtype=np.int64)
+        # Bits without an edge in each slot; empty for every slot of a graph
+        # whose bits all have the same degree.
+        self._bit_slot_gaps: list[np.ndarray] = []
+        for slot in range(bit_width):
+            present = bit_degrees > slot
+            self.bit_slot_edges[slot, present] = bit_order[bit_starts[present] + slot]
+            self._bit_slot_gaps.append(np.flatnonzero(~present))
         # Degree of the check each edge belongs to; degree-1 checks have no
         # extrinsic information, which the update kernels special-case.
         check_degrees = np.bincount(self.edge_check, minlength=self.num_checks)
         self.edge_check_degree = check_degrees[self.edge_check]
-        # Hot-path fast-path flags.  When every check (bit) owns at least one
-        # edge, the ``reduceat`` segment outputs are already aligned with the
-        # check (bit) axis and the scatter into a zero/inf-filled array can
-        # be skipped entirely; LDPC matrices virtually always qualify.
+        # Hot-path fast-path flag.  When every check owns at least one edge,
+        # the ``reduceat`` segment outputs are already aligned with the check
+        # axis and the scatter into a zero/inf-filled array can be skipped
+        # entirely; LDPC matrices virtually always qualify.
         self._checks_dense = bool(self.check_ids.size == self.num_checks)
-        self._bits_dense = bool(self.bit_ids.size == self.num_bits)
         # Degree-<=1 checks need a masking pass in the CN kernels; skip it
         # for the (usual) graphs that have none.
         self._has_low_degree_checks = bool(
@@ -124,7 +156,11 @@ class TannerGraph:
     # Segment reductions
     # ------------------------------------------------------------------ #
     def sum_per_bit(self, edge_values: np.ndarray) -> np.ndarray:
-        """Sum edge values into per-bit totals.
+        """Sum edge values into per-bit totals, in the module's fixed order.
+
+        Each bit's total is ``m0 + ((m1 + m2) + … + m_{d-1})`` over its
+        messages in bit-sorted edge order, spelled as one gather per slot
+        of :attr:`bit_slot_edges` and one add per slot.
 
         Parameters
         ----------
@@ -136,13 +172,33 @@ class TannerGraph:
         numpy.ndarray
             Array of shape ``(batch, num_bits)``; bits with no edges get 0.
         """
-        values = edge_values[:, self.bit_order]
-        reduced = np.add.reduceat(values, self.bit_starts, axis=1)
-        if self._bits_dense:
-            return reduced
-        totals = np.zeros((edge_values.shape[0], self.num_bits), dtype=edge_values.dtype)
-        totals[:, self.bit_ids] = reduced
+        width = self.bit_slot_edges.shape[0]
+        if width == 0:
+            return np.zeros((edge_values.shape[0], self.num_bits), dtype=edge_values.dtype)
+        if width == 1:
+            return self._bit_slot_values(edge_values, 0)
+        totals = self._bit_slot_values(edge_values, 1)
+        for slot in range(2, width):
+            np.add(totals, self._bit_slot_values(edge_values, slot), out=totals)
+        # m0 joins the sum of the rest last (IEEE addition commutes), so at
+        # most two (batch, num_bits) arrays are live at once.  A third one
+        # left 16 MB more of glibc heap resident at the peak of repeated
+        # batch-256 decodes of the C2 code.
+        np.add(self._bit_slot_values(edge_values, 0), totals, out=totals)
         return totals
+
+    def _bit_slot_values(self, edge_values: np.ndarray, slot: int) -> np.ndarray:
+        """The message in ``slot`` of every bit, as a ``(batch, num_bits)`` array.
+
+        Bits with no edge in the slot get an identity of the sum: ``-0.0``
+        leaves any total bit-identical, signed zeros included, and slot 0
+        gets ``+0.0`` so that a bit with no edges at all sums to ``+0.0``.
+        """
+        values = edge_values[:, self.bit_slot_edges[slot]]
+        gaps = self._bit_slot_gaps[slot]
+        if gaps.size:
+            values[:, gaps] = -0.0 if slot else 0.0
+        return values
 
     def sum_per_check(self, edge_values: np.ndarray) -> np.ndarray:
         """Sum edge values into per-check totals (shape ``(batch, num_checks)``)."""

@@ -40,6 +40,10 @@ __all__ = [
     "parity_check_fingerprint",
 ]
 
+#: Float32 represents every integer below 2**24 exactly, so the encoding
+#: product (see :meth:`SystematicEncoder.encode`) is exact for k below it.
+_FLOAT32_EXACT_INTEGERS = 2**24
+
 _CACHE_ENV = "REPRO_ENCODER_CACHE"
 _CACHE_DISABLED = {"", "0", "off", "none", "disabled", "false"}
 _DEFAULT_CACHE = object()
@@ -130,6 +134,10 @@ class SystematicEncoder:
             #   c[pivots[r]] = sum over info columns f of rref[r, f] * c[f].
             parity_map = rref[: pivot_cols.size][:, info_cols].astype(np.uint8)
             self._store_cached(cache_path, parity_map, pivot_cols, info_cols)
+        if info_cols.size >= _FLOAT32_EXACT_INTEGERS:
+            raise ValueError(
+                f"the encoding product needs k < 2**24, got k = {info_cols.size}"
+            )
         self._parity_map = parity_map
         self._pivot_cols = pivot_cols
         self._info_cols = info_cols
@@ -232,7 +240,12 @@ class SystematicEncoder:
                 f"expected {self.dimension} information bits per frame, "
                 f"got {info.shape[1]}"
             )
-        parity = (info.astype(np.int64) @ self._parity_map.T.astype(np.int64)) % 2
+        # The GF(2) product runs through float32 BLAS, and it is exact: every
+        # partial sum is an integer of at most k < 2**24 (checked in
+        # __init__), which float32 represents exactly, so no addition in
+        # any order rounds.  The map is cast per call and never cached: a
+        # float32 copy of the C2 map would stay resident at 29 MB.
+        parity = (info.astype(np.float32) @ self._parity_map.T.astype(np.float32)) % 2
         codewords = np.zeros((info.shape[0], self.block_length), dtype=np.uint8)
         codewords[:, self._info_cols] = info
         codewords[:, self._pivot_cols] = parity.astype(np.uint8)

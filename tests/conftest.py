@@ -21,6 +21,20 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "slow: tests that exercise the full-size CCSDS code")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def isolated_encoder_cache(tmp_path_factory):
+    """Point the encoder's row-reduction cache at a per-session directory.
+
+    Hypothesis draws fresh random matrices on every run, so the default
+    ``~/.cache/repro/encoders`` would gain dozens of files per run.  Tests
+    that exercise the variable itself override it with ``monkeypatch``;
+    subprocesses and pool workers inherit it from the environment.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_ENCODER_CACHE", str(tmp_path_factory.mktemp("encoders")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def scaled_code():
     """Scaled CCSDS-like QC code (2 x 16 array of 31 x 31 weight-2 circulants)."""

@@ -5,11 +5,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.codes import build_scaled_ccsds_code
+from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.decode import MinSumDecoder, NormalizedMinSumDecoder
-from repro.decode.graph import tanner_graph
+from repro.decode.graph import TannerGraph, tanner_graph
 
 
 @pytest.fixture
@@ -141,6 +143,104 @@ class TestSumProductKernel:
         bp = structure.sum_product_extrinsic(messages)
         nonzero = (np.abs(ms) > 1e-9) & (np.abs(bp) > 1e-9)
         assert np.array_equal(np.sign(ms[nonzero]), np.sign(bp[nonzero]))
+
+
+#: Message values that make ties and signed zeros common.
+TIED_VALUES = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0])
+
+
+def tied_messages(rng, rows, num_edges):
+    """``(rows, num_edges)`` messages, about half drawn from ``TIED_VALUES``."""
+    tied = TIED_VALUES[rng.integers(0, TIED_VALUES.size, size=(rows, num_edges))]
+    normal = rng.normal(size=(rows, num_edges))
+    return np.where(rng.random((rows, num_edges)) < 0.5, tied, normal)
+
+
+def ordered_bit_sums(pcm, values):
+    """The documented order, edge by edge: ``m0 + ((m1 + m2) + …)`` per bit.
+
+    A bit's messages are taken in bit-sorted edge order, which lists its
+    edges by check, as ``pcm.edges()`` does.
+    """
+    _, bit_idx = pcm.edges()
+    totals = np.zeros((values.shape[0], pcm.block_length))
+    for bit in range(pcm.block_length):
+        edges = np.flatnonzero(bit_idx == bit)
+        if edges.size == 0:
+            continue
+        total = values[:, edges[0]].copy()
+        if edges.size > 1:
+            rest = values[:, edges[1]].copy()
+            for edge in edges[2:]:
+                rest = rest + values[:, edge]
+            total = total + rest
+        totals[:, bit] = total
+    return totals
+
+
+def reduceat_bit_sums(pcm, values):
+    """``np.add.reduceat`` over bit-sorted segments; bits with no edge get 0."""
+    _, bit_idx = pcm.edges()
+    order = np.argsort(bit_idx, kind="stable")
+    bit_ids, starts = np.unique(bit_idx[order], return_index=True)
+    totals = np.zeros((values.shape[0], pcm.block_length))
+    if bit_ids.size:
+        totals[:, bit_ids] = np.add.reduceat(values[:, order], starts, axis=1)
+    return totals
+
+
+@st.composite
+def bit_node_cases(draw):
+    """A random graph with bit degrees 0-8 and a batch of tied messages."""
+    num_checks = draw(st.integers(8, 12))
+    # Every graph has an empty and a degree-1 bit, at random columns.
+    degrees = [0, 1] + draw(st.lists(st.integers(0, 8), max_size=22))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = np.zeros((num_checks, len(degrees)), dtype=np.uint8)
+    for bit, degree in enumerate(rng.permutation(degrees)):
+        h[rng.choice(num_checks, size=degree, replace=False), bit] = 1
+    pcm = ParityCheckMatrix(h)
+    return pcm, tied_messages(rng, rows, pcm.num_edges)
+
+
+class TestBitNodeSumOrder:
+    """``sum_per_bit`` computes the documented ``m0 + ((m1 + m2) + …)``.
+
+    The explicit order is compared bit for bit, signed zeros included; it
+    is the contract a native kernel must match.  ``reduceat``, whose order
+    it is, is compared by value only: numpy does not promise how its
+    reductions treat signed zeros.
+    """
+
+    @staticmethod
+    def assert_documented_order(graph, pcm, values):
+        expected = ordered_bit_sums(pcm, values)
+        by_value = reduceat_bit_sums(pcm, values)
+        # Message arrays reach the kernels frame-innermost (F-ordered).
+        for layout in (np.ascontiguousarray(values), np.asfortranarray(values)):
+            totals = graph.sum_per_bit(layout)
+            assert np.array_equal(totals.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(totals, by_value)
+
+    @seed(20260417)
+    @settings(max_examples=60, deadline=2000)
+    @given(bit_node_cases())
+    def test_random_graphs_sum_in_the_documented_order(self, case):
+        pcm, values = case
+        self.assert_documented_order(TannerGraph(pcm), pcm, values)
+
+    @pytest.mark.parametrize("rows", [16, 64])
+    def test_full_c2_code_sums_in_the_documented_order(self, rows):
+        pcm = build_ccsds_c2_code().parity_check_matrix()
+        rng = np.random.default_rng(rows)
+        values = tied_messages(rng, rows, pcm.num_edges)
+        self.assert_documented_order(tanner_graph(pcm), pcm, values)
+
+    def test_graph_without_edges_sums_to_zero(self):
+        pcm = ParityCheckMatrix(np.zeros((2, 3), dtype=np.uint8))
+        totals = TannerGraph(pcm).sum_per_bit(np.zeros((4, 0)))
+        assert np.array_equal(totals.view(np.int64), np.zeros((4, 3)).view(np.int64))
 
 
 class TestBitNodeUpdate:

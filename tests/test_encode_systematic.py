@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.encode.systematic import SystematicEncoder, as_parity_check_matrix
 
@@ -75,6 +76,30 @@ class TestScaledCodeEncoder:
     def test_non_binary_rejected(self, scaled_encoder):
         with pytest.raises(ValueError):
             scaled_encoder.encode(np.full(scaled_encoder.dimension, 2))
+
+
+class TestFullC2Encoder:
+    """The encoder at the paper's dimension, k = 7156: each parity bit of
+    the float32 product sums thousands of terms."""
+
+    def test_frames_are_codewords_carrying_their_information(self):
+        code = build_ccsds_c2_code()
+        encoder = SystematicEncoder(code)
+        assert encoder.dimension == 7156
+        info = np.random.default_rng(7156).integers(
+            0, 2, size=(64, encoder.dimension), dtype=np.uint8
+        )
+        codewords = encoder.encode(info)
+        assert bool(np.all(code.parity_check_matrix().is_codeword(codewords)))
+        assert np.array_equal(encoder.extract_information(codewords), info)
+
+    def test_dimension_beyond_exact_float32_sums_rejected(self, hamming_pcm, monkeypatch):
+        import repro.encode.systematic as module
+
+        # Stands in for k >= 2**24, which no dense row reduction reaches.
+        monkeypatch.setattr(module, "_FLOAT32_EXACT_INTEGERS", 4)
+        with pytest.raises(ValueError, match="k < 2"):
+            SystematicEncoder(hamming_pcm, cache_dir=None)
 
 
 class TestEncoderDiskCache:
