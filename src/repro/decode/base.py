@@ -39,7 +39,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode.graph import TannerGraph, tanner_graph
+from repro.decode.graph import TannerGraph, take_frames, tanner_graph
 from repro.decode.result import DecodeResult
 from repro.decode.stopping import StoppingCriterion, SyndromeStopping
 from repro.encode.systematic import as_parity_check_matrix
@@ -253,6 +253,11 @@ class MessagePassingDecoder(FrameBatchDecoder):
         frames still decoding.  Every kernel reduces each row on its own, so
         a frame's bits, posterior, iteration count and flag do not depend on
         the other rows of the batch: decoding it alone gives the same.
+
+        The working arrays keep the frames innermost, the layout the
+        kernels of :mod:`repro.decode.graph` work in: the channel LLRs are
+        laid out once, and compaction takes the kept frames along the frame
+        axis, both through :func:`~repro.decode.graph.take_frames`.
         """
         graph = self._graph
         total = llrs.shape[0]
@@ -266,8 +271,8 @@ class MessagePassingDecoder(FrameBatchDecoder):
         syndrome_ok = graph.syndrome_ok(hard_decision(llrs))
         converged[:] = syndrome_ok
         stop = np.asarray(self.stopping.should_stop(0, syndrome_ok), dtype=bool)
-        frame_ids = np.nonzero(~stop)[0]
-        work_llrs = llrs[frame_ids]
+        frame_ids = np.flatnonzero(~stop)
+        work_llrs = take_frames(llrs, frame_ids)
         state = self._initial_state(work_llrs)
 
         for iteration in range(1, self.max_iterations + 1):
@@ -287,9 +292,9 @@ class MessagePassingDecoder(FrameBatchDecoder):
             finished = stop if iteration < self.max_iterations else np.ones_like(stop)
             if finished.any():
                 posterior_out[frame_ids[finished]] = posterior[finished]
-                keep = ~finished
+                keep = np.flatnonzero(~finished)
                 frame_ids = frame_ids[keep]
-                work_llrs = work_llrs[keep]
-                state = [array[keep] for array in state]
+                work_llrs = take_frames(work_llrs, keep)
+                state = [take_frames(array, keep) for array in state]
 
         return hard_decision(posterior_out), posterior_out, converged, iterations

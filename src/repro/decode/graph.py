@@ -4,23 +4,38 @@ Message-passing decoders exchange one message per edge per direction.  The
 paper emphasises that the CCSDS code has more than 32k messages updated per
 iteration, so an efficient layout matters even in software.  Every decoder
 working on the same :class:`~repro.codes.parity_check.ParityCheckMatrix`
-needs exactly the same index arrays, so they are built **once per matrix**
-and shared: :func:`tanner_graph` returns the cached
-:class:`TannerGraph` for a matrix (keyed by object identity, weakly
-referenced so graphs die with their matrices).  Lazily built layouts, such
-as the padded check-node layout, are therefore built once per matrix too.
+needs exactly the same index arrays, so they are built **once per matrix**,
+in :class:`TannerGraph`'s constructor, and shared: :func:`tanner_graph`
+returns the cached :class:`TannerGraph` for a matrix (keyed by object
+identity, weakly referenced so graphs die with their matrices).
 
-:class:`TannerGraph` stores the edges of a parity-check matrix in two
-layouts:
+Layout.  Edge arrays are ``(batch, num_edges)`` with the **frames
+innermost**: in memory they are ``(num_edges, batch)``, one row per edge
+holding that edge's message in every frame, as the paper's high-speed
+architecture stores the messages of several frames in one memory word.
+The decoding loop keeps its per-bit arrays the same way, and its
+compaction (:func:`take_frames`) keeps that layout, so every gather
+(:meth:`TannerGraph.gather_bits`, the bit-node slots) copies whole rows of
+the transposed view.  A kernel handed a C-ordered array computes the same
+values, only slower.
 
-* sorted by check node (row-major) — used for the check-node (CN) update,
-  where the minimum / sign product over each check's incident edges is
-  computed with ``np.minimum.reduceat`` / ``np.add.reduceat`` over
-  contiguous segments;
-* slot-major by bit node — row ``s`` of ``bit_slot_edges`` holds the edge
-  in slot ``s`` of every bit, counting each bit's edges in bit-sorted
-  (column-major) order — used for the bit-node (BN) update, where per-bit
-  sums of incoming messages are one gather and one add per slot.
+Edges are sorted by ``(check, bit)``, the CSR order of the sparse matrix.
+The check-node kernels see them as a ``(num_checks, max_check_degree,
+batch)`` array: slot ``s`` of check ``c`` holds the check's ``s``-th edge.
+For a check-regular graph (the C2 code, its scaled twins and each block row
+of the layered decoder) that array is a reshape of the transposed edge
+array, so nothing is copied in or out; an irregular graph (the AR4JA codes,
+check degrees 4 to 17) reaches it by one row gather, with the missing slots
+filled with a sentinel.  On that view the min-sum check node computes the
+paper's compressed check word for every check and frame: the smallest and
+second smallest magnitude, which messages hold the smallest, and the sign
+parity (``core/memory.py::compressed_check_word_bits`` sizes it), and
+broadcasts it back onto the edges; :meth:`TannerGraph.syndrome_ok`
+XOR-reduces the same view.  Only exact operations are involved (minima,
+sign flips and one rounding per corrected magnitude), so the messages do not
+depend on how the reduction is spelled.  The sum-product check node does
+depend on it: it sums logarithms over each check, and its recorded results
+hold for the ``np.add.reduceat`` order it sums in, which it keeps.
 
 The bit-node sum has a fixed order, and it is the contract that any other
 implementation of :meth:`TannerGraph.sum_per_bit` (a native kernel, say)
@@ -40,14 +55,11 @@ switches to an 8-way unrolled tree and the two can differ in the last ulp;
 registered code has such a bit: the C2 code and its scaled twins have bit
 degree 4, the AR4JA codes 2, 3 and 6.
 
-All update helpers operate on arrays of shape ``(batch, num_edges)`` so
-that several frames are decoded concurrently, mirroring the high-speed
-hardware configuration that stores the messages of different frames in the
-same memory word.  Every reduction acts row by row, which is what makes
-the decoders' compacting loop
+Every reduction acts frame by frame, which is what makes the decoders'
+compacting loop
 (:meth:`~repro.decode.base.MessagePassingDecoder._run_message_passing`)
 bit-identical to per-frame decoding: the values computed for one frame never
-depend on the other rows present in the batch.
+depend on the other frames present in the batch.
 """
 
 from __future__ import annotations
@@ -58,18 +70,42 @@ import numpy as np
 
 from repro.codes.parity_check import ParityCheckMatrix
 
-__all__ = ["TannerGraph", "tanner_graph"]
+__all__ = ["TannerGraph", "take_frames", "tanner_graph"]
 
-#: Batch width at which the check-node kernels switch from the ``reduceat``
-#: segment reductions to the padded-layout kernels.  Narrow batches (and the
-#: serial per-frame path, ``batch == 1``) are dispatch-bound: the reduceat
-#: spelling issues far fewer NumPy calls and wins.  Wide batches are
-#: bandwidth-bound: reduceat's per-segment inner loops (LDPC check degrees
-#: are tiny) dominate, and the padded tournament kernels win by a large
-#: factor.  Both spellings are exact and produce bit-identical messages —
-#: the differential battery in ``tests/test_decode_batched.py`` pins this —
-#: so the crossover is a pure performance choice.
-_PADDED_KERNEL_MIN_ROWS = 32
+
+def take_frames(array: np.ndarray, frame_ids: np.ndarray) -> np.ndarray:
+    """Rows ``frame_ids`` of a ``(batch, width)`` array, with the frames innermost.
+
+    The decoding loop lays out its channel LLRs and compacts its working
+    arrays through this function alone.  Taking along the frame axis of the
+    transposed view copies short runs of each row; ``array[frame_ids]`` on
+    a frame-innermost array is a transposing copy into C order instead.
+    """
+    return np.take(array.T, frame_ids, axis=1).T
+
+
+def _take_columns(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``values[:, columns]``, frames innermost: a row gather of ``values.T``."""
+    return np.take(values.T, columns, axis=0).T
+
+
+def _two_smallest(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and second smallest of each check, counting multiplicity.
+
+    ``magnitudes`` is a ``(checks, degree, frames)`` array with at least one
+    slot.  A running pair over the slot axis: a value below the smallest
+    pushes the smallest into second place, so a minimum held by several
+    slots is also the second smallest.  A check of degree 1 gets ``inf``.
+    """
+    smallest = magnitudes[:, 0, :].copy()
+    second = np.full_like(smallest, np.inf)
+    larger = np.empty_like(smallest)
+    for slot in range(1, magnitudes.shape[1]):
+        value = magnitudes[:, slot, :]
+        np.maximum(smallest, value, out=larger)
+        np.minimum(second, larger, out=second)
+        np.minimum(smallest, value, out=smallest)
+    return smallest, second
 
 
 class TannerGraph:
@@ -83,6 +119,8 @@ class TannerGraph:
     check_ids, check_starts:
         Non-empty check ids and the start offset of each check's contiguous
         edge segment (CSR row pointers without the trailing sentinel).
+    max_check_degree:
+        Slots per check in the check-node layout.
     bit_slot_edges:
         Slot-major bit layout, shape ``(max_bit_degree, num_bits)``: row
         ``s`` holds, for every bit, the edge in slot ``s`` of the bit's
@@ -133,24 +171,58 @@ class TannerGraph:
         # axis and the scatter into a zero/inf-filled array can be skipped
         # entirely; LDPC matrices virtually always qualify.
         self._checks_dense = bool(self.check_ids.size == self.num_checks)
-        # Degree-<=1 checks need a masking pass in the CN kernels; skip it
-        # for the (usual) graphs that have none.
+        # Degree-<=1 checks need a masking pass in the sum-product kernel;
+        # skip it for the (usual) graphs that have none.
         self._has_low_degree_checks = bool(
             self.num_edges and int(self.edge_check_degree.min()) <= 1
         )
-        # Eligibility for the padded wide-batch kernels: every check must own
-        # a segment (dense), degrees must be >= 2 somewhere, and the padded
-        # (num_checks, max_degree) layout must not blow the edge array up by
-        # more than 4x (pathologically irregular graphs keep reduceat).
-        max_degree = int(check_degrees.max()) if self.num_edges else 0
-        self._padded_ok = bool(
-            self._checks_dense
-            and max_degree >= 2
-            and self.num_checks * max_degree <= 4 * self.num_edges
+        self._single_edge_checks = np.flatnonzero(check_degrees == 1)
+
+        # Check-node layout: slot ``s`` of check ``c`` is its ``s``-th edge.
+        # A check-regular graph needs no index: its CSR edge order already
+        # is the layout.  Otherwise ``_check_slots`` names the edge in every
+        # slot (edge 0 in the ``_check_padding`` slots, which get a
+        # sentinel) and ``_edge_slots`` the flat slot of every edge.
+        width = int(check_degrees.max()) if self.num_edges else 0
+        self.max_check_degree = width
+        self._check_slots: np.ndarray | None = None
+        self._edge_slots: np.ndarray | None = None
+        self._check_padding: tuple[np.ndarray, ...] = ()
+        if self.num_edges != self.num_checks * width:
+            first_edge = np.cumsum(check_degrees) - check_degrees
+            within = np.arange(self.num_edges) - first_edge[self.edge_check]
+            self._edge_slots = self.edge_check * width + within
+            self._check_slots = np.zeros((self.num_checks, width), dtype=np.int64)
+            self._check_slots[self.edge_check, within] = np.arange(self.num_edges)
+            self._check_padding = np.nonzero(np.arange(width) >= check_degrees[:, None])
+
+    # ------------------------------------------------------------------ #
+    # Layouts
+    # ------------------------------------------------------------------ #
+    def _by_check(self, edge_values: np.ndarray, fill: float) -> np.ndarray:
+        """Edge values as a ``(num_checks, max_check_degree, batch)`` array.
+
+        ``edge_values`` is ``(batch, num_edges)``.  Slot ``s`` of check
+        ``c`` holds the value on the check's ``s``-th edge, and ``fill``
+        where the check has fewer edges.  A reshape of the transposed values
+        for a check-regular graph (a view when the frames are innermost),
+        one row gather otherwise.
+        """
+        rows = edge_values.T
+        if self._check_slots is None:
+            return rows.reshape(self.num_checks, self.max_check_degree, rows.shape[1])
+        by_check = np.take(rows, self._check_slots, axis=0)
+        by_check[self._check_padding] = fill
+        return by_check
+
+    def _to_edges(self, by_check: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_by_check`: ``(batch, num_edges)``, frames innermost."""
+        rows = by_check.reshape(
+            self.num_checks * self.max_check_degree, by_check.shape[2]
         )
-        self._pad_layout: (
-            tuple[int, np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
+        if self._edge_slots is not None:
+            rows = np.take(rows, self._edge_slots, axis=0)
+        return rows.T
 
     # ------------------------------------------------------------------ #
     # Segment reductions
@@ -194,7 +266,7 @@ class TannerGraph:
         leaves any total bit-identical, signed zeros included, and slot 0
         gets ``+0.0`` so that a bit with no edges at all sums to ``+0.0``.
         """
-        values = edge_values[:, self.bit_slot_edges[slot]]
+        values = _take_columns(edge_values, self.bit_slot_edges[slot])
         gaps = self._bit_slot_gaps[slot]
         if gaps.size:
             values[:, gaps] = -0.0 if slot else 0.0
@@ -212,26 +284,23 @@ class TannerGraph:
         return totals
 
     def min_per_check(self, edge_values: np.ndarray) -> np.ndarray:
-        """Minimum of edge values over each check (shape ``(batch, num_checks)``)."""
-        reduced = np.minimum.reduceat(edge_values, self.check_starts, axis=1)
-        if self._checks_dense and edge_values.dtype == np.float64:
-            return reduced
-        totals = np.full(
-            (edge_values.shape[0], self.num_checks), np.inf, dtype=np.float64
-        )
-        totals[:, self.check_ids] = reduced
-        return totals
+        """Minimum of edge values over each check (shape ``(batch, num_checks)``).
+
+        A check without edges gets ``inf``.
+        """
+        by_check = self._by_check(edge_values, np.inf)
+        return np.minimum.reduce(by_check, axis=1, initial=np.inf).T
 
     def gather_bits(self, per_bit_values: np.ndarray) -> np.ndarray:
         """Expand per-bit values onto the edges (check-sorted order)."""
-        return per_bit_values[:, self.edge_bit]
+        return _take_columns(per_bit_values, self.edge_bit)
 
     def gather_checks(self, per_check_values: np.ndarray) -> np.ndarray:
         """Expand per-check values onto the edges (check-sorted order)."""
-        return per_check_values[:, self.edge_check]
+        return _take_columns(per_check_values, self.edge_check)
 
     # ------------------------------------------------------------------ #
-    # Private hot-path helpers shared by the check-node kernels
+    # Sign helpers of the sum-product check node
     # ------------------------------------------------------------------ #
     def _edge_signs(self, messages: np.ndarray) -> np.ndarray:
         """Exact ``±1.0`` sign of every message under the ``x < 0`` convention.
@@ -262,127 +331,6 @@ class TannerGraph:
         totals = np.ones((signs.shape[0], self.num_checks), dtype=np.float64)
         totals[:, self.check_ids] = reduced
         return totals
-
-    def _check_counts(self, edge_flags: np.ndarray) -> np.ndarray:
-        """Per-check popcount of a boolean edge mask (``(batch, num_checks)``)."""
-        counts = np.add.reduceat(
-            edge_flags, self.check_starts, axis=1, dtype=np.int64
-        )
-        if self._checks_dense:
-            return counts
-        totals = np.zeros((edge_flags.shape[0], self.num_checks), dtype=np.int64)
-        totals[:, self.check_ids] = counts
-        return totals
-
-    def _padded_check_layout(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Lazily built slot-major ``(max_degree, num_checks)`` edge layout.
-
-        ``pad_edge[s * num_checks + c]`` is the edge id sitting in slot
-        ``s`` of check ``c`` (or the sentinel ``num_edges`` for padding
-        slots), ``pad_bit`` the corresponding bit id (sentinel
-        ``num_bits``), and ``edge_slot[e]`` the flat slot an edge occupies —
-        the inverse mapping used to scatter padded results back to edge
-        order with a plain gather.  Gathering from an edge/bit array
-        extended by one sentinel column turns every per-check segment
-        reduction into a short unrolled loop over the slot axis —
-        O(max_degree) NumPy calls on contiguous ``(batch, num_checks)``
-        slices instead of reduceat's per-segment inner loops.  Only built
-        for dense graphs (``_padded_ok``).
-        """
-        if self._pad_layout is None:
-            width = int(self.edge_check_degree.max())
-            within = np.arange(self.num_edges) - self.check_starts[self.edge_check]
-            edge_slot = within * self.num_checks + self.edge_check
-            pad_edge = np.full(
-                width * self.num_checks, self.num_edges, dtype=np.int64
-            )
-            pad_edge[edge_slot] = np.arange(self.num_edges)
-            pad_bit = np.full(width * self.num_checks, self.num_bits, dtype=np.int64)
-            pad_bit[edge_slot] = self.edge_bit
-            self._pad_layout = (width, pad_edge, pad_bit, edge_slot)
-        return self._pad_layout
-
-    def _other_min_per_edge(self, magnitudes: np.ndarray) -> np.ndarray:
-        """Minimum magnitude over each edge's check *excluding the edge*.
-
-        The min-sum extrinsic magnitude, narrow-batch spelling: smallest and
-        second-smallest per check via reduceat, then a per-edge select.
-        ``min2`` counts multiplicity — when the minimum is achieved by
-        several edges the second minimum *is* the minimum.  Edges of
-        degree-1 checks see the empty minimum ``inf`` (the caller masks
-        them).
-        """
-        min1 = self.min_per_check(magnitudes)
-        min1_on_edges = self.gather_checks(min1)
-        is_min = magnitudes == min1_on_edges
-        masked = magnitudes.copy()
-        masked[is_min] = np.inf
-        min2 = self.min_per_check(masked)
-        min2 = np.where(self._check_counts(is_min) > 1, min1, min2)
-        return np.where(is_min, self.gather_checks(min2), min1_on_edges)
-
-    def _min_sum_extrinsic_padded(
-        self, bit_to_check: np.ndarray, scale: float, offset: float
-    ) -> np.ndarray:
-        """Wide-batch min-sum check-node update, fully in the padded layout.
-
-        One gather brings the messages into ``(batch, max_degree,
-        num_checks)`` slot form; signs, the per-check sign product, and the
-        exclude-self minimum (a prefix/suffix min sweep over the slot axis)
-        are all computed on contiguous ``(batch, num_checks)`` slices; one
-        gather brings the result back to edge order.  Every step is an exact
-        operation (``min``/``max``, products of ``±1.0``, single-rounding
-        scale/offset in the same order as the narrow path), so the messages
-        are bit-identical to the reduceat spelling — the differential
-        battery pins this.
-        """
-        rows = bit_to_check.shape[0]
-        width, pad_edge, _, edge_slot = self._padded_check_layout()
-        extended = np.empty((rows, self.num_edges + 1), dtype=np.float64)
-        extended[:, :-1] = bit_to_check
-        extended[:, -1] = np.inf
-        padded = extended[:, pad_edge].reshape(rows, width, self.num_checks)
-        magnitudes = np.abs(padded)
-        signs = np.copysign(1.0, padded)
-        # Exact sentinel fixing the sign convention for +/-0.0 inputs (the
-        # inf padding slots are never zero), not a rounding comparison.
-        zeros = padded == 0.0  # repro: noqa[REP106]
-        if zeros.any():
-            signs[zeros] = 1.0
-        # Per-check sign product, slot by slot (±1.0 products are exact).
-        total_sign = signs[:, 0, :].copy()
-        for slot in range(1, width):
-            np.multiply(total_sign, signs[:, slot, :], out=total_sign)
-        # Exclude-self minimum: a forward prefix-min pass, then a backward
-        # pass folding in the suffix mins.
-        extrinsic = np.empty_like(magnitudes)
-        extrinsic[:, 0, :] = np.inf
-        for slot in range(1, width):
-            np.minimum(
-                extrinsic[:, slot - 1, :],
-                magnitudes[:, slot - 1, :],
-                out=extrinsic[:, slot, :],
-            )
-        suffix = np.full((rows, self.num_checks), np.inf)
-        for slot in range(width - 1, 0, -1):
-            np.minimum(extrinsic[:, slot, :], suffix, out=extrinsic[:, slot, :])
-            np.minimum(suffix, magnitudes[:, slot, :], out=suffix)
-        extrinsic[:, 0, :] = suffix
-        flat = extrinsic.reshape(rows, width * self.num_checks)
-        if self._has_low_degree_checks:
-            flat[:, edge_slot[self.edge_check_degree <= 1]] = 0.0
-        if offset:
-            np.subtract(extrinsic, offset, out=extrinsic)
-            np.maximum(extrinsic, 0.0, out=extrinsic)
-        # scale is exactly 1.0 when the caller passed the default; the
-        # comparison skips a multiply, it does not gate numerics.
-        if scale != 1.0:  # repro: noqa[REP106]
-            np.multiply(extrinsic, scale, out=extrinsic)
-        # (total_sign * sign) * magnitude and (sign * magnitude) * total_sign
-        # are bit-identical: multiplying by ±1.0 is an exact sign flip.
-        np.multiply(extrinsic, signs, out=extrinsic)
-        np.multiply(extrinsic, total_sign[:, None, :], out=extrinsic)
-        return flat[:, edge_slot]
 
     # ------------------------------------------------------------------ #
     # Check-node update kernels
@@ -415,28 +363,45 @@ class TannerGraph:
         numpy.ndarray
             Outgoing check-to-bit messages, shape ``(batch, num_edges)``.
         """
-        if self._padded_ok and bit_to_check.shape[0] >= _PADDED_KERNEL_MIN_ROWS:
-            # Wide batches: the fused padded-layout kernel (bit-identical).
-            return self._min_sum_extrinsic_padded(bit_to_check, scale, offset)
-        magnitudes = np.abs(bit_to_check)
-        signs = self._edge_signs(bit_to_check)
-        # Total sign per check: the product of the incoming edge signs.
-        total_sign = self._check_sign_product(signs)
-
-        # Every edge sees the minimum of the *other* incoming magnitudes.
-        extrinsic_mag = self._other_min_per_edge(magnitudes)
+        messages = self._by_check(bit_to_check, np.inf)
+        if messages.size == 0:
+            return np.zeros(bit_to_check.shape)
+        # The compressed check word of every check and frame: the two
+        # smallest magnitudes, which slots hold the smallest, and the parity
+        # of the negative messages.
+        magnitudes = np.abs(messages)
+        min1, min2 = _two_smallest(magnitudes)
+        is_min = magnitudes == min1[:, None, :]
+        negative = np.logical_xor.reduce(messages < 0, axis=1)
+        # Every edge's own sign comes from ``copysign``, which reads the
+        # sign bit and so takes -0.0 as negative where the decoders' ``x <
+        # 0`` convention does not.  Only a check whose smallest magnitude is
+        # 0 can hold a -0.0, and adding +0.0 turns it into +0.0.  Exact
+        # sentinel, not a rounding comparison.
+        if (min1 == 0.0).any():  # repro: noqa[REP106]
+            messages = messages + 0.0
+        # Each edge sees the minimum of the *other* magnitudes: min2 on a
+        # slot holding min1, min1 elsewhere.  Corrections apply to the two
+        # magnitudes once per check, in the same order and with the same
+        # single roundings as on every edge.
+        for magnitude in (min1, min2):
+            if offset:
+                np.subtract(magnitude, offset, out=magnitude)
+                np.maximum(magnitude, 0.0, out=magnitude)
+            # scale is exactly 1.0 when the caller passed the default; the
+            # comparison skips a multiply, it does not gate numerics.
+            if scale != 1.0:  # repro: noqa[REP106]
+                np.multiply(magnitude, scale, out=magnitude)
         # A degree-1 check has no "other" incoming edges, hence no extrinsic
-        # information (its minimum over an empty set would be infinite).
-        if self._has_low_degree_checks:
-            extrinsic_mag[:, self.edge_check_degree <= 1] = 0.0
-        if offset:
-            np.subtract(extrinsic_mag, offset, out=extrinsic_mag)
-            np.maximum(extrinsic_mag, 0.0, out=extrinsic_mag)
-        # scale is exactly 1.0 when the caller passed the default; the
-        # comparison skips a multiply, it does not gate numerics.
-        if scale != 1.0:  # repro: noqa[REP106]
-            np.multiply(extrinsic_mag, scale, out=extrinsic_mag)
-        return self.gather_checks(total_sign) * signs * extrinsic_mag
+        # information: its one edge holds min1 and would get the empty
+        # minimum, inf, as min2.
+        min2[self._single_edge_checks] = 0.0
+        extrinsic = np.where(is_min, min2[:, None, :], min1[:, None, :])
+        # Sign: the edge's own sign times the check's parity, both exact
+        # flips, so the result is bit-identical to (parity * sign) * |m|.
+        np.copysign(extrinsic, messages, out=extrinsic)
+        np.multiply(extrinsic, np.where(negative, -1.0, 1.0)[:, None, :], out=extrinsic)
+        return self._to_edges(extrinsic)
 
     def sum_product_extrinsic(self, bit_to_check: np.ndarray) -> np.ndarray:
         """Exact belief-propagation check-node update (tanh rule).
@@ -500,37 +465,17 @@ class TannerGraph:
 
         Computed from the graph's own edge arrays: the syndrome bit of a
         check is the XOR of the hard decisions on its incident edges, so a
-        gather plus one XOR segment reduction replaces the sparse
-        matrix-vector product (whose ``np.add.at`` scatter dominated the
-        batched profile).  Exact 0/1 arithmetic — the flags are identical to
+        gather plus one XOR reduction over the check-node layout (padded
+        with ``False``, the XOR identity) replaces the sparse matrix-vector
+        product.  Exact 0/1 arithmetic — the flags are identical to
         ``ParityCheckMatrix.is_codeword``.
         """
         bits = np.asarray(hard_bits)
-        if self.num_edges == 0:
-            # No check has an edge, so every syndrome is zero.
-            return np.ones(bits.shape[0], dtype=bool)
         if bits.dtype != np.bool_:
             bits = bits != 0
-        if self._padded_ok and bits.shape[0] >= _PADDED_KERNEL_MIN_ROWS:
-            # Wide batches: XOR over the padded slot axis (sentinel False is
-            # the XOR identity) — exact, and much cheaper than reduceat's
-            # per-segment loops over the tiny check degrees.
-            width, _, pad_bit, _ = self._padded_check_layout()
-            rows = bits.shape[0]
-            extended = np.empty((rows, self.num_bits + 1), dtype=np.bool_)
-            extended[:, :-1] = bits
-            extended[:, -1] = False
-            padded = extended[:, pad_bit].reshape(rows, width, self.num_checks)
-            parity = padded[:, 0, :].copy()
-            for slot in range(1, width):
-                np.bitwise_xor(parity, padded[:, slot, :], out=parity)
-            return ~parity.any(axis=1)
-        parity = np.bitwise_xor.reduceat(
-            bits[:, self.edge_bit], self.check_starts, axis=1
-        )
-        # Empty checks (no edges) have an all-zero syndrome by definition,
-        # so reducing over the non-empty segments only is enough.
-        return ~parity.any(axis=1)
+        edge_bits = _take_columns(bits, self.edge_bit)
+        parity = np.bitwise_xor.reduce(self._by_check(edge_bits, False), axis=1)
+        return ~parity.any(axis=0)
 
 
 #: One graph per live matrix.  Keyed by matrix *identity*: ParityCheckMatrix

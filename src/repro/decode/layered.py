@@ -102,8 +102,12 @@ class LayeredMinSumDecoder(MessagePassingDecoder):
 
     # ------------------------------------------------------------------ #
     def _initial_state(self, llrs: np.ndarray) -> list[np.ndarray]:
-        """The posterior LLRs (the channel LLRs) and zero check-to-bit messages."""
-        return [llrs.copy(), np.zeros((llrs.shape[0], self._graph.num_edges))]
+        """The posterior LLRs (the channel LLRs) and zero check-to-bit messages.
+
+        Both keep the frames innermost, as ``llrs`` has them.
+        """
+        zeros = np.zeros((llrs.shape[0], self._graph.num_edges), order="F")
+        return [llrs.copy(order="K"), zeros]
 
     def _iterate(
         self, llrs: np.ndarray, state: list[np.ndarray]

@@ -6,8 +6,10 @@ from its working set as they finish.  For each of the six base kinds, one
 LLRs, iteration counts and syndrome (converged) flags — to a per-frame
 ``decode`` loop (batch 1 through the same loop, where compaction has no
 other row to mix up), for any stopping rule and any split of the frames
-into batches on either side of the 32-row switch to the padded check-node
-kernel.  Test ids read ``<kind>-batched``: the batched decode of ``<kind>``.
+into batches.  Every kernel reduces each frame on its own, whatever the
+batch width, so a frame must decode the same in a wide batch, a narrow one
+and alone.  Test ids read ``<kind>-batched``: the batched decode of
+``<kind>``.
 
 ``REPRO_BATCHED_TEST_BATCH`` scales the large-batch test (CI runs a
 dedicated leg at 4096).
@@ -30,7 +32,6 @@ from repro.decode import (
     SyndromeStopping,
     decode_frames,
 )
-from repro.decode.graph import _PADDED_KERNEL_MIN_ROWS
 from repro.registry import get_component
 from repro.sim.campaign import ExperimentSpec, expand_grid
 from repro.utils.bits import random_bits
@@ -118,13 +119,12 @@ class TestDifferentialBattery:
 
     @pytest.mark.parametrize("kind", KINDS, ids=batched_id)
     def test_ragged_chunking_is_invisible(self, scaled_code, scaled_encoder, kind, rng):
-        """Chunks on both sides of the padded-kernel switch equal one call.
+        """Wide, narrow and single-frame chunks equal one call.
 
         This is the campaign situation: the final batch of a shard is
         usually ragged, and the stored counts must not depend on it.
         """
-        wide, narrow = _PADDED_KERNEL_MIN_ROWS + 1, _PADDED_KERNEL_MIN_ROWS - 1
-        sizes = [wide, narrow, 5, 1]
+        sizes = [33, 31, 5, 1]
         _, llrs = noisy_llrs(scaled_encoder, sum(sizes), 4.0, rng)
         decoder = build(kind, scaled_code, 8)
         whole = decoder.decode_batch(llrs)

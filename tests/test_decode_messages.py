@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.codes import build_scaled_ccsds_code
+from repro.codes import build_deepspace_code, build_scaled_ccsds_code
 from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.decode import MinSumDecoder, NormalizedMinSumDecoder
@@ -20,19 +20,28 @@ def small_structure(hamming_pcm):
 
 
 def brute_force_min_sum(pcm, bit_to_check, scale=1.0, offset=0.0):
-    """Reference check-node update computed edge by edge."""
-    check_idx, bit_idx = pcm.edges()
-    out = np.zeros_like(bit_to_check)
-    for frame in range(bit_to_check.shape[0]):
-        for e in range(check_idx.size):
-            same_check = np.nonzero(check_idx == check_idx[e])[0]
-            others = same_check[same_check != e]
-            values = bit_to_check[frame, others]
-            sign = np.prod(np.sign(values)) if values.size else 1.0
-            sign = 1.0 if sign == 0 else sign
-            magnitude = np.min(np.abs(values)) if values.size else 0.0
-            magnitude = max(magnitude - offset, 0.0) * scale
-            out[frame, e] = sign * magnitude
+    """Reference check-node update, edge by edge, rounded as the kernels round.
+
+    An outgoing message's sign is the parity of the *other* messages that
+    are ``< 0`` (so ``-0.0`` counts as positive), and its magnitude is their
+    minimum, reduced by ``offset`` (clamped at 0) and then scaled.  A
+    degree-1 check has no other message and sends ``+0.0``.
+    """
+    check_idx, _ = pcm.edges()
+    values = np.asarray(bit_to_check, dtype=np.float64)
+    out = np.zeros(values.shape)
+    for check in np.unique(check_idx):
+        edges = np.flatnonzero(check_idx == check)
+        if edges.size == 1:
+            continue
+        # Row i of ``exclude`` lists every position of the check but i.
+        slots = np.arange(edges.size - 1)
+        exclude = slots + (slots >= np.arange(edges.size)[:, None])
+        others = values[:, edges][:, exclude]
+        negative = np.count_nonzero(others < 0, axis=2) % 2 == 1
+        magnitude = np.abs(others).min(axis=2)
+        magnitude = np.maximum(magnitude - offset, 0.0) * scale
+        out[:, edges] = np.where(negative, -1.0, 1.0) * magnitude
     return out
 
 
@@ -243,6 +252,69 @@ class TestBitNodeSumOrder:
         assert np.array_equal(totals.view(np.int64), np.zeros((4, 3)).view(np.int64))
 
 
+@st.composite
+def check_node_cases(draw):
+    """A random graph, a batch of tied messages and a batch of hard decisions.
+
+    Half the graphs are check-regular with degree 1-8, whose edges reach the
+    kernels in CSR order; the others have check degrees 0-8, always with an
+    empty and a degree-1 check.  About a third of the hard-decision rows are
+    all-zero, which is a codeword of every graph.
+    """
+    num_bits = draw(st.integers(8, 16))
+    if draw(st.booleans()):
+        degrees = [draw(st.integers(1, 8))] * draw(st.integers(1, 12))
+    else:
+        degrees = [0, 1] + draw(st.lists(st.integers(0, 8), max_size=10))
+    rows = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = np.zeros((len(degrees), num_bits), dtype=np.uint8)
+    for check, degree in enumerate(rng.permutation(degrees)):
+        h[check, rng.choice(num_bits, size=degree, replace=False)] = 1
+    pcm = ParityCheckMatrix(h)
+    bits = rng.integers(0, 2, size=(rows, num_bits), dtype=np.uint8)
+    bits[rng.random(rows) < 0.3] = 0
+    return pcm, tied_messages(rng, rows, pcm.num_edges), bits
+
+
+class TestCheckNodeReference:
+    """``min_sum_extrinsic`` and ``syndrome_ok`` against edge-by-edge references.
+
+    Messages are compared bit for bit, signed zeros included, with scale and
+    with offset, for check-sorted messages in C and F layouts.
+    """
+
+    @staticmethod
+    def assert_matches_references(graph, pcm, values, bits):
+        layouts = (np.ascontiguousarray, np.asfortranarray)
+        for correction in ({}, {"scale": 0.8}, {"offset": 0.25}):
+            want = brute_force_min_sum(pcm, values, **correction).view(np.int64)
+            for layout in layouts:
+                got = graph.min_sum_extrinsic(layout(values), **correction)
+                assert np.array_equal(got.view(np.int64), want)
+        for layout in layouts:
+            np.testing.assert_array_equal(
+                graph.syndrome_ok(layout(bits)), pcm.is_codeword(bits)
+            )
+
+    @seed(20261017)
+    @settings(max_examples=80, deadline=3000)
+    @given(check_node_cases())
+    def test_random_graphs_match_the_references(self, case):
+        pcm, values, bits = case
+        self.assert_matches_references(TannerGraph(pcm), pcm, values, bits)
+
+    @pytest.mark.parametrize("rows", [1, 16, 64])
+    def test_full_c2_code_matches_the_references(self, rows):
+        pcm = build_ccsds_c2_code().parity_check_matrix()
+        rng = np.random.default_rng(rows)
+        values = tied_messages(rng, rows, pcm.num_edges)
+        # Hard decisions of the messages' first edges, plus an all-zero row.
+        bits = (values[:, : pcm.block_length] <= 0).astype(np.uint8)
+        bits[0] = 0
+        self.assert_matches_references(tanner_graph(pcm), pcm, values, bits)
+
+
 class TestBitNodeUpdate:
     def test_posterior_is_channel_plus_all_messages(self, small_structure, rng):
         llrs = rng.normal(size=(2, 7))
@@ -265,15 +337,19 @@ class TestBitNodeUpdate:
 
 class TestGraphCache:
     def test_decoders_share_the_graph_and_its_padded_layout(self, rng):
-        """A layout one decoder builds lazily is there for every other
-        decoder on the same matrix: they all hold the one cached graph."""
-        code = build_scaled_ccsds_code(31)
+        """Decoders on one matrix hold the one cached graph, and with it the
+        padded check-node index the graph builds up front for an irregular
+        code, before any decoding."""
+        code, _ = build_deepspace_code("1/2", 16)
         graph = tanner_graph(code.parity_check_matrix())
-        assert graph._pad_layout is None
+        index = graph._check_slots
+        assert index is not None
+        assert index.shape == (graph.num_checks, graph.max_check_degree)
         llrs = rng.normal(2.0, 1.0, size=(64, code.block_length))
-        NormalizedMinSumDecoder(code, max_iterations=2).decode_batch(llrs)
-        assert graph._pad_layout is not None
-        assert MinSumDecoder(code).edge_structure is graph
+        decoder = NormalizedMinSumDecoder(code, max_iterations=2)
+        decoder.decode_batch(llrs)
+        assert decoder.edge_structure is graph
+        assert MinSumDecoder(code).edge_structure._check_slots is index
 
     def test_graphs_die_with_their_matrices(self):
         codes = [build_scaled_ccsds_code(size) for size in (7, 11, 13, 17, 19)]
