@@ -10,7 +10,7 @@ four-configuration grid and asserts the shared-pool counts are bit-identical
 to standalone sweeps seeded with the campaign's per-experiment streams.
 
 A third timed run repeats the shared-pool campaign with telemetry enabled
-(event log + metrics + per-shard stage profiling) and asserts the curve
+(event log with per-shard stage profiling) and asserts the curve
 files come out **byte-identical** to the telemetry-off store — the
 write-only contract, measured where it matters.  Wall times, campaign
 frames/s and the telemetry overhead fraction are appended to the
@@ -105,8 +105,8 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
     shared_curves = benchmark.pedantic(run_shared_pool, rounds=1, iterations=1)
     shared_seconds = time.perf_counter() - start
 
-    # The same campaign once more with full telemetry: event log, metrics
-    # snapshot and per-shard stage profiling all on.
+    # The same campaign once more with full telemetry: the event log and
+    # per-shard stage profiling on.
     start = time.perf_counter()
     run_shared_pool("shared-telemetry", telemetry=True)
     telemetry_seconds = time.perf_counter() - start

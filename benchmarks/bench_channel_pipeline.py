@@ -12,8 +12,9 @@ The shard schedule is pinned (fixed frame budget, no early stopping, no
 adaptive batching) so the numbers measure the pipeline, not the stopping
 rule: every channel simulates exactly the same number of frames.
 
-The run also measures the cost of telemetry's stage probe in the same hot
-path — identical simulations with and without a
+The run also measures the cost of telemetry's stage probe on the paper's
+workload — identical full-C2 simulations at the shape of perfbench's
+``c2-nms-serial`` with and without a
 :class:`~repro.obs.probe.StageAccumulator` attached — asserts the
 overhead stays within 3%, and appends frames/s plus the measured overhead
 to the ``BENCH_channel_pipeline.json`` trajectory at the repo root.
@@ -29,6 +30,7 @@ the frames/s ratio lands in the trajectory as ``batched_speedup``.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -66,6 +68,14 @@ MIN_BATCHED_SPEEDUP = 3.0
 #: probe-free runtime).  The disabled path is one attribute check per
 #: batch; the enabled path adds four monotonic clock reads per batch.
 MAX_TELEMETRY_OVERHEAD = 0.03
+
+#: The probe-overhead gate measures the workload the probe instruments:
+#: the full C2 code at the shape of perfbench's ``c2-nms-serial`` (nms,
+#: alpha 1.25, 18 iterations, random data, 64-frame batches, 128 frames
+#: per timed point), whatever the scale of the per-channel table.
+OVERHEAD_DECODER = DecoderSpec("nms", 18, {"alpha": 1.25})
+OVERHEAD_BATCH_FRAMES = 64
+OVERHEAD_FRAMES = 128
 
 #: Channel parameters exercised per kind (defaults otherwise); block fading
 #: uses one fade per circulant block to stress the repeat/reshape path.
@@ -119,6 +129,50 @@ class _SerialOnlyView:
 
     def decode(self, llrs):
         return self._decoder.decode(llrs)
+
+
+def _measure_probe_overhead() -> dict:
+    """Interleaved best-of-7 seconds of one C2 point without and with the probe.
+
+    One simulator runs both sides, its ``probe`` attribute switched between
+    runs, with a fresh ``SeedSequence`` per run: the counts must be
+    identical (the probe is write-only).
+    """
+    code = build_ccsds_c2_code()
+    config = dataclasses.replace(
+        _fixed_schedule_config(OVERHEAD_FRAMES, OVERHEAD_BATCH_FRAMES),
+        all_zero_codeword=False,
+    )
+    simulator = MonteCarloSimulator(
+        code, OVERHEAD_DECODER.build(code), config=config, rng=0,
+        pipeline=ChannelSpec(kind="awgn").build(),
+    )
+    accumulator = StageAccumulator()
+
+    def run_point(probe):
+        simulator.probe = probe
+        return simulator.run_point(EBN0_DB, rng=np.random.SeedSequence(7))
+
+    point_off, point_on = run_point(None), run_point(accumulator)  # warm-up
+    assert point_on.frames == OVERHEAD_FRAMES
+    assert (point_on.frames, point_on.frame_errors, point_on.ber, point_on.fer) == (
+        point_off.frames, point_off.frame_errors, point_off.ber, point_off.fer
+    ), "stage probe changed the measured counts"
+    seconds_off, seconds_on = _paired_best_seconds(
+        lambda: run_point(None), lambda: run_point(accumulator)
+    )
+    return {
+        "code": "ccsds-c2",
+        "block_length": code.block_length,
+        "decoder": OVERHEAD_DECODER.as_dict(),
+        "random_data": True,
+        "batch_frames": OVERHEAD_BATCH_FRAMES,
+        "frames_per_point": OVERHEAD_FRAMES,
+        "seconds_off": seconds_off,
+        "seconds_on": seconds_on,
+        "overhead_fraction": max(seconds_on - seconds_off, 0.0) / seconds_off,
+        "budget_fraction": MAX_TELEMETRY_OVERHEAD,
+    }
 
 
 def _measure_batched_speedup() -> dict:
@@ -249,37 +303,20 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
             "fixed shard schedule"
         ),
     )
-    # Telemetry probe overhead: the identical simulation with and without a
-    # StageAccumulator attached.  Same code/decoder/pipeline objects, fresh
-    # SeedSequence per run — the counts must be identical (the probe is
-    # write-only) and the cost must stay within MAX_TELEMETRY_OVERHEAD.
-    decoder = decoder_spec.build(code)
-    plain = MonteCarloSimulator(
-        code, decoder, config=config, rng=0, pipeline=awgn_pipeline
-    )
-    probed = MonteCarloSimulator(
-        code, decoder, config=config, rng=0, pipeline=awgn_pipeline,
-        probe=StageAccumulator(),
-    )
-    point_off = plain.run_point(EBN0_DB, rng=np.random.SeedSequence(7))  # warm-up
-    point_on = probed.run_point(EBN0_DB, rng=np.random.SeedSequence(7))
-    assert (point_on.frames, point_on.frame_errors, point_on.ber, point_on.fer) == (
-        point_off.frames, point_off.frame_errors, point_off.ber, point_off.fer
-    ), "stage probe changed the measured counts"
-    seconds_off, seconds_on = _paired_best_seconds(
-        lambda: plain.run_point(EBN0_DB, rng=np.random.SeedSequence(7)),
-        lambda: probed.run_point(EBN0_DB, rng=np.random.SeedSequence(7)),
-    )
-    overhead = max(seconds_on - seconds_off, 0.0) / seconds_off
-
+    probe = _measure_probe_overhead()
+    overhead = probe["overhead_fraction"]
     batched = _measure_batched_speedup()
 
     text += (
         "\n\nSame seeds and shard schedule for every channel; BER differences "
         "are the channels' (soft AWGN best, hard-decision BSC ~2 dB worse, "
         "block fading worst), not noise in the harness."
-        f"\n\nTelemetry stage probe (AWGN, interleaved best of 7): "
-        f"{seconds_off:.3f}s off vs {seconds_on:.3f}s on = "
+        f"\n\nTelemetry stage probe (C2 ({probe['block_length']} bits), "
+        f"{OVERHEAD_DECODER.kind} alpha {OVERHEAD_DECODER.params['alpha']:g} "
+        f"it{OVERHEAD_DECODER.iterations}, random data, {OVERHEAD_FRAMES} frames in "
+        f"{OVERHEAD_BATCH_FRAMES}-frame batches @ {EBN0_DB:g} dB, AWGN, "
+        f"interleaved best of 7): "
+        f"{probe['seconds_off']:.3f}s off vs {probe['seconds_on']:.3f}s on = "
         f"{100.0 * overhead:.2f}% overhead "
         f"(budget {100.0 * MAX_TELEMETRY_OVERHEAD:.0f}%), counts identical."
         f"\n\nBatched decoder dispatch (deepspace 1/2 circ "
@@ -299,12 +336,7 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
         "block_length": code.block_length,
         "channels": channel_rates,
         "frames_per_second": channel_rates["awgn"]["frames_per_second"],
-        "telemetry_overhead": {
-            "seconds_off": seconds_off,
-            "seconds_on": seconds_on,
-            "overhead_fraction": overhead,
-            "budget_fraction": MAX_TELEMETRY_OVERHEAD,
-        },
+        "telemetry_overhead": probe,
         "batched_decode": batched,
         "batched_speedup": batched["speedup"],
     })

@@ -18,11 +18,13 @@ back into those artifacts:
   sum-product" claim;
 * the raw waterfall points, exporter-friendly;
 * when the campaign ran with telemetry (``REPRO_TELEMETRY=1`` or
-  ``--telemetry``), an "Execution telemetry" section rendered from the
-  recorded ``telemetry/metrics.json`` snapshot — wall time, throughput,
-  pool utilization, stage split and early-stop savings.  The section is
-  built purely from the recorded file, never from live clocks, so report
-  output for a given store stays byte-identical across renders.
+  ``--telemetry``), an "Execution telemetry" section folded from the
+  recorded ``telemetry/events.jsonl`` log by
+  :func:`repro.obs.trace.run_summary` — wall time, throughput, pool
+  utilization, stage split and early-stop savings of the last run that
+  finished cleanly.  The section is built purely from the recorded log,
+  never from live clocks, so report output for a given store stays
+  byte-identical across renders.
 
 Exporters share one section model: ``to_text()`` renders the same ASCII
 tables as :mod:`repro.core.report`, ``to_markdown()`` GitHub tables,
@@ -46,7 +48,8 @@ from repro.sim.crossing import (
 )
 from repro.analysis.campaign.curveset import CurveRecord, CurveSet
 from repro.obs import clock
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.events import read_events, validate_event_log
+from repro.obs.trace import run_summary
 from repro.sim.campaign.spec import CodeSpec
 from repro.sim.campaign.store import ResultStore
 from repro.sim.reference import uncoded_bpsk_ebn0_db
@@ -158,10 +161,10 @@ class CampaignReport:
         the Shannon limit.  Building the full 8176-bit code takes a few
         seconds; pass ``False`` to skip the rate/gap columns.
     telemetry:
-        A recorded ``telemetry/metrics.json`` snapshot (the dict returned
-        by :meth:`repro.obs.metrics.MetricsRegistry.load`), or ``None``.
-        :meth:`from_store` loads it automatically when the campaign
-        directory holds one.
+        The ``{"counters": ..., "gauges": ...}`` summary of a recorded run
+        (:func:`repro.obs.trace.run_summary`), or ``None``.
+        :meth:`from_store` folds it from the campaign directory's event
+        log when there is one.
     """
 
     def __init__(
@@ -203,18 +206,19 @@ class CampaignReport:
     ) -> "CampaignReport":
         """Build the report straight from a campaign directory.
 
-        When the directory holds a recorded ``telemetry/metrics.json``
-        snapshot (campaigns run with telemetry enabled), it is loaded and
-        the report grows an "Execution telemetry" section; an absent or
-        unreadable snapshot simply omits the section.
+        When the directory holds a telemetry event log (campaigns run with
+        telemetry enabled) with a cleanly finished run, the report grows an
+        "Execution telemetry" section; an absent, invalid or never
+        completed log simply omits the section.
         """
         if not isinstance(store, ResultStore):
             store = ResultStore.open(store)
         telemetry = None
-        metrics_path = Path(store.directory) / "telemetry" / "metrics.json"
-        if metrics_path.exists():
+        log_path = Path(store.directory) / "telemetry" / "events.jsonl"
+        if log_path.exists():
             try:
-                telemetry = MetricsRegistry.load(metrics_path)
+                validate_event_log(log_path)
+                telemetry = run_summary(read_events(log_path))
             except (ValueError, OSError):
                 telemetry = None
         return cls(
@@ -368,10 +372,11 @@ class CampaignReport:
     def _telemetry_section(self) -> tuple[str, list[str], list[list[str]]] | None:
         """Execution telemetry of the recorded run, or ``None`` without one.
 
-        Every value comes from the ``metrics.json`` snapshot written at
-        campaign end — recorded wall timestamps are formatted with
-        :func:`repro.obs.clock.wall_iso`, never read live — so the section
-        (and with it the whole report) stays deterministic for a store.
+        Every value comes from the recorded event log (see
+        :func:`repro.obs.trace.run_summary`) — recorded wall timestamps
+        are formatted with :func:`repro.obs.clock.wall_iso`, never read
+        live — so the section (and with it the whole report) stays
+        deterministic for a store.
         """
         if not self.telemetry:
             return None

@@ -773,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="discard any existing results in the directory")
     run.add_argument("--telemetry", action=argparse.BooleanOptionalAction,
                      default=None,
-                     help="record an execution event log and metrics snapshot "
-                          "under <dir>/telemetry (default: on when "
+                     help="record an execution event log under "
+                          "<dir>/telemetry (default: on when "
                           "REPRO_TELEMETRY=1; results are byte-identical "
                           "either way)")
     _add_fabric_arguments(run)
@@ -788,9 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="size of the shared worker pool (default: serial)")
     resume.add_argument("--telemetry", action=argparse.BooleanOptionalAction,
                         default=None,
-                        help="record an execution event log and metrics "
-                             "snapshot under <dir>/telemetry (default: on "
-                             "when REPRO_TELEMETRY=1)")
+                        help="record an execution event log under "
+                             "<dir>/telemetry (default: on when "
+                             "REPRO_TELEMETRY=1)")
     _add_fabric_arguments(resume)
     resume.set_defaults(func=_cmd_campaign_resume)
 

@@ -161,7 +161,6 @@ PERSISTENCE_SCOPE = (
     "repro/sim/results.py",
     "repro/fabric/broker.py",
     "repro/fabric/pool.py",
-    "repro/obs/metrics.py",
     "repro/obs/events.py",
 )
 #: Exempt from REP107 and REP402: the atomic-write helper itself must, of

@@ -45,8 +45,8 @@ def monotonic() -> float:
 def wall_time() -> float:
     """Seconds since the Unix epoch (for human-facing telemetry fields).
 
-    Confined to telemetry artifacts (``events.jsonl`` / ``metrics.json``);
-    wall-clock values must never reach seeds, filenames or result files.
+    Confined to the telemetry event log (``events.jsonl``); wall-clock
+    values must never reach seeds, filenames or result files.
     """
     return time.time()
 

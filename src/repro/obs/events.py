@@ -77,6 +77,8 @@ EVENT_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
         "point_index": (int,),
         "ebn0_db": _NUMBER,
     },
+    # A profiled shard adds ``stage_seconds`` ({stage: seconds}) as an
+    # extra field; :func:`repro.obs.trace.run_summary` sums it per stage.
     "shard_completed": {
         "experiment": (str,),
         "ebn0_db": _NUMBER,

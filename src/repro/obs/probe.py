@@ -10,11 +10,11 @@ When set, the simulator times each stage and reports the split through
 :meth:`Probe.record_batch`.
 
 :class:`StageAccumulator` is the standard implementation: a plain adder
-with a checkpoint/delta API so the worker-pool shard task can report the
-stage split of exactly one shard from a long-lived accumulator.  Third
-party decoders (or any caller embedding the simulator) can pass their own
-``Probe`` to integrate with external metrics systems — the protocol is
-one method and receives only plain floats.
+that also keeps the split of the latest batch, which is the stage split a
+shard reports (one shard is one batch).  Third party decoders (or any
+caller embedding the simulator) can pass their own ``Probe`` to integrate
+with external metrics systems — the protocol is one method and receives
+only plain floats.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ __all__ = ["STAGES", "Probe", "StageAccumulator"]
 #: modulation + channel + LLR computation, decoding, error counting.
 STAGES: tuple[str, ...] = ("encode", "channel", "decode", "count")
 
-#: Checkpoint token: (batches, frames, per-stage seconds at the mark).
-Checkpoint = tuple[int, int, dict[str, float]]
-
 
 class Probe(Protocol):
     """What the simulator hot path calls when profiling is enabled."""
@@ -41,38 +38,27 @@ class Probe(Protocol):
 
 
 class StageAccumulator:
-    """Accumulating :class:`Probe`: totals per stage plus batch/frame counts."""
+    """Accumulating :class:`Probe`: totals per stage plus batch/frame counts.
 
-    __slots__ = ("batches", "frames", "stage_seconds")
+    ``last_stage_seconds`` is the split of the latest batch alone (empty
+    before the first one).
+    """
+
+    __slots__ = ("batches", "frames", "stage_seconds", "last_stage_seconds")
 
     def __init__(self) -> None:
         self.batches = 0
         self.frames = 0
         self.stage_seconds: dict[str, float] = {stage: 0.0 for stage in STAGES}
+        self.last_stage_seconds: dict[str, float] = {}
 
     def record_batch(
         self, frames: int, stage_seconds: Mapping[str, float]
     ) -> None:
         self.batches += 1
         self.frames += int(frames)
-        for stage, seconds in stage_seconds.items():
-            self.stage_seconds[stage] = (
-                self.stage_seconds.get(stage, 0.0) + float(seconds)
-            )
-
-    def checkpoint(self) -> Checkpoint:
-        """An opaque mark of the current totals (see :meth:`since`)."""
-        return (self.batches, self.frames, dict(self.stage_seconds))
-
-    def since(self, mark: Checkpoint) -> tuple[int, int, dict[str, float]]:
-        """``(batches, frames, stage_seconds)`` accumulated after ``mark``.
-
-        This is how the pool's shard task attributes stage time to one
-        shard: checkpoint before ``run_batch``, delta after.
-        """
-        batches0, frames0, stages0 = mark
-        delta = {
-            stage: seconds - stages0.get(stage, 0.0)
-            for stage, seconds in self.stage_seconds.items()
+        self.last_stage_seconds = {
+            stage: float(seconds) for stage, seconds in stage_seconds.items()
         }
-        return (self.batches - batches0, self.frames - frames0, delta)
+        for stage, seconds in self.last_stage_seconds.items():
+            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds

@@ -1,11 +1,13 @@
 """The campaign-facing telemetry facade.
 
-One :class:`Telemetry` object owns a campaign's event log and metrics
-registry and exposes the handful of recording entry points the scheduler,
-worker pool and result store call.  It is strictly **write-only** with
-respect to simulation state: nothing it returns feeds back into RNG
-streams, shard schedules or stored results, and the telemetry-on/off
-byte-identity test pins that.
+One :class:`Telemetry` object owns a campaign's event log and exposes
+the handful of recording entry points the scheduler, worker pool and
+result store call.  The log is the only record: counters, gauges and the
+stage split are folded from it afterwards
+(:func:`repro.obs.trace.run_summary`).  Telemetry is strictly
+**write-only** with respect to simulation state: nothing it returns feeds
+back into RNG streams, shard schedules or stored results, and the
+telemetry-on/off byte-identity test pins that.
 
 Enablement is environment-driven (``REPRO_TELEMETRY=1``; see
 :func:`telemetry_enabled`) so that forked pool workers inherit the switch,
@@ -22,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.obs import clock
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # no runtime repro.sim import: obs must stay cycle-free
     from repro.sim.results import SimulationPoint
@@ -49,20 +50,18 @@ def telemetry_enabled(value: str | None = None) -> bool:
 
 
 class Telemetry:
-    """Event log + metrics registry for one campaign directory.
+    """The event log of one campaign directory.
 
     Parameters
     ----------
     directory:
         The telemetry directory (conventionally ``<campaign>/telemetry``);
-        created lazily when the first event or snapshot is written.
+        created lazily when the first event is written.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.events = EventLog(self.directory / "events.jsonl")
-        self.metrics = MetricsRegistry()
-        self._experiment_info: dict[str, dict[str, str]] = {}
         self._started_at: float | None = None
 
     @classmethod
@@ -83,25 +82,12 @@ class Telemetry:
         """Append one validated event to the log (see :class:`EventLog`)."""
         return self.events.emit(event, **fields)
 
-    def register_experiment(
-        self, label: str, *, channel: str | None = None, decoder: str | None = None
-    ) -> None:
-        """Declare ``label``'s channel/decoder kinds for per-kind metrics."""
-        info: dict[str, str] = {}
-        if channel:
-            info["channel"] = channel
-        if decoder:
-            info["decoder"] = decoder
-        self._experiment_info[label] = info
-
     # ------------------------------------------------------------------ #
     def campaign_started(
         self, *, campaign: str, total_points: int, pending_points: int, workers: int
     ) -> None:
         """Emit ``campaign_start`` and open the wall-time measurement."""
         self._started_at = clock.monotonic()
-        self.metrics.set_gauge("workers", float(workers))
-        self.metrics.set_gauge("run_started_wall", clock.wall_time())
         self.emit(
             "campaign_start",
             campaign=campaign,
@@ -111,7 +97,7 @@ class Telemetry:
         )
 
     def campaign_ended(self, *, campaign: str, points_recorded: int) -> float:
-        """Emit ``campaign_end``, derive rate/utilization gauges, snapshot.
+        """Emit ``campaign_end``.
 
         Returns the measured wall seconds of the run.  Only called on a
         clean finish — an interrupted run leaves the event log without a
@@ -126,22 +112,6 @@ class Telemetry:
             points_recorded=int(points_recorded),
             seconds=seconds,
         )
-        metrics = self.metrics
-        metrics.set_gauge("run_seconds", seconds)
-        metrics.set_gauge("run_ended_wall", clock.wall_time())
-        if seconds > 0:
-            for name, frames in sorted(
-                metrics.counters_with_prefix("frames_total").items()
-            ):
-                metrics.set_gauge(f"frames_per_second{name}", frames / seconds)
-            workers = metrics.gauge("workers", 0.0)
-            compute = metrics.counter("shard_compute_seconds_total")
-            if workers > 0:
-                metrics.set_gauge(
-                    "pool_utilization",
-                    min(compute / (workers * seconds), 1.0),
-                )
-        self.save_metrics()
         return seconds
 
     # ------------------------------------------------------------------ #
@@ -158,7 +128,13 @@ class Telemetry:
         worker: int,
         stage_seconds: Mapping[str, float] | None = None,
     ) -> None:
-        """One shard finished: emit ``shard_completed`` + latency metrics."""
+        """One shard finished: emit ``shard_completed``.
+
+        A profiled shard's hot-path split rides along as the extra
+        ``stage_seconds`` field (seconds per :data:`repro.obs.probe.STAGES`
+        entry).
+        """
+        extra = {"stage_seconds": dict(stage_seconds)} if stage_seconds else {}
         self.emit(
             "shard_completed",
             experiment=experiment,
@@ -169,27 +145,15 @@ class Telemetry:
             seconds=float(seconds),
             queue_seconds=float(queue_seconds),
             worker=int(worker),
+            **extra,
         )
-        metrics = self.metrics
-        metrics.inc("shards_total")
-        metrics.inc("shard_compute_seconds_total", seconds)
-        metrics.inc("shard_queue_seconds_total", queue_seconds)
-        metrics.observe("shard_seconds", seconds)
-        metrics.observe("shard_queue_seconds", queue_seconds)
-        if stage_seconds:
-            self.add_stage_seconds(stage_seconds)
-
-    def add_stage_seconds(self, stage_seconds: Mapping[str, float]) -> None:
-        """Fold a hot-path stage split into the ``stage_seconds.*`` counters."""
-        for stage, seconds in stage_seconds.items():
-            self.metrics.inc(f"stage_seconds.{stage}", float(seconds))
 
     def record_point(self, *, experiment: str, point: "SimulationPoint") -> None:
-        """One point persisted: emit ``point_recorded`` + frame counters.
+        """One point persisted: emit ``point_recorded``.
 
-        Frame totals (overall and per experiment/channel/decoder) are
-        counted here — once per *recorded* point — so serial and pooled
-        runs, with or without shard events, agree on them.
+        Emitted once per *recorded* point, so the frame totals folded from
+        these events agree between serial and pooled runs, with or without
+        shard events.
         """
         self.emit(
             "point_recorded",
@@ -200,29 +164,11 @@ class Telemetry:
             ber=float(point.ber),
             fer=float(point.fer),
         )
-        metrics = self.metrics
-        frames = int(point.frames)
-        metrics.inc("points_recorded_total")
-        metrics.inc("frames_total", frames)
-        metrics.inc("frame_errors_total", int(point.frame_errors))
-        metrics.inc(f"frames_total.experiment.{experiment}", frames)
-        info = self._experiment_info.get(experiment, {})
-        channel = info.get("channel")
-        if channel:
-            metrics.inc(f"frames_total.channel.{channel}", frames)
-        decoder = info.get("decoder")
-        if decoder:
-            metrics.inc(f"frames_total.decoder.{decoder}", frames)
-        metrics.observe(
-            "decoder_iterations",
-            float(point.average_iterations),
-            bounds=(1.0, 2.0, 4.0, 8.0, 12.0, 18.0, 25.0, 50.0, 100.0),
-        )
 
     def record_early_stop(
         self, *, experiment: str, ebn0_db: float, frames: int, max_frames: int
     ) -> None:
-        """A point stopped before its frame budget: emit + savings counters."""
+        """A point stopped before its frame budget: emit ``early_stop``."""
         saved = max(int(max_frames) - int(frames), 0)
         self.emit(
             "early_stop",
@@ -232,8 +178,6 @@ class Telemetry:
             max_frames=int(max_frames),
             frames_saved=saved,
         )
-        self.metrics.inc("points_early_stopped_total")
-        self.metrics.inc("frames_saved_by_early_stop_total", saved)
 
     def record_resume_skip(
         self, *, experiment: str, point_index: int, ebn0_db: float
@@ -245,16 +189,8 @@ class Telemetry:
             point_index=int(point_index),
             ebn0_db=float(ebn0_db),
         )
-        self.metrics.inc("points_resume_skipped_total")
 
     # ------------------------------------------------------------------ #
-    def save_metrics(self) -> Path:
-        """Snapshot the registry to ``<directory>/metrics.json`` (atomic)."""
-        path = self.directory / "metrics.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.metrics.save(path)
-        return path
-
     def close(self) -> None:
         """Close the event log (idempotent; a later emit reopens it)."""
         self.events.close()

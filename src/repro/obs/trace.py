@@ -1,18 +1,19 @@
-"""Post-hoc trace analysis of a recorded telemetry directory.
+"""Post-hoc analysis of a recorded telemetry event log.
 
-``campaign trace <dir>`` renders a human-readable execution summary from
-the artifacts a telemetry-enabled run left behind — the event log
-(``telemetry/events.jsonl``) and the metrics snapshot
-(``telemetry/metrics.json``).  Everything here reads recorded files only;
-no live clocks are consulted, so the same directory always renders the
-same trace.
+A telemetry-enabled run leaves one artifact, the event log
+``telemetry/events.jsonl``; every summary of the run is a fold of it.
+``campaign trace <dir>`` renders a human-readable execution summary,
+:func:`run_summary` derives the counters and gauges behind the report's
+"Execution telemetry" section and the trace's stage breakdown, and
+:func:`live_rates` serves ``campaign status --watch``.  Everything here
+reads recorded events only; no live clocks are consulted, so the same
+log always renders the same trace.
 
 A log may span several runs (an interrupted campaign that was resumed
 appends to the same file); runs are delimited by ``campaign_start``
-records and most sections describe the *last* run, whose ``t_mono``
-values share one process epoch.  :func:`live_rates` serves ``campaign
-status --watch``: frames/s and point rates of the in-progress run,
-computed from event timestamps rather than new clock reads.
+records.  Most trace sections describe the *last* run, whose ``t_mono``
+values share one process epoch; :func:`run_summary` describes the last
+run that finished cleanly.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.obs.events import read_events, validate_event_log
-from repro.obs.metrics import MetricsRegistry
 from repro.utils.formatting import format_table
 
-__all__ = ["split_runs", "live_rates", "trace_summary"]
+__all__ = ["split_runs", "live_rates", "run_summary", "trace_summary"]
 
 _Record = Mapping[str, Any]
 
@@ -86,6 +86,75 @@ def live_rates(records: Sequence[_Record]) -> dict[str, Any]:
     }
 
 
+def run_summary(records: Sequence[_Record]) -> dict[str, dict[str, float]] | None:
+    """Counters and gauges of the last run that ended with ``campaign_end``.
+
+    Returns ``{"counters": {...}, "gauges": {...}}``, each keyed by dotted
+    metric name in sorted order, or ``None`` when no run finished cleanly.
+    A counter exists only once its event has occurred, and sums in event
+    order.  Counters:
+
+    * ``shards_total``, ``shard_compute_seconds_total``,
+      ``shard_queue_seconds_total`` and ``stage_seconds.<stage>`` (the
+      hot-path split of profiled shards) from ``shard_completed``;
+    * ``points_recorded_total`` and ``frames_total`` from
+      ``point_recorded``;
+    * ``points_early_stopped_total`` and
+      ``frames_saved_by_early_stop_total`` from ``early_stop``;
+    * ``points_resume_skipped_total`` from ``resume_skip``.
+
+    Gauges: ``run_seconds`` and ``run_ended_wall`` from ``campaign_end``,
+    ``workers`` and ``run_started_wall`` from ``campaign_start``, and,
+    when the run took measurable time, ``frames_per_second`` and (pooled
+    runs) ``pool_utilization``.
+    """
+    completed = [run for run in split_runs(records) if _of_type(run, "campaign_end")]
+    if not completed:
+        return None
+    run = completed[-1]
+    counters: dict[str, float] = {}
+
+    def add(name: str, value: float) -> None:
+        counters[name] = counters.get(name, 0.0) + float(value)
+
+    for record in run:
+        event = record.get("event")
+        if event == "shard_completed":
+            add("shards_total", 1)
+            add("shard_compute_seconds_total", record["seconds"])
+            add("shard_queue_seconds_total", record["queue_seconds"])
+            for stage, seconds in (record.get("stage_seconds") or {}).items():
+                add(f"stage_seconds.{stage}", seconds)
+        elif event == "point_recorded":
+            add("points_recorded_total", 1)
+            add("frames_total", record["frames"])
+        elif event == "early_stop":
+            add("points_early_stopped_total", 1)
+            add("frames_saved_by_early_stop_total", record["frames_saved"])
+        elif event == "resume_skip":
+            add("points_resume_skipped_total", 1)
+
+    end = _of_type(run, "campaign_end")[-1]
+    seconds = float(end["seconds"])
+    gauges = {"run_seconds": seconds, "run_ended_wall": float(end["t_wall"])}
+    workers = 0.0
+    starts = _of_type(run, "campaign_start")
+    if starts:
+        workers = float(starts[0]["workers"])
+        gauges["workers"] = workers
+        gauges["run_started_wall"] = float(starts[0]["t_wall"])
+    if seconds > 0:
+        if "frames_total" in counters:
+            gauges["frames_per_second"] = counters["frames_total"] / seconds
+        if workers > 0:
+            compute = counters.get("shard_compute_seconds_total", 0.0)
+            gauges["pool_utilization"] = min(compute / (workers * seconds), 1.0)
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": dict(sorted(gauges.items())),
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Trace sections
 # --------------------------------------------------------------------------- #
@@ -116,10 +185,10 @@ def _overview_lines(
     return lines
 
 
-def _stage_breakdown(metrics: Mapping[str, Any] | None) -> str | None:
-    if not metrics:
+def _stage_breakdown(summary: Mapping[str, Any] | None) -> str | None:
+    if summary is None:
         return None
-    counters = metrics.get("counters", {})
+    counters = summary["counters"]
     stages = {
         name[len("stage_seconds."):]: float(value)
         for name, value in sorted(counters.items())
@@ -307,14 +376,10 @@ def trace_summary(directory: str | Path, *, top: int = 8) -> str:
         )
     valid_events = validate_event_log(log_path)
     records = read_events(log_path)
-    metrics: Mapping[str, Any] | None = None
-    metrics_path = telemetry_dir / "metrics.json"
-    if metrics_path.exists():
-        metrics = MetricsRegistry.load(metrics_path)
     runs = split_runs(records)
     run = runs[-1] if runs else []
     blocks: list[str] = ["\n".join(_overview_lines(records, run, valid_events))]
-    stage = _stage_breakdown(metrics)
+    stage = _stage_breakdown(run_summary(records))
     if stage is not None:
         blocks.append(stage)
     shards = _slowest_shards(run, top)

@@ -88,8 +88,8 @@ class CampaignScheduler:
         — consults the ``REPRO_TELEMETRY`` environment variable; ``True`` /
         ``False`` force it on or off; a ready-made
         :class:`~repro.obs.telemetry.Telemetry` is used as-is.  When
-        enabled, the run appends a structured event log and a metrics
-        snapshot under ``<store>/telemetry/``.  Telemetry is strictly
+        enabled, the run appends to a structured event log,
+        ``<store>/telemetry/events.jsonl``.  Telemetry is strictly
         write-only: counts and stored curves are byte-identical with it on
         or off.
     fabric:
@@ -183,12 +183,6 @@ class CampaignScheduler:
 
         plan = self.plan()
         pending_keys = {(job.label, job.point_index) for job in jobs}
-        for experiment in self.spec.experiments:
-            telemetry.register_experiment(
-                experiment.label,
-                channel=experiment.channel.kind,
-                decoder=experiment.decoder.kind,
-            )
         telemetry.campaign_started(
             campaign=self.spec.name,
             total_points=len(plan),

@@ -90,6 +90,8 @@ class ResultStore:
             manifest.unlink(missing_ok=True)
             # Telemetry of the discarded campaign describes runs whose
             # results no longer exist; a fresh store starts a fresh log.
+            # metrics.json is the run snapshot that older versions wrote
+            # beside the log.
             for stale in (root / "telemetry" / "events.jsonl", root / "telemetry" / "metrics.json"):
                 stale.unlink(missing_ok=True)
         elif manifest.exists():

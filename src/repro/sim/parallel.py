@@ -146,23 +146,20 @@ class ShardRunner:
         """Simulate one shard of ``size`` frames from its child ``seed``.
 
         The telemetry's time includes the simulator build on a key's first
-        shard; its stage split is filled in for profiled entries only.
+        shard.  A shard is one ``run_batch`` call, so the stage split of a
+        profiled entry is its probe's latest batch.
         """
         started = clock.monotonic()
         simulator = self._simulators.get(key)
         if simulator is None:
             simulator = self._simulators[key] = self._entry_for(key).build()
         sigma = simulator.sigma_for(ebn0_db)
-        rng = np.random.default_rng(seed)
-        probe = simulator.probe
-        stage_seconds: dict[str, float] | None = None
-        if isinstance(probe, StageAccumulator):
-            mark = probe.checkpoint()
-            result = simulator.run_batch(size, sigma, rng=rng)
-            _, _, stage_seconds = probe.since(mark)
-        else:
-            result = simulator.run_batch(size, sigma, rng=rng)
+        result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed))
         seconds = clock.monotonic() - started
+        probe = simulator.probe
+        stage_seconds = (
+            probe.last_stage_seconds if isinstance(probe, StageAccumulator) else None
+        )
         return result, ShardTelemetry(os.getpid(), started, seconds, stage_seconds)
 
 

@@ -10,14 +10,9 @@ into batches.  Every kernel reduces each frame on its own, whatever the
 batch width, so a frame must decode the same in a wide batch, a narrow one
 and alone.  Test ids read ``<kind>-batched``: the batched decode of
 ``<kind>``.
-
-``REPRO_BATCHED_TEST_BATCH`` scales the large-batch test (CI runs a
-dedicated leg at 4096).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -36,8 +31,8 @@ from repro.registry import get_component
 from repro.sim.campaign import ExperimentSpec, expand_grid
 from repro.utils.bits import random_bits
 
-#: Frames in the large-batch test; the CI ``batched-kernels`` leg sets 4096.
-LARGE_BATCH = int(os.environ.get("REPRO_BATCHED_TEST_BATCH", "256"))
+#: Frames in the large-batch test.
+LARGE_BATCH = 256
 
 #: SNR operating points: hopeless (almost nothing converges), the waterfall
 #: region (mixed convergence) and high SNR (everything converges quickly).
@@ -160,7 +155,7 @@ class TestDifferentialBattery:
         assert np.array_equal(got.iterations, np.full(8, 2, dtype=np.int64))
 
     def test_large_batch_matches_serial(self, scaled_code, scaled_encoder, rng):
-        """The headline path at scale (4096 frames on the CI leg)."""
+        """The headline path at scale."""
         _, llrs = noisy_llrs(scaled_encoder, LARGE_BATCH, 4.0, rng)
         decoder = NormalizedMinSumDecoder(scaled_code, max_iterations=8)
         assert_results_identical(

@@ -132,7 +132,7 @@ def test_rep104_allows_perf_counter():
 def test_rep110_only_in_obs_scope():
     source = "import time\nelapsed = time.perf_counter()\n"
     assert lint_source(source, "src/repro/sim/montecarlo.py") == []
-    scoped = lint_source(source, "src/repro/obs/metrics.py")
+    scoped = lint_source(source, "src/repro/obs/trace.py")
     assert [v.rule for v in scoped] == ["REP110"]
 
 
@@ -238,7 +238,6 @@ def test_rep107_open_mode_spellings():
 #: and the atomic (or audited-append) spelling that must stay clean.
 _PERSISTENCE_FIXTURES = {
     "rep107_pool": "src/repro/fabric/pool.py",
-    "rep107_metrics": "src/repro/obs/metrics.py",
     "rep107_events": "src/repro/obs/events.py",
 }
 

@@ -1,14 +1,15 @@
 """Tests for campaign telemetry (repro.obs).
 
 The headline contract tested here: telemetry is **write-only**.  A
-campaign run with the event log, metrics and stage profiling all on must
-persist byte-identical curve files to a run with telemetry off — serial
-or pooled.  Everything else (schema validation, seq continuation across
-interrupted runs, trace rendering, the status surfaces) protects the
-observability layer itself.
+campaign run with the event log and stage profiling on must persist
+byte-identical curve files to a run with telemetry off — serial or
+pooled.  Everything else (schema validation, seq continuation across
+interrupted runs, the counters folded from the log, trace rendering, the
+status surfaces) protects the observability layer itself.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +25,9 @@ from repro.obs.events import (
     validate_event,
     validate_event_log,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.probe import STAGES, StageAccumulator
 from repro.obs.telemetry import ENV_VAR, Telemetry, telemetry_enabled
-from repro.obs.trace import live_rates, split_runs, trace_summary
+from repro.obs.trace import live_rates, run_summary, split_runs, trace_summary
 from repro.sim import MonteCarloSimulator, SimulationConfig
 from repro.sim.campaign import (
     CampaignScheduler,
@@ -84,8 +84,10 @@ class TestByteIdentity:
         off, _ = run_campaign(tmp_path / "off", telemetry=False)
         on, _ = run_campaign(tmp_path / "on", telemetry=True)
         assert curve_bytes(on) == curve_bytes(off)
-        assert (tmp_path / "on" / "telemetry" / "events.jsonl").exists()
-        assert (tmp_path / "on" / "telemetry" / "metrics.json").exists()
+        # The event log is the only telemetry artifact.
+        assert [p.name for p in (tmp_path / "on" / "telemetry").iterdir()] == [
+            "events.jsonl"
+        ]
         assert not (tmp_path / "off" / "telemetry").exists()
 
     def test_pooled_telemetry_curves_identical_to_serial_plain(self, tmp_path):
@@ -280,48 +282,43 @@ class TestKillAndResume:
 
 
 # --------------------------------------------------------------------- #
-# Metrics registry
+# Metrics: counters and gauges folded from the event log
 # --------------------------------------------------------------------- #
+def _event(seq, event, t_mono, **fields):
+    return {"v": 1, "seq": seq, "t_mono": t_mono, "t_wall": 1000.0 + t_mono,
+            "event": event, **fields}
+
+
+def _start(seq, t_mono, workers=0):
+    return _event(seq, "campaign_start", t_mono, campaign="c", total_points=2,
+                  pending_points=2, workers=workers)
+
+
+def _shard(seq, t_mono, seconds, stage_seconds=None):
+    fields = {} if stage_seconds is None else {"stage_seconds": stage_seconds}
+    return _event(seq, "shard_completed", t_mono, experiment="a", ebn0_db=3.0,
+                  shard_index=0, frames=10, frame_errors=1, seconds=seconds,
+                  queue_seconds=0.25, worker=0, **fields)
+
+
+def _point(seq, t_mono, frames):
+    return _event(seq, "point_recorded", t_mono, experiment="a", ebn0_db=3.0,
+                  frames=frames, frame_errors=1, ber=0.01, fer=0.1)
+
+
+def _end(seq, t_mono, seconds):
+    return _event(seq, "campaign_end", t_mono, campaign="c",
+                  points_recorded=1, seconds=seconds)
+
+
 class TestMetrics:
-    def test_histogram_buckets_and_overflow(self):
-        histogram = Histogram(bounds=(1.0, 2.0))
-        for value in (0.5, 1.5, 99.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        assert [b["count"] for b in snap["buckets"]] == [1, 1, 1]
-        assert snap["buckets"][-1]["le"] == "inf"
-        assert snap["count"] == 3 and snap["min"] == 0.5 and snap["max"] == 99.0
-
-    def test_snapshot_round_trips_through_save_load(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.inc("frames_total", 100)
-        registry.set_gauge("workers", 4)
-        registry.observe("shard_seconds", 0.2)
-        path = tmp_path / "metrics.json"
-        registry.save(path)
-        assert MetricsRegistry.load(path) == registry.snapshot()
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text('{"schema_version": 999}')
-        with pytest.raises(ValueError, match="schema version"):
-            MetricsRegistry.load(path)
-        path.write_text('{"not": "a snapshot"}')
-        with pytest.raises(ValueError):
-            MetricsRegistry.load(path)
-
     def test_campaign_metrics_snapshot_accounts_for_every_frame(self, tmp_path):
         store, curves = run_campaign(tmp_path / "c", telemetry=True)
-        data = MetricsRegistry.load(tmp_path / "c" / "telemetry" / "metrics.json")
+        data = run_summary(read_events(tmp_path / "c" / "telemetry" / "events.jsonl"))
         counters = data["counters"]
         frames = sum(p.frames for c in curves.values() for p in c.points)
         assert counters["frames_total"] == frames
         assert counters["points_recorded_total"] == 4
-        per_experiment = sum(
-            value for name, value in counters.items()
-            if name.startswith("frames_total.experiment.")
-        )
-        assert per_experiment == frames
         assert set(data["gauges"]) >= {
             "run_seconds", "run_started_wall", "run_ended_wall", "workers"
         }
@@ -331,19 +328,102 @@ class TestMetrics:
         )
         assert stage_total > 0  # the probe actually ran
 
+    def test_run_summary_describes_the_last_clean_run(self):
+        """An interrupted resume (no campaign_end) does not replace the
+        summary of the clean run before it."""
+        clean = [
+            _start(0, 10.0, workers=2),
+            _event(1, "resume_skip", 10.5, experiment="b", point_index=0,
+                   ebn0_db=3.0),
+            _shard(2, 11.0, 0.5),
+            _point(3, 11.5, 300),
+            _event(4, "early_stop", 11.5, experiment="a", ebn0_db=3.0,
+                   frames=300, max_frames=1000, frames_saved=700),
+            _end(5, 12.0, 2.0),
+        ]
+        interrupted = [_start(6, 50.0), _shard(7, 51.0, 9.0), _point(8, 52.0, 7)]
+        summary = run_summary(clean + interrupted)
+        assert summary == run_summary(clean)
+        assert summary["counters"] == {
+            "frames_saved_by_early_stop_total": 700.0,
+            "frames_total": 300.0,
+            "points_early_stopped_total": 1.0,
+            "points_recorded_total": 1.0,
+            "points_resume_skipped_total": 1.0,
+            "shard_compute_seconds_total": 0.5,
+            "shard_queue_seconds_total": 0.25,
+            "shards_total": 1.0,
+        }
+        assert summary["gauges"] == {
+            "frames_per_second": 150.0,
+            "pool_utilization": 0.125,
+            "run_ended_wall": 1012.0,
+            "run_seconds": 2.0,
+            "run_started_wall": 1010.0,
+            "workers": 2.0,
+        }
+
+    def test_run_summary_sums_stage_seconds_per_stage(self):
+        records = [
+            _start(0, 0.0),
+            _shard(1, 1.0, 1.0, {"decode": 0.5, "encode": 0.25}),
+            _shard(2, 2.0, 1.0),  # an unprofiled shard carries no split
+            _shard(3, 3.0, 1.0, {"decode": 0.125, "count": 0.0625}),
+            _end(4, 4.0, 4.0),
+        ]
+        counters = run_summary(records)["counters"]
+        stages = {
+            name: value for name, value in counters.items()
+            if name.startswith("stage_seconds.")
+        }
+        assert stages == {
+            "stage_seconds.count": 0.0625,
+            "stage_seconds.decode": 0.625,
+            "stage_seconds.encode": 0.25,
+        }
+
+    def test_run_summary_without_campaign_end_is_none(self):
+        assert run_summary([]) is None
+        assert run_summary([_start(0, 0.0), _point(1, 1.0, 10)]) is None
+
+    def test_run_summary_tolerates_a_torn_final_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with path.open("w") as handle:
+            for record in (_start(0, 0.0), _point(1, 1.0, 40), _end(2, 2.0, 2.0)):
+                handle.write(json.dumps(record) + "\n")
+            handle.write('{"v": 1, "seq": 3, "t_mono"')  # torn mid-record
+        summary = run_summary(read_events(path))
+        assert summary["counters"]["frames_total"] == 40.0
+        assert summary["gauges"]["frames_per_second"] == 20.0
+
 
 # --------------------------------------------------------------------- #
 # Stage probe
 # --------------------------------------------------------------------- #
 class TestProbe:
-    def test_accumulator_checkpoint_delta(self):
+    def test_shard_stage_split_is_its_own_batch(self, scaled_code):
+        """Each shard reports the split of its own ``run_batch`` call: the
+        splits add up to the probe's totals and later shards leave earlier
+        splits untouched."""
+        from repro.sim.parallel import ShardRunner
+
         accumulator = StageAccumulator()
-        accumulator.record_batch(10, {"decode": 1.0, "encode": 0.5})
-        mark = accumulator.checkpoint()
-        accumulator.record_batch(20, {"decode": 2.0})
-        batches, frames, delta = accumulator.since(mark)
-        assert (batches, frames) == (1, 20)
-        assert delta["decode"] == 2.0 and delta["encode"] == 0.0
+        simulator = MonteCarloSimulator(
+            scaled_code, DecoderSpec("nms", 8).build(scaled_code),
+            config=TINY_CONFIG, rng=0, probe=accumulator,
+        )
+        runner = ShardRunner(lambda key: SimpleNamespace(build=lambda: simulator))
+        splits, copies = [], []
+        for seed in np.random.SeedSequence(5).spawn(3):
+            _, shard = runner.run("nms", 3.0, 10, seed)
+            splits.append(shard.stage_seconds)
+            copies.append(dict(shard.stage_seconds))
+        assert splits == copies
+        assert accumulator.batches == 3
+        for stage in STAGES:
+            assert sum(split[stage] for split in splits) == (
+                accumulator.stage_seconds[stage]
+            )
 
     def test_probed_simulator_counts_identical(self, scaled_code):
         decoder = DecoderSpec("nms", 8).build(scaled_code)
@@ -496,7 +576,8 @@ class TestCliSurfaces:
             "--dir", str(tmp_path / "c"), "--telemetry",
         ])
         assert code == 0
-        assert (tmp_path / "c" / "telemetry" / "metrics.json").exists()
+        assert (tmp_path / "c" / "telemetry" / "events.jsonl").exists()
+        assert not (tmp_path / "c" / "telemetry" / "metrics.json").exists()
         assert "telemetry: recording to" in capsys.readouterr().out
 
     def test_no_telemetry_flag_beats_environment(self, tmp_path, monkeypatch):
@@ -514,6 +595,37 @@ class TestCliSurfaces:
 # --------------------------------------------------------------------- #
 # Report integration
 # --------------------------------------------------------------------- #
+#: Where each row of the report's telemetry section takes its value from
+#: (``Stage <stage> (s)`` rows: the ``stage_seconds.<stage>`` counter).
+_RENDERED_FROM = {
+    "Run started (UTC)": ("gauges", "run_started_wall"),
+    "Run ended (UTC)": ("gauges", "run_ended_wall"),
+    "Run wall time (s)": ("gauges", "run_seconds"),
+    "Workers": ("gauges", "workers"),
+    "Pool utilization": ("gauges", "pool_utilization"),
+    "Frames simulated": ("counters", "frames_total"),
+    "Frames per second": ("gauges", "frames_per_second"),
+    "Points recorded": ("counters", "points_recorded_total"),
+    "Shards completed": ("counters", "shards_total"),
+    "Shard compute time (s)": ("counters", "shard_compute_seconds_total"),
+    "Shard queue wait (s)": ("counters", "shard_queue_seconds_total"),
+    "Points early-stopped": ("counters", "points_early_stopped_total"),
+    "Frames saved by early stop": ("counters", "frames_saved_by_early_stop_total"),
+    "Points skipped on resume": ("counters", "points_resume_skipped_total"),
+}
+
+
+def _telemetry_rows(directory):
+    from repro.analysis.campaign.report import CampaignReport
+
+    report = CampaignReport.from_store(directory, include_rates=False)
+    (rows,) = [
+        rows for title, _, rows in report.sections()
+        if title == "Execution telemetry (recorded)"
+    ]
+    return report, rows
+
+
 class TestReportSection:
     def test_report_gains_deterministic_telemetry_section(self, tmp_path):
         from repro.analysis.campaign.report import CampaignReport
@@ -535,6 +647,49 @@ class TestReportSection:
         report = CampaignReport.from_store(tmp_path / "c", include_rates=False)
         assert "Execution telemetry" not in report.to_text()
         assert report.as_dict()["telemetry"] is None
+
+    def test_json_report_keeps_every_rendered_value(self, tmp_path):
+        run_campaign(tmp_path / "c", workers=2, telemetry=True)
+        report, rows = _telemetry_rows(tmp_path / "c")
+        telemetry = json.loads(report.to_json())["telemetry"]
+        labels = [label for label, _ in rows]
+        assert {"Pool utilization", "Stage decode (s)"} <= set(labels)
+        for label in labels:
+            if label.startswith("Stage "):
+                stage = label.removeprefix("Stage ").removesuffix(" (s)")
+                kind, name = "counters", f"stage_seconds.{stage}"
+            else:
+                kind, name = _RENDERED_FROM[label]
+            assert name in telemetry[kind], label
+
+    def test_log_without_stage_split_beside_a_stale_snapshot(self, tmp_path):
+        """A telemetry directory as older versions wrote it: shard events
+        without ``stage_seconds`` and a ``metrics.json`` snapshot.  The
+        report and the trace fold the log, ignore the snapshot, and lose
+        only their stage rows."""
+        run_campaign(tmp_path / "c", workers=2, telemetry=True)
+        _, rows = _telemetry_rows(tmp_path / "c")
+        trace = trace_summary(tmp_path / "c")
+
+        log = tmp_path / "c" / "telemetry" / "events.jsonl"
+        records = read_events(log)
+        for record in records:
+            record.pop("stage_seconds", None)
+        log.write_text(
+            "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        )
+        (log.parent / "metrics.json").write_text(json.dumps({
+            "schema_version": 1,
+            "counters": {"frames_total": 1.0, "stage_seconds.decode": 99.0},
+            "gauges": {"run_seconds": 99.0},
+            "histograms": {},
+        }))
+
+        _, old_rows = _telemetry_rows(tmp_path / "c")
+        assert old_rows == [row for row in rows if not row[0].startswith("Stage ")]
+        blocks = trace.split("\n\n")
+        assert blocks[1].startswith("Hot-path stage breakdown")
+        assert trace_summary(tmp_path / "c") == "\n\n".join(blocks[:1] + blocks[2:])
 
 
 # --------------------------------------------------------------------- #
