@@ -19,10 +19,14 @@ high-speed architecture's concurrent frames), and return a
   :class:`~repro.decode.hard_decision.WeightedBitFlippingDecoder` —
   hard-decision baselines.
 
-Every soft decoder above runs the one decoding loop of
-:class:`~repro.decode.base.MessagePassingDecoder`, which drops frames from
-its working set as they finish, and shares the cached
-:class:`~repro.decode.graph.TannerGraph` of its matrix.  The kinds
+Every soft decoder above shares the cached
+:class:`~repro.decode.graph.TannerGraph` of its matrix and the decoding loop
+of :class:`~repro.decode.base.MessagePassingDecoder`, which drops frames
+from its working set as they finish.  The flooding min-sum kinds under
+syndrome or fixed stopping decode each batch in one call of the native
+streaming kernel instead, with identical results; the loop is their
+reference and fallback, and the path of every other kind and stopping
+rule.  The kinds
 ``min-sum-batched``, ``nms-batched``, ``offset-batched``,
 ``sum-product-batched`` and ``layered-batched`` are aliases of their base
 kinds, kept so that existing campaign specs and stores still load.

@@ -1,16 +1,25 @@
-"""Common machinery of the message-passing decoders: one decoding loop.
+"""Common machinery of the message-passing decoders: the decoding loop.
 
 ``MessagePassingDecoder`` implements the four-step iteration described in
 Section 2.1 of the paper (bit nodes send, check nodes process, check nodes
 send back, bit nodes process) over a batch of frames, with early stopping.
-Its :meth:`~MessagePassingDecoder._run_message_passing` is the package's
-only decoding loop: it owns the iteration-0 syndrome check, the stopping
-rule, the compaction of the frames still decoding and the write-back of
-finished ones.  A schedule supplies just its initial working state and one
-iteration step.  The defaults are the flooding schedule, so flooding
-decoders only provide the check-node kernel and, optionally, message
-conditioning hooks (used by the fixed-point decoder to quantize); the
-layered schedule (:mod:`repro.decode.layered`) overrides both steps.
+Its :meth:`~MessagePassingDecoder._run_message_passing` owns the decoding
+loop: the iteration-0 syndrome check, the stopping rule, the compaction of
+the frames still decoding and the write-back of finished ones.  A schedule
+supplies just its initial working state and one iteration step.  The
+defaults are the flooding schedule, so flooding decoders only provide the
+check-node kernel and, optionally, message conditioning hooks (used by the
+fixed-point decoder to quantize); the layered schedule
+(:mod:`repro.decode.layered`) overrides both steps.
+
+The flooding min-sum kinds (``min-sum``, ``nms`` and ``offset``) under
+:class:`~repro.decode.stopping.SyndromeStopping` or
+:class:`~repro.decode.stopping.FixedIterations` decode a whole batch in one
+call of the native streaming kernel
+(:meth:`repro.decode.native.NativeKernels.decode_min_sum`), which computes
+what the loop computes, bit for bit.  The loop is the reference that kernel
+is probed and tested against, the fallback of a process without native
+kernels, and the path of every other kind and stopping rule.
 
 Two protocols are defined here for the simulator's hot path:
 
@@ -39,9 +48,9 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode.graph import TannerGraph, take_frames, tanner_graph
+from repro.decode.graph import TannerGraph, native_kernels, take_frames, tanner_graph
 from repro.decode.result import DecodeResult
-from repro.decode.stopping import StoppingCriterion, SyndromeStopping
+from repro.decode.stopping import FixedIterations, StoppingCriterion, SyndromeStopping
 from repro.encode.systematic import as_parity_check_matrix
 from repro.utils.bits import hard_decision
 
@@ -202,6 +211,39 @@ class MessagePassingDecoder(FrameBatchDecoder):
         """
         raise NotImplementedError
 
+    def _min_sum_correction(self) -> tuple[float, float] | None:
+        """The ``(scale, offset)`` of a plain flooding min-sum decoder, else ``None``.
+
+        A decoder that states a pair promises that its check node is
+        ``min_sum_extrinsic`` with that pair and that it keeps every other
+        hook of the flooding schedule, so the native streaming kernel may
+        decode it.
+        """
+        return None
+
+    def _streaming_arguments(self) -> tuple[float, float, int, int] | None:
+        """``(scale, offset, max_iterations, early_stop)`` of the streaming kernel, or ``None``.
+
+        Only a plain flooding min-sum decoder (:meth:`_min_sum_correction`)
+        under exactly :class:`SyndromeStopping` or
+        :class:`~repro.decode.stopping.FixedIterations` streams; a subclass
+        of either rule may stop otherwise, so it takes the loop.
+        ``early_stop`` is the first iteration at which a clear syndrome
+        stops a frame.
+        """
+        correction = self._min_sum_correction()
+        stopping = self.stopping
+        if correction is None:
+            return None
+        if type(stopping) is SyndromeStopping:
+            early_stop = min(stopping.min_iterations, self.max_iterations)
+        elif type(stopping) is FixedIterations:
+            early_stop = self.max_iterations
+        else:
+            return None
+        scale, offset = correction
+        return scale, offset, self.max_iterations, early_stop
+
     def _condition_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
         """Hook: transform the channel LLRs before decoding (identity here)."""
         return channel_llrs
@@ -258,7 +300,18 @@ class MessagePassingDecoder(FrameBatchDecoder):
         kernels of :mod:`repro.decode.graph` work in: the channel LLRs are
         laid out once, and compaction takes the kept frames along the frame
         axis, both through :func:`~repro.decode.graph.take_frames`.
+
+        A decoder with :meth:`_streaming_arguments` hands the whole batch to
+        the native streaming kernel instead, when the process has native
+        kernels; its results are this loop's.  The loop is the reference
+        for that kernel, the fallback without it, and the path of every
+        other decoder.
         """
+        arguments = self._streaming_arguments()
+        kernels = native_kernels() if arguments is not None else None
+        if kernels is not None and arguments is not None:
+            return kernels.decode_min_sum(self._graph, llrs, *arguments)
+
         graph = self._graph
         total = llrs.shape[0]
         posterior_out = llrs.copy()

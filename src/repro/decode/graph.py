@@ -58,16 +58,23 @@ degree 4, the AR4JA codes 2, 3 and 6.
 Two backends run these orders.  :meth:`TannerGraph.min_sum_extrinsic`,
 :meth:`~TannerGraph.bit_node_update` and :meth:`~TannerGraph.syndrome_ok`
 run their bodies through the C kernels of :mod:`repro.decode.native` once
-that module has built them and they have passed its probe, and through the
-numpy bodies below otherwise; nothing else picks.  The kernels implement the
-orders documented here, on the same frame-innermost rows: the check node
-keeps the same running pair of smallest magnitudes, rounds each corrected
-magnitude once in the same order and takes each sign from ``x < 0`` and the
-check's parity, and the bit node sums ``m0 + ((m1 + m2) + … + m_{d-1})``.
-So their results are bit-identical to the numpy bodies', which stay the
-reference the tests compare against.  The sum-product check node,
+that module has built them and they have passed its probe
+(:func:`native_kernels`), and through the numpy bodies below otherwise;
+nothing else picks.  The kernels implement the orders documented here, on
+the same frame-innermost rows: the check node keeps the same running pair
+of smallest magnitudes, rounds each corrected magnitude once in the same
+order and takes each sign from ``x < 0`` and the check's parity, and the
+bit node sums ``m0 + ((m1 + m2) + … + m_{d-1})``.  So their results are
+bit-identical to the numpy bodies', which stay the reference the tests
+compare against.  The sum-product check node,
 :meth:`~TannerGraph.sum_per_bit`, the other reductions and the gathers run
-on numpy only.
+on numpy only.  The flooding min-sum decoders do not call these methods on
+the native backend: their whole decode is one streaming kernel over this
+graph's index arrays (``edge_bit``, ``check_starts``, ``bit_slot_edges``
+and ``bit_degrees``), which keeps a few frames in posterior form and
+forms each bit-to-check message as ``posterior[bit] - check_to_bit``, the
+bit node's own subtraction.  It runs the same orders, so it too is
+bit-identical to the loop over these methods.
 
 Every reduction acts frame by frame, which is what makes the decoders'
 compacting loop
@@ -88,7 +95,7 @@ from repro.codes.parity_check import ParityCheckMatrix
 if TYPE_CHECKING:
     from repro.decode.native import NativeKernels
 
-__all__ = ["TannerGraph", "take_frames", "tanner_graph"]
+__all__ = ["TannerGraph", "native_kernels", "take_frames", "tanner_graph"]
 
 
 def take_frames(array: np.ndarray, frame_ids: np.ndarray) -> np.ndarray:
@@ -102,11 +109,11 @@ def take_frames(array: np.ndarray, frame_ids: np.ndarray) -> np.ndarray:
     return np.take(array.T, frame_ids, axis=1).T
 
 
-def _native_kernels() -> NativeKernels | None:
+def native_kernels() -> NativeKernels | None:
     """The native kernels, or ``None`` while the process runs the numpy bodies.
 
-    Imported on the first kernel call, not with this module, so building a
-    decoder loads nothing of the native backend.
+    Imported on the first kernel call or decode, not with this module, so
+    building a decoder loads nothing of the native backend.
     """
     from repro.decode import native
 
@@ -396,7 +403,7 @@ class TannerGraph:
         numpy.ndarray
             Outgoing check-to-bit messages, shape ``(batch, num_edges)``.
         """
-        kernels = _native_kernels()
+        kernels = native_kernels()
         if kernels is not None and bit_to_check.dtype == np.float64:
             return kernels.min_sum(self.check_starts, self.num_edges, bit_to_check, scale, offset)
         return self._numpy_min_sum_extrinsic(bit_to_check, scale=scale, offset=offset)
@@ -496,7 +503,7 @@ class TannerGraph:
             a-posteriori LLR per bit (incoming LLR plus all check messages),
             used for hard decisions and early stopping.
         """
-        kernels = _native_kernels()
+        kernels = native_kernels()
         if (
             kernels is not None
             and channel_llrs.dtype == np.float64
@@ -528,7 +535,7 @@ class TannerGraph:
         ``ParityCheckMatrix.is_codeword``.
         """
         bits = np.asarray(hard_bits)
-        kernels = _native_kernels()
+        kernels = native_kernels()
         if kernels is not None:
             return kernels.syndrome(self.edge_bit, self.check_starts, self.num_bits, bits)
         return self._numpy_syndrome_ok(bits)

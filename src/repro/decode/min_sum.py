@@ -25,12 +25,28 @@ __all__ = ["MinSumDecoder", "NormalizedMinSumDecoder", "OffsetMinSumDecoder"]
 DEFAULT_ALPHA = 1.25
 
 
+class _FloodingMinSumDecoder(MessagePassingDecoder):
+    """The check node of the three kinds: ``min_sum_extrinsic`` with their correction.
+
+    Each kind states its ``(scale, offset)`` once, in
+    :meth:`_min_sum_correction`, which the decoding loop also reads to hand
+    the batch to the native streaming kernel.
+    """
+
+    def _min_sum_correction(self) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
+        scale, offset = self._min_sum_correction()
+        return self.edge_structure.min_sum_extrinsic(bit_to_check, scale=scale, offset=offset)
+
+
 @register_decoder(
     "min-sum",
     params=[],
     summary="Plain min-sum (uncorrected sign-min baseline)",
 )
-class MinSumDecoder(MessagePassingDecoder):
+class MinSumDecoder(_FloodingMinSumDecoder):
     """Plain min-sum decoding (no correction).
 
     This is the baseline the paper compares against: the CCSDS reference
@@ -41,8 +57,8 @@ class MinSumDecoder(MessagePassingDecoder):
     def __init__(self, code, max_iterations: int = 18, **kwargs):
         super().__init__(code, max_iterations, **kwargs)
 
-    def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check)
+    def _min_sum_correction(self) -> tuple[float, float]:
+        return 1.0, 0.0
 
 
 @register_decoder(
@@ -53,7 +69,7 @@ class MinSumDecoder(MessagePassingDecoder):
     ],
     summary="Normalized (scaled) min-sum — the paper's decoder",
 )
-class NormalizedMinSumDecoder(MessagePassingDecoder):
+class NormalizedMinSumDecoder(_FloodingMinSumDecoder):
     """Normalized (scaled) min-sum — the algorithm of the paper's decoder.
 
     Parameters
@@ -85,8 +101,8 @@ class NormalizedMinSumDecoder(MessagePassingDecoder):
         """The multiplicative correction ``1 / alpha`` applied to magnitudes."""
         return 1.0 / self.alpha
 
-    def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check, scale=self.scale)
+    def _min_sum_correction(self) -> tuple[float, float]:
+        return self.scale, 0.0
 
 
 @register_decoder(
@@ -97,7 +113,7 @@ class NormalizedMinSumDecoder(MessagePassingDecoder):
     ],
     summary="Offset min-sum (the other Chen & Fossorier correction)",
 )
-class OffsetMinSumDecoder(MessagePassingDecoder):
+class OffsetMinSumDecoder(_FloodingMinSumDecoder):
     """Offset min-sum: subtract a constant ``beta`` from the min magnitude.
 
     Included as the other standard correction from Chen & Fossorier; the
@@ -118,5 +134,5 @@ class OffsetMinSumDecoder(MessagePassingDecoder):
             raise ValueError("beta must be non-negative")
         self.beta = float(beta)
 
-    def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check, offset=self.beta)
+    def _min_sum_correction(self) -> tuple[float, float]:
+        return 1.0, self.beta

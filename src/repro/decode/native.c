@@ -1,8 +1,9 @@
 /*
- * Native bodies of three repro.decode.graph.TannerGraph kernels: the min-sum
- * check node, the bit node and the syndrome.  native.py builds this file,
- * checks it against the numpy bodies and loads it; graph.py documents the
- * arithmetic both must follow.
+ * Native bodies of three repro.decode.graph.TannerGraph kernels (the min-sum
+ * check node, the bit node and the syndrome) and of the whole flooding
+ * min-sum decode, repro_decode_min_sum.  native.py builds this file, checks
+ * it against the numpy bodies and loads it; graph.py documents the
+ * arithmetic all must follow.
  *
  * Layout.  Every array holds one row per edge or per bit, with the frames
  * innermost and contiguous: frame f of row r sits at [r * frames + f].  Each
@@ -15,6 +16,7 @@
  * results are bit-identical to the numpy bodies for every input without NaN.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #ifdef __SSE2__
 #include <emmintrin.h>
@@ -94,6 +96,52 @@ static inline f64x2 larger(f64x2 a, f64x2 b)
 #endif
 }
 
+/* Keep the smallest and second smallest of the magnitudes seen so far: a
+ * minimum held twice is also the second smallest. */
+static inline void keep_two_smallest(f64x2 *min1, f64x2 *min2, f64x2 m)
+{
+    *min2 = smaller(*min2, larger(*min1, m));
+    *min1 = smaller(*min1, m);
+}
+
+/* Correct a check's two smallest magnitudes once: minus `offset`, clamped at
+ * 0, when offset != 0; times `scale` when scale != 1.  A check of degree 1
+ * has no other message, so its second magnitude is 0. */
+static inline void correct(f64x2 *min1, f64x2 *min2, double scale, double offset,
+                           int64_t degree)
+{
+    const f64x2 zero = {0.0, 0.0};
+    f64x2 a = *min1;
+    f64x2 b = *min2;
+    if (offset != 0.0) {
+        const f64x2 offset2 = {offset, offset};
+        a = a - offset2;
+        b = b - offset2;
+        a = pick(a < zero, zero, a);
+        b = pick(b < zero, zero, b);
+    }
+    if (scale != 1.0) {
+        const f64x2 scale2 = {scale, scale};
+        a = a * scale2;
+        b = b * scale2;
+    }
+    if (degree == 1)
+        b = zero;
+    *min1 = magnitude(a);
+    *min2 = magnitude(b);
+}
+
+/* The message back to the edge that sent x: the corrected second smallest
+ * magnitude where |x| is the smallest, the corrected smallest elsewhere,
+ * with the sign of (x < 0) XOR the check's parity. */
+static inline f64x2 extrinsic(f64x2 x, f64x2 smallest, f64x2 fix1, f64x2 fix2,
+                              i64x2 parity)
+{
+    const f64x2 zero = {0.0, 0.0};
+    const f64x2 value = pick(magnitude(x) == smallest, fix2, fix1);
+    return (f64x2)((i64x2)value | (((x < zero) ^ parity) & SIGN));
+}
+
 /* Run the body over frames [0, count): pairs, then a last single frame.
  * `lanes` is a constant in each copy of the body. */
 #define FOR_FRAMES(count, ...)                                               \
@@ -128,8 +176,6 @@ void repro_min_sum(const double *in, const int64_t *starts, int64_t checks,
 {
     const f64x2 zero = {0.0, 0.0};
     const f64x2 inf = {__builtin_inf(), __builtin_inf()};
-    const f64x2 scale2 = {scale, scale};
-    const f64x2 offset2 = {offset, offset};
     double min1[BLOCK], fix1[BLOCK], fix2[BLOCK];
     int64_t parity[BLOCK];
 
@@ -150,11 +196,11 @@ void repro_min_sum(const double *in, const int64_t *starts, int64_t checks,
                 const double *row = rows + slot * frames;
                 FOR_FRAMES(count, {
                     const f64x2 x = load(row + f, lanes);
-                    const f64x2 m = magnitude(x);
-                    const f64x2 smallest = load(min1 + f, lanes);
-                    store(fix2 + f, smaller(load(fix2 + f, lanes), larger(smallest, m)),
-                          lanes);
-                    store(min1 + f, smaller(smallest, m), lanes);
+                    f64x2 smallest = load(min1 + f, lanes);
+                    f64x2 second = load(fix2 + f, lanes);
+                    keep_two_smallest(&smallest, &second, magnitude(x));
+                    store(min1 + f, smallest, lanes);
+                    store(fix2 + f, second, lanes);
                     store_mask(parity + f, load_mask(parity + f, lanes) ^ (x < zero),
                                lanes);
                 });
@@ -163,33 +209,20 @@ void repro_min_sum(const double *in, const int64_t *starts, int64_t checks,
             FOR_FRAMES(count, {
                 f64x2 a = load(min1 + f, lanes);
                 f64x2 b = load(fix2 + f, lanes);
-                if (offset != 0.0) {
-                    a = a - offset2;
-                    b = b - offset2;
-                    a = pick(a < zero, zero, a);
-                    b = pick(b < zero, zero, b);
-                }
-                if (scale != 1.0) {
-                    a = a * scale2;
-                    b = b * scale2;
-                }
-                if (degree == 1)
-                    b = zero;
-                store(fix1 + f, magnitude(a), lanes);
-                store(fix2 + f, magnitude(b), lanes);
+                correct(&a, &b, scale, offset, degree);
+                store(fix1 + f, a, lanes);
+                store(fix2 + f, b, lanes);
             });
 
             for (int64_t slot = 0; slot < degree; slot++) {
                 const double *row = rows + slot * frames;
                 double *dst = out + (first + slot) * frames + f0;
                 FOR_FRAMES(count, {
-                    const f64x2 x = load(row + f, lanes);
-                    const i64x2 is_min = magnitude(x) == load(min1 + f, lanes);
-                    const f64x2 value =
-                        pick(is_min, load(fix2 + f, lanes), load(fix1 + f, lanes));
-                    const i64x2 sign =
-                        ((x < zero) ^ load_mask(parity + f, lanes)) & SIGN;
-                    store(dst + f, (f64x2)((i64x2)value | sign), lanes);
+                    const f64x2 message =
+                        extrinsic(load(row + f, lanes), load(min1 + f, lanes),
+                                  load(fix1 + f, lanes), load(fix2 + f, lanes),
+                                  load_mask(parity + f, lanes));
+                    store(dst + f, message, lanes);
                 });
             }
         }
@@ -274,4 +307,220 @@ void repro_syndrome(const uint8_t *hard, const int64_t *edge_bit,
         }
         ok[f] = !failed;
     }
+}
+
+/* ------------------------------------------------------------------------ */
+/* Streaming decode                                                         */
+/* ------------------------------------------------------------------------ */
+
+/* Frames decoding at once.  Chosen by measurement on the C2 code against the
+ * decoding loop; see docs/components.md. */
+#define LANES 4
+#define PAIRS (LANES / 2)
+
+/* The lane buffers: one row of LANES values per bit or edge. */
+struct lane_buffers {
+    double *llr;  /* [bits][LANES] channel LLRs */
+    double *post; /* [bits][LANES] posteriors */
+    double *c2b;  /* [edges][LANES] check-to-bit messages */
+};
+
+/* Put `values` (one frame's LLRs, or NULL for an idle lane of zeros) into
+ * `lane`, with every check-to-bit message +0.0. */
+static void fill_lane(struct lane_buffers *lanes, int64_t lane, const double *values,
+                      int64_t bits, int64_t edges)
+{
+    for (int64_t b = 0; b < bits; b++) {
+        const double v = values ? values[b] : 0.0;
+        lanes->llr[b * LANES + lane] = v;
+        lanes->post[b * LANES + lane] = v;
+    }
+    for (int64_t e = 0; e < edges; e++)
+        lanes->c2b[e * LANES + lane] = 0.0;
+}
+
+/*
+ * Check pass: every check node, in posterior form.  Each slot's bit-to-check
+ * message is x = post[bit] - c2b, the bit node's own subtraction; the first
+ * sweep keeps the running pair and the parity of x < 0 as repro_min_sum does
+ * and XORs post <= 0 into the check's syndrome, the second rewrites c2b.
+ * failed[] collects, per lane, whether any check's syndrome is 1.
+ */
+static void check_pass(struct lane_buffers *lanes, const int64_t *edge_bit,
+                       const int64_t *starts, int64_t checks, int64_t edges,
+                       double scale, double offset, i64x2 failed[PAIRS])
+{
+    const f64x2 zero = {0.0, 0.0};
+    const f64x2 inf = {__builtin_inf(), __builtin_inf()};
+    for (int h = 0; h < PAIRS; h++)
+        failed[h] = (i64x2){0, 0};
+
+    for (int64_t c = 0; c < checks; c++) {
+        const int64_t first = starts[c];
+        const int64_t stop = c + 1 < checks ? starts[c + 1] : edges;
+        f64x2 min1[PAIRS], min2[PAIRS];
+        i64x2 parity[PAIRS], syndrome[PAIRS];
+        for (int h = 0; h < PAIRS; h++) {
+            min1[h] = inf;
+            min2[h] = inf;
+            parity[h] = (i64x2){0, 0};
+            syndrome[h] = (i64x2){0, 0};
+        }
+        for (int64_t e = first; e < stop; e++) {
+            const double *post = lanes->post + edge_bit[e] * LANES;
+            const double *c2b = lanes->c2b + e * LANES;
+            for (int h = 0; h < PAIRS; h++) {
+                const f64x2 p = load(post + 2 * h, 2);
+                const f64x2 x = p - load(c2b + 2 * h, 2);
+                keep_two_smallest(&min1[h], &min2[h], magnitude(x));
+                parity[h] ^= x < zero;
+                syndrome[h] ^= p <= zero;
+            }
+        }
+        f64x2 fix1[PAIRS], fix2[PAIRS];
+        for (int h = 0; h < PAIRS; h++) {
+            fix1[h] = min1[h];
+            fix2[h] = min2[h];
+            correct(&fix1[h], &fix2[h], scale, offset, stop - first);
+            failed[h] |= syndrome[h];
+        }
+        for (int64_t e = first; e < stop; e++) {
+            const double *post = lanes->post + edge_bit[e] * LANES;
+            double *c2b = lanes->c2b + e * LANES;
+            for (int h = 0; h < PAIRS; h++) {
+                const f64x2 x = load(post + 2 * h, 2) - load(c2b + 2 * h, 2);
+                store(c2b + 2 * h, extrinsic(x, min1[h], fix1[h], fix2[h], parity[h]), 2);
+            }
+        }
+    }
+}
+
+/* Bit pass: post = llr + (m0 + ((m1 + m2) + ... + m_{d-1})), as
+ * repro_bit_node sums, over the slot-major bit layout. */
+static void bit_pass(struct lane_buffers *lanes, const int64_t *slot_edges,
+                     const int64_t *degrees, int64_t bits)
+{
+    const f64x2 zero = {0.0, 0.0};
+    for (int64_t b = 0; b < bits; b++) {
+        const int64_t degree = degrees[b];
+        const int64_t *edge = slot_edges + b;
+        f64x2 total[PAIRS];
+        for (int h = 0; h < PAIRS; h++)
+            total[h] = zero;
+        if (degree > 0) {
+            const double *m0 = lanes->c2b + edge[0] * LANES;
+            for (int h = 0; h < PAIRS; h++)
+                total[h] = load(m0 + 2 * h, 2);
+        }
+        if (degree > 1) {
+            f64x2 rest[PAIRS];
+            const double *m1 = lanes->c2b + edge[bits] * LANES;
+            for (int h = 0; h < PAIRS; h++)
+                rest[h] = load(m1 + 2 * h, 2);
+            for (int64_t slot = 2; slot < degree; slot++) {
+                const double *m = lanes->c2b + edge[slot * bits] * LANES;
+                for (int h = 0; h < PAIRS; h++)
+                    rest[h] = rest[h] + load(m + 2 * h, 2);
+            }
+            for (int h = 0; h < PAIRS; h++)
+                total[h] = total[h] + rest[h];
+        }
+        for (int h = 0; h < PAIRS; h++)
+            store(lanes->post + b * LANES + 2 * h,
+                  load(lanes->llr + b * LANES + 2 * h, 2) + total[h], 2);
+    }
+}
+
+/*
+ * Flooding min-sum decode of a whole batch: the decoding loop of
+ * repro.decode.base.MessagePassingDecoder for the min-sum kinds.
+ *
+ * `llrs`, `posterior` and `hard` are (frames, bits), one frame per row.
+ * LANES frames decode at once in posterior form (struct lane_buffers).  Each round
+ * runs the check pass on every lane.  A lane whose syndrome is clear at an
+ * iteration >= early_stop, or that has run max_iterations, then writes out
+ * its posterior, hard decisions (post <= 0), iteration count and syndrome
+ * flag, before the bit pass: a frame stopped at iteration 0 keeps its LLRs
+ * bit for bit.  The other lanes take the bit pass, and each stopped lane
+ * takes the next frame with post = llr and c2b = +0.0, which the next check
+ * pass reads as x = llr - 0.0, bit for bit the LLR, as the loop's first
+ * check node reads it.  Every value a frame sees is the loop's, computed in
+ * the loop's order, whatever the other lanes hold.
+ *
+ * Returns 0, or -1 when the lanes cannot be allocated.
+ */
+int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
+                         const int64_t *edge_bit, const int64_t *starts,
+                         int64_t checks, int64_t edges,
+                         const int64_t *slot_edges, const int64_t *degrees,
+                         double scale, double offset, int64_t max_iterations,
+                         int64_t early_stop, double *posterior, uint8_t *hard,
+                         int64_t *iterations, uint8_t *converged)
+{
+    const size_t row = LANES * sizeof(double);
+    const size_t size = ((size_t)(2 * bits + edges) * row + 63) / 64 * 64;
+    double *buffer = aligned_alloc(64, size ? size : 64);
+    if (buffer == NULL)
+        return -1;
+    struct lane_buffers lanes = {buffer, buffer + bits * LANES,
+                                 buffer + 2 * bits * LANES};
+
+    int64_t frame[LANES], iteration[LANES];
+    int64_t next = 0;
+    for (int64_t lane = 0; lane < LANES; lane++) {
+        frame[lane] = next < frames ? next++ : -1;
+        iteration[lane] = 0;
+        fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits,
+                  bits, edges);
+    }
+
+    for (;;) {
+        int active = 0;
+        for (int64_t lane = 0; lane < LANES; lane++)
+            active |= frame[lane] >= 0;
+        if (!active)
+            break;
+        i64x2 failed[PAIRS];
+        check_pass(&lanes, edge_bit, starts, checks, edges, scale, offset, failed);
+
+        int stopped[LANES];
+        int decoding = 0;
+        for (int64_t lane = 0; lane < LANES; lane++) {
+            stopped[lane] = 0;
+            if (frame[lane] < 0)
+                continue;
+            const int ok = failed[lane / 2][lane % 2] == 0;
+            if ((ok && iteration[lane] >= early_stop) ||
+                iteration[lane] >= max_iterations) {
+                const int64_t f = frame[lane];
+                for (int64_t b = 0; b < bits; b++) {
+                    const double v = lanes.post[b * LANES + lane];
+                    posterior[f * bits + b] = v;
+                    hard[f * bits + b] = v <= 0.0;
+                }
+                iterations[f] = iteration[lane];
+                converged[f] = (uint8_t)ok;
+                stopped[lane] = 1;
+            } else {
+                decoding = 1;
+            }
+        }
+        if (decoding)
+            bit_pass(&lanes, slot_edges, degrees, bits);
+
+        for (int64_t lane = 0; lane < LANES; lane++) {
+            if (frame[lane] < 0)
+                continue;
+            if (!stopped[lane]) {
+                iteration[lane]++;
+                continue;
+            }
+            frame[lane] = next < frames ? next++ : -1;
+            iteration[lane] = 0;
+            fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits,
+                      bits, edges);
+        }
+    }
+    free(buffer);
+    return 0;
 }

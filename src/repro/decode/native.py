@@ -1,10 +1,14 @@
 """Native min-sum kernels: ``native.c`` built with the system compiler, loaded with ctypes.
 
 :class:`~repro.decode.graph.TannerGraph` runs the bodies of
-``min_sum_extrinsic``, ``bit_node_update`` and ``syndrome_ok`` through the
-three C functions of ``native.c`` whenever :func:`kernels` returns them, and
-its numpy bodies otherwise.  The numpy bodies are the reference: the C code
-implements the orders ``graph.py`` documents, operation for operation.
+``min_sum_extrinsic``, ``bit_node_update`` and ``syndrome_ok`` through three
+C functions of ``native.c`` whenever :func:`kernels` returns them, and its
+numpy bodies otherwise.  The decoding loop of
+:class:`~repro.decode.base.MessagePassingDecoder` hands a whole batch of the
+flooding min-sum kinds to a fourth, ``repro_decode_min_sum``
+(:meth:`NativeKernels.decode_min_sum`).  The numpy bodies and the loop are
+the reference: the C code implements the orders ``graph.py`` documents,
+operation for operation.
 
 Build.  On the first kernel call of a process, never at import, the source
 is compiled with ``cc -O3 -ffp-contract=off -fPIC -shared``: no ``-march``,
@@ -15,21 +19,25 @@ to this user and no one else may write to it, else in a private temporary
 directory that is removed once the library is loaded.  A library is only
 ever loaded from such a directory.  The compiler writes a temporary file
 that is then renamed into place, so processes that build at once (pool and
-fabric workers) never load a partial file.
+fabric workers) never load a partial file.  After a build into
+``__pycache__``, the libraries built there from older sources are deleted.
 
 Acceptance.  The library is used only after a one-time probe on a tiny graph
 (ties, signed zeros, empty and degree-1 checks, bits of degree 0 to 4 and an
-odd frame count) reproduces the numpy bodies bit for bit.  When the compiler
-is missing, the build fails, the cache cannot be written or the probe
-disagrees, the process warns once and stays on the numpy bodies.  Nothing
-else (no option, parameter or environment variable) picks the backend.
+odd frame count) reproduces the numpy bodies bit for bit, and its streaming
+decode reproduces the decoding loop on them.  When the compiler is missing,
+the build fails, the cache cannot be written or the probe disagrees, the
+process warns once and stays on the numpy bodies.  Nothing else (no option,
+parameter or environment variable) picks the backend.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -37,9 +45,13 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
+
+if TYPE_CHECKING:
+    from repro.decode.graph import TannerGraph
 
 __all__ = ["NativeKernels", "kernels"]
 
@@ -51,6 +63,8 @@ COMPILER = "cc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT_S = 120
+#: Names of cached libraries, as :func:`_library_name` forms them.
+LIBRARY_NAME = re.compile(r"native-[0-9a-f]{16}\.so")
 
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "ALIGNED"))
 _INDEX = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "ALIGNED"))
@@ -77,10 +91,11 @@ def _rows(values: np.ndarray, width: int, dtype: npt.DTypeLike = np.float64) -> 
 class NativeKernels:
     """Typed entry points of a loaded kernel library.
 
-    Each method takes ``(batch, width)`` arrays in any layout plus the
+    Each kernel method takes ``(batch, width)`` arrays in any layout plus the
     graph's index arrays, checks their sizes, and returns frame-innermost
-    arrays as the numpy bodies do.  The index arrays are trusted: the graph
-    builds them.
+    arrays as the numpy bodies do.  :meth:`decode_min_sum` takes the graph
+    itself and returns one row per frame, as the decoding loop does.  The
+    index arrays are trusted: the graph builds them.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
@@ -99,6 +114,12 @@ class NativeKernels:
         self._syndrome = library.repro_syndrome
         self._syndrome.argtypes = [_BYTES, _INDEX, _INDEX, _SIZE, _SIZE, _SIZE, _BOOLS]
         self._syndrome.restype = None
+        self._decode_min_sum = library.repro_decode_min_sum
+        self._decode_min_sum.argtypes = [
+            _DOUBLES, _SIZE, _SIZE, _INDEX, _INDEX, _SIZE, _SIZE, _INDEX, _INDEX,
+            ctypes.c_double, ctypes.c_double, _SIZE, _SIZE, _DOUBLES, _BYTES, _INDEX, _BOOLS,
+        ]
+        self._decode_min_sum.restype = ctypes.c_int
 
     def min_sum(
         self,
@@ -151,6 +172,42 @@ class NativeKernels:
         self._syndrome(rows, edge_bit, check_starts, check_starts.size, edge_bit.size,
                        rows.shape[1], ok)
         return ok
+
+    def decode_min_sum(
+        self,
+        graph: TannerGraph,
+        channel_llrs: np.ndarray,
+        scale: float,
+        offset: float,
+        max_iterations: int,
+        early_stop: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flooding min-sum over ``(batch, n)`` LLRs, in one call.
+
+        Returns the hard decisions, posteriors, syndrome flags and iteration
+        counts that the decoding loop would.  A frame stops once its
+        syndrome is clear at an iteration of at least ``early_stop``, or
+        after ``max_iterations``.
+        """
+        llrs = np.ascontiguousarray(channel_llrs, dtype=np.float64)
+        if llrs.ndim != 2 or llrs.shape[1] != graph.num_bits:
+            raise ValueError(
+                f"expected a (batch, {graph.num_bits}) array, got shape {llrs.shape}"
+            )
+        frames = llrs.shape[0]
+        posterior = np.empty_like(llrs)
+        bits = np.empty(llrs.shape, dtype=np.uint8)
+        converged = np.empty(frames, dtype=np.bool_)
+        iterations = np.empty(frames, dtype=np.int64)
+        status = self._decode_min_sum(
+            llrs, frames, graph.num_bits, graph.edge_bit, graph.check_starts,
+            graph.check_starts.size, graph.num_edges, graph.bit_slot_edges,
+            graph.bit_degrees, scale, offset, max_iterations, early_stop, posterior, bits,
+            iterations, converged,
+        )
+        if status != 0:
+            raise MemoryError("cannot allocate the decoding lanes")
+        return bits, posterior, converged, iterations
 
 
 # ---------------------------------------------------------------------- #
@@ -212,6 +269,19 @@ def _build(target: Path) -> None:
             os.unlink(partial)
 
 
+def _remove_stale(target: Path) -> None:
+    """Delete the other cached libraries beside ``target``, built from older sources.
+
+    Errors are ignored: a process building at the same time may delete a
+    file first, and a library that a process has loaded stays mapped.
+    """
+    with contextlib.suppress(OSError):
+        for path in target.parent.iterdir():
+            if path.name != target.name and LIBRARY_NAME.fullmatch(path.name):
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
+
 def _load() -> NativeKernels:
     """Build or reuse the cached library, load it and probe it against numpy."""
     try:
@@ -220,6 +290,8 @@ def _load() -> NativeKernels:
             target = directory / _library_name()
             if not target.exists():
                 _build(target)
+                if not temporary:
+                    _remove_stale(target)
             library = ctypes.CDLL(str(target))
         finally:
             if temporary:
@@ -232,7 +304,7 @@ def _load() -> NativeKernels:
         raise _Unavailable(f"the library lacks a kernel: {error}") from error
     try:
         mismatch = _probe(native)
-    except (ctypes.ArgumentError, TypeError, ValueError) as error:
+    except (ctypes.ArgumentError, MemoryError, TypeError, ValueError) as error:
         raise _Unavailable(f"the probe raised {error!r}") from error
     if mismatch:
         raise _Unavailable(f"the library disagrees with numpy on {mismatch}")
@@ -249,12 +321,37 @@ PROBE_CHECKS = ((0, 1, 2, 3), (1, 4), (2,), (), (0, 2, 3, 4, 5, 6), (2, 3))
 PROBE_VALUES = (0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 0.75, -2.5, 0.25, 3.0, -0.0)
 #: Frames of the probe: odd, so the last frame takes the single-lane path.
 PROBE_FRAMES = 5
+#: Channel LLRs of the streaming probe on the same graph, more frames than
+#: ``native.c`` has lanes.  Row 1 is a codeword holding ``-0.0`` on three of
+#: its ones.  Row 2 can never satisfy the degree-1 check on bit 2, as every
+#: other check confirms that bit.
+PROBE_LLRS = np.concatenate(
+    [
+        [[0.5, -0.25, 1.0, 0.75, 0.25, -1.0, 2.0, -0.25]],
+        [[-1.0, -0.25, 1.0, 0.75, -0.0, -2.5, -0.0, -0.0]],
+        [[2.0, 2.0, -3.0, -3.0, 2.0, 1.0, 1.0, 1.0]],
+        np.resize(PROBE_VALUES, (8, 8)) + np.resize((0.5, 0.0, 1.5), (8, 1)),
+    ]
+)
+#: Kinds, stopping rules and iteration caps of the streaming probe.
+PROBE_DECODERS = (
+    ("min-sum", "SyndromeStopping", 0, 5),
+    ("nms", "SyndromeStopping", 2, 6),
+    ("offset", "FixedIterations", 0, 4),
+)
 
 
 def _probe(native: NativeKernels) -> str:
-    """The first kernel whose output differs from numpy's bits, or ``""``."""
+    """The first kernel whose output differs from numpy's bits, or ``""``.
+
+    The streaming decode is compared with the decoding loop, which runs on
+    the numpy bodies here: :func:`kernels` returns ``None`` to the thread
+    that is settling the backend.
+    """
     from repro.codes.parity_check import ParityCheckMatrix
     from repro.decode.graph import TannerGraph
+    from repro.decode.stopping import FixedIterations, SyndromeStopping
+    from repro.registry import get_component
 
     h = np.zeros((len(PROBE_CHECKS), 8), dtype=np.uint8)
     for check, bits in enumerate(PROBE_CHECKS):
@@ -283,6 +380,22 @@ def _probe(native: NativeKernels) -> str:
     got_ok = native.syndrome(graph.edge_bit, graph.check_starts, graph.num_bits, hard)
     if not same(got_ok, graph._numpy_syndrome_ok(hard)):
         return "syndrome_ok"
+    for kind, rule, min_iterations, max_iterations in PROBE_DECODERS:
+        stopping = (
+            SyndromeStopping(min_iterations) if rule == "SyndromeStopping" else FixedIterations()
+        )
+        decoder = get_component("decoder", kind).build(
+            h, max_iterations=max_iterations, stopping=stopping
+        )
+        arguments = decoder._streaming_arguments()
+        want_result = decoder.decode_batch(PROBE_LLRS)
+        got_result = native.decode_min_sum(decoder.edge_structure, PROBE_LLRS, *arguments)
+        want_fields = (
+            want_result.bits, want_result.posterior_llrs, want_result.converged,
+            want_result.iterations,
+        )
+        if not all(same(g, w) for g, w in zip(got_result, want_fields)):
+            return f"decode_min_sum({kind}, {rule}({min_iterations or ''}))"
     return ""
 
 
@@ -290,28 +403,38 @@ def _probe(native: NativeKernels) -> str:
 # The process's backend
 # ---------------------------------------------------------------------- #
 class _Backend:
-    """Settles once per process, on the first call, which kernels run."""
+    """Settles once per process, on the first call, which kernels run.
+
+    Other threads wait for the settling thread.  The settling thread itself
+    gets ``None`` when the probe's reference decodes call back in, so they
+    run the numpy bodies.
+    """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._settled = False
+        self._settling = False
         self._kernels: NativeKernels | None = None
 
     def kernels(self) -> NativeKernels | None:
         if not self._settled:
             with self._lock:
-                if not self._settled:
+                if not self._settled and not self._settling:
+                    self._settling = True
                     try:
                         self._kernels = _load()
                     except _Unavailable as reason:
-                        # Attributed to the TannerGraph kernel whose first
-                        # call settled the backend.
+                        # Attributed to the caller of graph.native_kernels
+                        # (a TannerGraph kernel or the decoding loop) whose
+                        # first call settled the backend.
                         warnings.warn(
                             f"native min-sum kernels unavailable ({reason}); "
                             "decoding with the numpy kernels",
                             RuntimeWarning,
                             stacklevel=4,
                         )
+                    finally:
+                        self._settling = False
                     self._settled = True
         return self._kernels
 

@@ -1,12 +1,14 @@
 """Differential test battery: batched decoding vs per-frame decoding.
 
-Every message-passing decoder runs one compacting loop that drops frames
-from its working set as they finish.  For each of the six base kinds, one
-``decode_batch`` call must be bit-identical — hard decisions, posterior
-LLRs, iteration counts and syndrome (converged) flags — to a per-frame
-``decode`` loop (batch 1 through the same loop, where compaction has no
-other row to mix up), for any stopping rule and any split of the frames
-into batches.  Every kernel reduces each frame on its own, whatever the
+Every message-passing decoder runs the compacting loop that drops frames
+from its working set as they finish, except the flooding min-sum kinds
+under syndrome or fixed stopping, which stream each batch through the
+native kernel and keep the loop as their reference and fallback.  For each
+of the six base kinds, one ``decode_batch`` call must be bit-identical —
+hard decisions, posterior LLRs, iteration counts and syndrome (converged)
+flags — to a per-frame ``decode`` loop (batch 1 through the same path,
+where no other row can mix in), for any stopping rule and any split of the
+frames into batches.  Every kernel reduces each frame on its own, whatever the
 batch width, so a frame must decode the same in a wide batch, a narrow one
 and alone.  Test ids read ``<kind>-batched``: the batched decode of
 ``<kind>``.

@@ -1,4 +1,4 @@
-"""The native min-sum backend: its fallback, its cache and its agreement with numpy."""
+"""The native min-sum backend: its fallback, its cache, its dispatch and its agreement with numpy."""
 
 import os
 import shutil
@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.decode import native
+from repro.decode import FixedIterations, SyndromeStopping, native
 from repro.decode.graph import TannerGraph
 from repro.registry import get_component
 
@@ -91,6 +91,17 @@ class TestFallback:
         monkeypatch.setattr(native.NativeKernels, "min_sum", flipped)
         self.assert_on_numpy(small_graph, "disagrees with numpy on min_sum_extrinsic")
 
+    @pytest.mark.usefixtures("fresh_backend")
+    def test_probe_mismatch_in_the_streaming_decode(self, monkeypatch, small_graph, native_backend):
+        exact = native.NativeKernels.decode_min_sum
+
+        def one_iteration_more(self, *args):
+            bits, posterior, converged, iterations = exact(self, *args)
+            return bits, posterior, converged, iterations + 1
+
+        monkeypatch.setattr(native.NativeKernels, "decode_min_sum", one_iteration_more)
+        self.assert_on_numpy(small_graph, "disagrees with numpy on decode_min_sum(min-sum")
+
 
 class TestBuild:
     def test_nothing_is_loaded_before_the_first_decode(self):
@@ -113,6 +124,17 @@ class TestBuild:
             warnings.simplefilter("error")
             assert native.kernels() is not None
         assert [p.name for p in empty_cache.iterdir()] == [native._library_name()]
+
+    @pytest.mark.usefixtures("fresh_backend", "native_backend")
+    def test_a_build_deletes_the_libraries_of_older_sources(self, empty_cache):
+        (empty_cache / "native-0123456789abcdef.so").write_bytes(b"")
+        (empty_cache / "notes.txt").write_text("kept\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert native.kernels() is not None
+        assert sorted(p.name for p in empty_cache.iterdir()) == sorted(
+            [native._library_name(), "notes.txt"]
+        )
 
     def test_only_a_private_directory_is_trusted(self, tmp_path):
         directory = tmp_path / "cache"
@@ -143,3 +165,58 @@ def test_decode_is_bit_identical_on_both_backends(kind, monkeypatch, scaled_code
     assert np.array_equal(on_native.converged, on_numpy.converged)
     assert np.array_equal(on_native.iterations, on_numpy.iterations)
     assert 0 < on_native.converged.sum() < llrs.shape[0]
+
+
+class CountingStopping(SyndromeStopping):
+    """Syndrome stopping through its own ``should_stop``, which it counts."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def should_stop(self, iteration, syndrome_ok):
+        self.calls += 1
+        return super().should_stop(iteration, syndrome_ok)
+
+
+class TestDispatch:
+    """The streaming kernel decodes the flooding min-sum kinds; the rest keep the loop."""
+
+    @pytest.fixture
+    def streamed(self, monkeypatch, native_backend):
+        """Every batch the streaming kernel decodes, by its number of frames."""
+        calls = []
+        exact = native.NativeKernels.decode_min_sum
+
+        def counting(self, graph, llrs, *args):
+            calls.append(llrs.shape[0])
+            return exact(self, graph, llrs, *args)
+
+        monkeypatch.setattr(native.NativeKernels, "decode_min_sum", counting)
+        return calls
+
+    @staticmethod
+    def decode(kind, code, rng, **kwargs):
+        decoder = get_component("decoder", kind).build(code, max_iterations=6, **kwargs)
+        return decoder.decode_batch(6.0 + 4.0 * rng.normal(size=(9, code.block_length)))
+
+    @pytest.mark.parametrize("kind", ["min-sum", "nms", "offset", "nms-batched"])
+    @pytest.mark.parametrize(
+        "stopping",
+        [SyndromeStopping(), SyndromeStopping(3), FixedIterations()],
+        ids=["syndrome", "syndrome-after-3", "fixed"],
+    )
+    def test_min_sum_kinds_stream(self, streamed, kind, stopping, scaled_code, rng):
+        self.decode(kind, scaled_code, rng, stopping=stopping)
+        assert streamed == [9]
+
+    @pytest.mark.parametrize("kind", ["quantized", "layered", "sum-product"])
+    def test_other_kinds_take_the_loop(self, streamed, kind, scaled_code, rng):
+        self.decode(kind, scaled_code, rng)
+        assert streamed == []
+
+    def test_a_stopping_subclass_takes_the_loop(self, streamed, scaled_code, rng):
+        stopping = CountingStopping()
+        self.decode("nms", scaled_code, rng, stopping=stopping)
+        assert streamed == []
+        assert stopping.calls > 1
