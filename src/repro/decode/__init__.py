@@ -22,11 +22,12 @@ high-speed architecture's concurrent frames), and return a
 Every soft decoder above shares the cached
 :class:`~repro.decode.graph.TannerGraph` of its matrix and the decoding loop
 of :class:`~repro.decode.base.MessagePassingDecoder`, which drops frames
-from its working set as they finish.  The flooding min-sum kinds under
-syndrome or fixed stopping decode each batch in one call of the native
-streaming kernel instead, with identical results; the loop is their
-reference and fallback, and the path of every other kind and stopping
-rule.  The kinds
+from its working set as they finish.  The min-sum kinds (``min-sum``,
+``nms``, ``offset``, ``quantized`` and ``layered``) under syndrome or fixed
+stopping decode each batch in one call of the native kernel instead, with
+identical results; the loop is their reference and fallback, and the path
+of ``sum-product``, of a subclass that does not restate its streaming
+parameters and of every other stopping rule.  The kinds
 ``min-sum-batched``, ``nms-batched``, ``offset-batched``,
 ``sum-product-batched`` and ``layered-batched`` are aliases of their base
 kinds, kept so that existing campaign specs and stores still load.

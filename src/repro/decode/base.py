@@ -12,14 +12,16 @@ check-node kernel and, optionally, message conditioning hooks (used by the
 fixed-point decoder to quantize); the layered schedule
 (:mod:`repro.decode.layered`) overrides both steps.
 
-The flooding min-sum kinds (``min-sum``, ``nms`` and ``offset``) under
+A decoder whose exact class states :class:`StreamingParameters`
+(``min-sum``, ``nms``, ``offset``, ``quantized`` and ``layered``) under
 :class:`~repro.decode.stopping.SyndromeStopping` or
-:class:`~repro.decode.stopping.FixedIterations` decode a whole batch in one
-call of the native streaming kernel
+:class:`~repro.decode.stopping.FixedIterations` decodes a whole batch in
+one call of the native kernel
 (:meth:`repro.decode.native.NativeKernels.decode_min_sum`), which computes
 what the loop computes, bit for bit.  The loop is the reference that kernel
 is probed and tested against, the fallback of a process without native
-kernels, and the path of every other kind and stopping rule.
+kernels, and the path of ``sum-product``, of any subclass that does not
+restate the parameters and of every other stopping rule.
 
 Two protocols are defined here for the simulator's hot path:
 
@@ -42,19 +44,72 @@ preserving the hardware's fixed decoding period.
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.channel.quantize import FixedPointFormat
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode.graph import TannerGraph, native_kernels, take_frames, tanner_graph
+from repro.decode.graph import TannerGraph, take_frames, tanner_graph
 from repro.decode.result import DecodeResult
 from repro.decode.stopping import FixedIterations, StoppingCriterion, SyndromeStopping
 from repro.encode.systematic import as_parity_check_matrix
 from repro.utils.bits import hard_decision
 
-__all__ = ["FrameBatchDecoder", "MessagePassingDecoder", "decode_frames"]
+if TYPE_CHECKING:
+    from repro.decode.native import NativeKernels
+
+__all__ = [
+    "FrameBatchDecoder",
+    "MessagePassingDecoder",
+    "StreamingParameters",
+    "decode_frames",
+]
+
+
+def native_kernels() -> NativeKernels | None:
+    """The native kernels, or ``None`` while the process decodes on the loop alone.
+
+    Imported on the first decode, not with this module, so building a
+    decoder loads nothing of the native backend.
+    """
+    from repro.decode import native
+
+    return native.kernels()
+
+
+@dataclass(frozen=True)
+class StreamingParameters:
+    """The min-sum decode that the native kernel runs in place of a decoder's loop.
+
+    Attributes
+    ----------
+    scale, offset:
+        The correction of each check's two smallest magnitudes, as
+        :meth:`~repro.decode.graph.TannerGraph.min_sum_extrinsic` applies
+        it: minus ``offset``, clamped at 0, then times ``scale``.
+    message_format:
+        ``None`` for exact messages; otherwise every message is quantized
+        after each update, bit-to-check and check-to-bit alike, by the
+        symmetric :class:`~repro.channel.quantize.UniformQuantizer` of this
+        format.
+    layer_starts:
+        ``None`` for the flooding schedule; for the layered one, the first
+        non-empty check of each layer, as an index into
+        :attr:`~repro.decode.graph.TannerGraph.check_starts`.  The layered
+        schedule keeps its messages exact.
+    """
+
+    scale: float = 1.0
+    offset: float = 0.0
+    message_format: FixedPointFormat | None = None
+    layer_starts: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.message_format is not None and self.layer_starts is not None:
+            raise ValueError("the layered schedule keeps its messages exact")
 
 
 class FrameBatchDecoder:
@@ -211,29 +266,33 @@ class MessagePassingDecoder(FrameBatchDecoder):
         """
         raise NotImplementedError
 
-    def _min_sum_correction(self) -> tuple[float, float] | None:
-        """The ``(scale, offset)`` of a plain flooding min-sum decoder, else ``None``.
+    def _streaming_parameters(self) -> StreamingParameters | None:
+        """The min-sum decode this decoder's loop computes, for the native kernel, or ``None``.
 
-        A decoder that states a pair promises that its check node is
-        ``min_sum_extrinsic`` with that pair and that it keeps every other
-        hook of the flooding schedule, so the native streaming kernel may
-        decode it.
+        A class that defines this method promises that its loop, every hook
+        included, computes min-sum with exactly these parameters, so the
+        native kernel may decode it.  Only the class that defines it is
+        trusted: a subclass may override any hook, so it takes the loop
+        unless it restates the parameters itself.
         """
         return None
 
-    def _streaming_arguments(self) -> tuple[float, float, int, int] | None:
-        """``(scale, offset, max_iterations, early_stop)`` of the streaming kernel, or ``None``.
+    def _streaming_arguments(self) -> tuple[StreamingParameters, int, int] | None:
+        """``(parameters, max_iterations, early_stop)`` of the native kernel, or ``None``.
 
-        Only a plain flooding min-sum decoder (:meth:`_min_sum_correction`)
-        under exactly :class:`SyndromeStopping` or
-        :class:`~repro.decode.stopping.FixedIterations` streams; a subclass
-        of either rule may stop otherwise, so it takes the loop.
+        A decoder streams when its exact class states its
+        :meth:`_streaming_parameters` and its stopping rule is exactly
+        :class:`SyndromeStopping` or
+        :class:`~repro.decode.stopping.FixedIterations`; a subclass of
+        either rule may stop otherwise, so it takes the loop.
         ``early_stop`` is the first iteration at which a clear syndrome
         stops a frame.
         """
-        correction = self._min_sum_correction()
+        if "_streaming_parameters" not in vars(type(self)):
+            return None
+        parameters = self._streaming_parameters()
         stopping = self.stopping
-        if correction is None:
+        if parameters is None:
             return None
         if type(stopping) is SyndromeStopping:
             early_stop = min(stopping.min_iterations, self.max_iterations)
@@ -241,8 +300,7 @@ class MessagePassingDecoder(FrameBatchDecoder):
             early_stop = self.max_iterations
         else:
             return None
-        scale, offset = correction
-        return scale, offset, self.max_iterations, early_stop
+        return parameters, self.max_iterations, early_stop
 
     def _condition_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
         """Hook: transform the channel LLRs before decoding (identity here)."""
@@ -302,10 +360,10 @@ class MessagePassingDecoder(FrameBatchDecoder):
         axis, both through :func:`~repro.decode.graph.take_frames`.
 
         A decoder with :meth:`_streaming_arguments` hands the whole batch to
-        the native streaming kernel instead, when the process has native
-        kernels; its results are this loop's.  The loop is the reference
-        for that kernel, the fallback without it, and the path of every
-        other decoder.
+        the native kernel instead, when the process has one; its results are
+        this loop's.  This is the one place that asks for the backend.  The
+        loop is the reference for that kernel, the fallback without it, and
+        the path of every other decoder.
         """
         arguments = self._streaming_arguments()
         kernels = native_kernels() if arguments is not None else None

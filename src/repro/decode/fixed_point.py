@@ -6,14 +6,25 @@ width assumed by the architecture's memory sizing), with saturation on
 overflow.  Apart from the quantization hooks the algorithm is identical to
 :class:`~repro.decode.min_sum.NormalizedMinSumDecoder`, so comparing the two
 isolates the implementation loss of the finite word length.
+
+Under syndrome or fixed stopping the native kernel decodes it, bit for bit
+(:meth:`QuantizedMinSumDecoder._streaming_parameters`).  It quantizes each
+bit-to-check message once per iteration, and each check's two corrected
+magnitudes once, before they take their signs.  That is exact because the
+message quantizer is symmetric, so it commutes with the sign, and its step
+is a power of two, so ``x * (1 / step)`` rounds as ``x / step``.  The
+channel LLRs are quantized in Python, as the loop quantizes them, before
+either decodes.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.channel.quantize import FixedPointFormat, UniformQuantizer
-from repro.decode.base import MessagePassingDecoder
+from repro.decode.base import MessagePassingDecoder, StreamingParameters
 from repro.decode.min_sum import DEFAULT_ALPHA
 from repro.registry import Param, register_decoder
 
@@ -58,14 +69,14 @@ class QuantizedMinSumDecoder(MessagePassingDecoder):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         alpha: float = DEFAULT_ALPHA,
         message_format: FixedPointFormat = DEFAULT_MESSAGE_FORMAT,
         channel_format: FixedPointFormat | None = None,
-        **kwargs,
-    ):
+        **kwargs: Any,
+    ) -> None:
         super().__init__(code, max_iterations, **kwargs)
         if alpha < 1.0:
             raise ValueError("alpha must be >= 1")
@@ -88,3 +99,6 @@ class QuantizedMinSumDecoder(MessagePassingDecoder):
 
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
         return self.edge_structure.min_sum_extrinsic(bit_to_check, scale=self.scale)
+
+    def _streaming_parameters(self) -> StreamingParameters:
+        return StreamingParameters(scale=self.scale, message_format=self.message_format)

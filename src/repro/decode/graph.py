@@ -38,8 +38,8 @@ depend on it: it sums logarithms over each check, and its recorded results
 hold for the ``np.add.reduceat`` order it sums in, which it keeps.
 
 The bit-node sum has a fixed order, and it is the contract that any other
-implementation of :meth:`TannerGraph.sum_per_bit` (the native bit node, for
-one) must match bit for bit.  For a bit whose messages are ``m0, m1, …,
+implementation of :meth:`TannerGraph.sum_per_bit` (the native decode's bit
+node, for one) must match bit for bit.  For a bit whose messages are ``m0, m1, …,
 m_{d-1}`` in bit-sorted edge order, the sum is::
 
     m0 + ((m1 + m2) + … + m_{d-1})
@@ -55,26 +55,19 @@ switches to an 8-way unrolled tree and the two can differ in the last ulp;
 registered code has such a bit: the C2 code and its scaled twins have bit
 degree 4, the AR4JA codes 2, 3 and 6.
 
-Two backends run these orders.  :meth:`TannerGraph.min_sum_extrinsic`,
-:meth:`~TannerGraph.bit_node_update` and :meth:`~TannerGraph.syndrome_ok`
-run their bodies through the C kernels of :mod:`repro.decode.native` once
-that module has built them and they have passed its probe
-(:func:`native_kernels`), and through the numpy bodies below otherwise;
-nothing else picks.  The kernels implement the orders documented here, on
-the same frame-innermost rows: the check node keeps the same running pair
-of smallest magnitudes, rounds each corrected magnitude once in the same
-order and takes each sign from ``x < 0`` and the check's parity, and the
-bit node sums ``m0 + ((m1 + m2) + … + m_{d-1})``.  So their results are
-bit-identical to the numpy bodies', which stay the reference the tests
-compare against.  The sum-product check node,
-:meth:`~TannerGraph.sum_per_bit`, the other reductions and the gathers run
-on numpy only.  The flooding min-sum decoders do not call these methods on
-the native backend: their whole decode is one streaming kernel over this
-graph's index arrays (``edge_bit``, ``check_starts``, ``bit_slot_edges``
-and ``bit_degrees``), which keeps a few frames in posterior form and
-forms each bit-to-check message as ``posterior[bit] - check_to_bit``, the
-bit node's own subtraction.  It runs the same orders, so it too is
-bit-identical to the loop over these methods.
+These methods run on numpy, and they are the reference.  One other
+implementation runs their orders: the native decode that the decoding loop
+(:meth:`~repro.decode.base.MessagePassingDecoder._run_message_passing`)
+hands a whole batch of every streamed min-sum decoder to.  It works over
+this graph's index arrays (``edge_bit``, ``check_starts``,
+``bit_slot_edges`` and ``bit_degrees``), keeps a few frames in posterior
+form and forms each bit-to-check message as ``posterior[bit] -
+check_to_bit``, the bit node's own subtraction.  Its check node keeps the
+same running pair of smallest magnitudes, rounds each corrected magnitude
+once in the same order and takes each sign from ``x < 0`` and the check's
+parity; its bit node sums ``m0 + ((m1 + m2) + … + m_{d-1})``.  So its
+results are bit-identical to the loop over these methods, which the tests
+compare it against.
 
 Every reduction acts frame by frame, which is what makes the decoders'
 compacting loop
@@ -86,16 +79,12 @@ depend on the other frames present in the batch.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.codes.parity_check import ParityCheckMatrix
 
-if TYPE_CHECKING:
-    from repro.decode.native import NativeKernels
-
-__all__ = ["TannerGraph", "native_kernels", "take_frames", "tanner_graph"]
+__all__ = ["TannerGraph", "take_frames", "tanner_graph"]
 
 
 def take_frames(array: np.ndarray, frame_ids: np.ndarray) -> np.ndarray:
@@ -107,17 +96,6 @@ def take_frames(array: np.ndarray, frame_ids: np.ndarray) -> np.ndarray:
     a frame-innermost array is a transposing copy into C order instead.
     """
     return np.take(array.T, frame_ids, axis=1).T
-
-
-def native_kernels() -> NativeKernels | None:
-    """The native kernels, or ``None`` while the process runs the numpy bodies.
-
-    Imported on the first kernel call or decode, not with this module, so
-    building a decoder loads nothing of the native backend.
-    """
-    from repro.decode import native
-
-    return native.kernels()
 
 
 def _take_columns(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -166,7 +144,7 @@ class TannerGraph:
         additive identity.
     bit_degrees:
         Number of edges of every bit: the slots of :attr:`bit_slot_edges`
-        that the native bit node reads.
+        that the native decode's bit node reads.
     edge_check_degree:
         Degree of the check each edge belongs to; degree-1 checks carry no
         extrinsic information, which the update kernels special-case.
@@ -403,15 +381,6 @@ class TannerGraph:
         numpy.ndarray
             Outgoing check-to-bit messages, shape ``(batch, num_edges)``.
         """
-        kernels = native_kernels()
-        if kernels is not None and bit_to_check.dtype == np.float64:
-            return kernels.min_sum(self.check_starts, self.num_edges, bit_to_check, scale, offset)
-        return self._numpy_min_sum_extrinsic(bit_to_check, scale=scale, offset=offset)
-
-    def _numpy_min_sum_extrinsic(
-        self, bit_to_check: np.ndarray, *, scale: float, offset: float
-    ) -> np.ndarray:
-        """The numpy body of :meth:`min_sum_extrinsic`, its reference."""
         messages = self._by_check(bit_to_check, np.inf)
         if messages.size == 0:
             return np.zeros(bit_to_check.shape)
@@ -503,21 +472,6 @@ class TannerGraph:
             a-posteriori LLR per bit (incoming LLR plus all check messages),
             used for hard decisions and early stopping.
         """
-        kernels = native_kernels()
-        if (
-            kernels is not None
-            and channel_llrs.dtype == np.float64
-            and check_to_bit.dtype == np.float64
-        ):
-            return kernels.bit_node(
-                self.bit_slot_edges, self.bit_degrees, self.num_edges, channel_llrs, check_to_bit
-            )
-        return self._numpy_bit_node_update(channel_llrs, check_to_bit)
-
-    def _numpy_bit_node_update(
-        self, channel_llrs: np.ndarray, check_to_bit: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The numpy body of :meth:`bit_node_update`, its reference."""
         totals = self.sum_per_bit(check_to_bit)
         posterior = channel_llrs + totals
         bit_to_check = self.gather_bits(posterior)
@@ -535,13 +489,6 @@ class TannerGraph:
         ``ParityCheckMatrix.is_codeword``.
         """
         bits = np.asarray(hard_bits)
-        kernels = native_kernels()
-        if kernels is not None:
-            return kernels.syndrome(self.edge_bit, self.check_starts, self.num_bits, bits)
-        return self._numpy_syndrome_ok(bits)
-
-    def _numpy_syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
-        """The numpy body of :meth:`syndrome_ok`, its reference."""
         if bits.dtype != np.bool_:
             bits = bits != 0
         edge_bits = _take_columns(bits, self.edge_bit)

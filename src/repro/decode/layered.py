@@ -12,7 +12,15 @@ For Quasi-Cyclic codes the natural layers are the block rows of the circulant
 array (the CCSDS code has two), but any partition of the checks works.  The
 schedule runs on the shared decoding loop of
 :class:`~repro.decode.base.MessagePassingDecoder`; it only supplies its
-working state and its iteration step.
+working state and its iteration step, which keeps the posterior itself, as
+Hocevar's layered decoder does (IEEE SiPS 2004).
+
+Under syndrome or fixed stopping the native kernel decodes the same
+schedule (:meth:`LayeredMinSumDecoder._streaming_parameters`), bit for bit.
+A round takes the syndrome of ``posterior <= 0`` before the first layer.
+Each layer then forms ``posterior[bit] - old`` against the posterior as it
+stood at the layer's start, and adds each edge's ``new - old`` to its bit
+in edge order, the order in which ``np.add.at`` adds.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode.base import MessagePassingDecoder
+from repro.decode.base import MessagePassingDecoder, StreamingParameters
 from repro.decode.graph import TannerGraph
 from repro.decode.min_sum import DEFAULT_ALPHA
 from repro.decode.stopping import StoppingCriterion
@@ -84,6 +92,8 @@ class LayeredMinSumDecoder(MessagePassingDecoder):
         # order, so the shared check-node kernel runs on it unchanged.
         rows = np.linspace(0, graph.num_checks, self.num_layers + 1, dtype=np.int64)
         bounds = np.searchsorted(graph.edge_check, rows)
+        # The native kernel's layers: the first non-empty check of each.
+        self._layer_starts = tuple(int(i) for i in np.searchsorted(graph.check_ids, rows[:-1]))
         self._layers: list[tuple[slice, TannerGraph]] = []
         for first, last, start, stop in zip(rows, rows[1:], bounds, bounds[1:]):
             edges = slice(int(start), int(stop))
@@ -99,6 +109,9 @@ class LayeredMinSumDecoder(MessagePassingDecoder):
     def scale(self) -> float:
         """Multiplicative correction ``1 / alpha``."""
         return 1.0 / self.alpha
+
+    def _streaming_parameters(self) -> StreamingParameters:
+        return StreamingParameters(scale=self.scale, layer_starts=self._layer_starts)
 
     # ------------------------------------------------------------------ #
     def _initial_state(self, llrs: np.ndarray) -> list[np.ndarray]:

@@ -10,9 +10,11 @@ approximation.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from repro.decode.base import MessagePassingDecoder
+from repro.decode.base import MessagePassingDecoder, StreamingParameters
 from repro.registry import Param, register_decoder
 
 __all__ = ["MinSumDecoder", "NormalizedMinSumDecoder", "OffsetMinSumDecoder"]
@@ -28,17 +30,19 @@ DEFAULT_ALPHA = 1.25
 class _FloodingMinSumDecoder(MessagePassingDecoder):
     """The check node of the three kinds: ``min_sum_extrinsic`` with their correction.
 
-    Each kind states its ``(scale, offset)`` once, in
-    :meth:`_min_sum_correction`, which the decoding loop also reads to hand
-    the batch to the native streaming kernel.
+    Each kind states its ``scale`` and ``offset`` once, in its own
+    :meth:`_streaming_parameters`, which the decoding loop also reads to
+    hand the batch to the native kernel.
     """
 
-    def _min_sum_correction(self) -> tuple[float, float]:
+    def _streaming_parameters(self) -> StreamingParameters:
         raise NotImplementedError
 
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        scale, offset = self._min_sum_correction()
-        return self.edge_structure.min_sum_extrinsic(bit_to_check, scale=scale, offset=offset)
+        parameters = self._streaming_parameters()
+        return self.edge_structure.min_sum_extrinsic(
+            bit_to_check, scale=parameters.scale, offset=parameters.offset
+        )
 
 
 @register_decoder(
@@ -54,11 +58,11 @@ class MinSumDecoder(_FloodingMinSumDecoder):
     decoder matches with 18.
     """
 
-    def __init__(self, code, max_iterations: int = 18, **kwargs):
+    def __init__(self, code: Any, max_iterations: int = 18, **kwargs: Any) -> None:
         super().__init__(code, max_iterations, **kwargs)
 
-    def _min_sum_correction(self) -> tuple[float, float]:
-        return 1.0, 0.0
+    def _streaming_parameters(self) -> StreamingParameters:
+        return StreamingParameters()
 
 
 @register_decoder(
@@ -85,12 +89,12 @@ class NormalizedMinSumDecoder(_FloodingMinSumDecoder):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         alpha: float = DEFAULT_ALPHA,
-        **kwargs,
-    ):
+        **kwargs: Any,
+    ) -> None:
         super().__init__(code, max_iterations, **kwargs)
         if alpha < 1.0:
             raise ValueError("alpha must be >= 1 (the paper requires alpha > 1)")
@@ -101,8 +105,8 @@ class NormalizedMinSumDecoder(_FloodingMinSumDecoder):
         """The multiplicative correction ``1 / alpha`` applied to magnitudes."""
         return 1.0 / self.alpha
 
-    def _min_sum_correction(self) -> tuple[float, float]:
-        return self.scale, 0.0
+    def _streaming_parameters(self) -> StreamingParameters:
+        return StreamingParameters(scale=self.scale)
 
 
 @register_decoder(
@@ -123,16 +127,16 @@ class OffsetMinSumDecoder(_FloodingMinSumDecoder):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         beta: float = 0.15,
-        **kwargs,
-    ):
+        **kwargs: Any,
+    ) -> None:
         super().__init__(code, max_iterations, **kwargs)
         if beta < 0.0:
             raise ValueError("beta must be non-negative")
         self.beta = float(beta)
 
-    def _min_sum_correction(self) -> tuple[float, float]:
-        return 1.0, self.beta
+    def _streaming_parameters(self) -> StreamingParameters:
+        return StreamingParameters(offset=self.beta)

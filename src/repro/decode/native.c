@@ -1,19 +1,20 @@
 /*
- * Native bodies of three repro.decode.graph.TannerGraph kernels (the min-sum
- * check node, the bit node and the syndrome) and of the whole flooding
- * min-sum decode, repro_decode_min_sum.  native.py builds this file, checks
- * it against the numpy bodies and loads it; graph.py documents the
- * arithmetic all must follow.
+ * The native min-sum decode, repro_decode_min_sum: the decoding loop of
+ * repro.decode.base.MessagePassingDecoder for every decoder that states
+ * streaming parameters (min-sum, nms, offset, quantized and layered).
+ * native.py builds this file, checks it against the loop on the numpy
+ * bodies and loads it; graph.py documents the arithmetic both must follow.
  *
- * Layout.  Every array holds one row per edge or per bit, with the frames
- * innermost and contiguous: frame f of row r sits at [r * frames + f].  Each
- * loop runs along the frames of one row, as the paper's memory word holds one
- * message of several frames.
+ * Layout.  LANES frames decode at once, in posterior form: one row of LANES
+ * values per bit (the channel LLRs and the posteriors) and per edge (the
+ * check-to-bit messages), the lane innermost, as the paper's memory word
+ * holds one message of several frames.  Each loop runs along the lanes of
+ * one row, two at a time.
  *
  * Exactness.  Built without fast-math and with -ffp-contract=off, every
  * addition, subtraction and multiplication below is one IEEE operation in
- * numpy's order; minima, maxima, selections and sign flips are exact.  So the
- * results are bit-identical to the numpy bodies for every input without NaN.
+ * numpy's order; minima, maxima, selections and sign flips are exact.  So
+ * every result is bit-identical to the loop's for every input without NaN.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -22,47 +23,35 @@
 #include <emmintrin.h>
 #endif
 
-/* Two frames of one row, and sixteen hard decisions. */
+/* Two lanes of one row. */
 typedef double f64x2 __attribute__((vector_size(16)));
 typedef int64_t i64x2 __attribute__((vector_size(16)));
-typedef uint8_t u8x16 __attribute__((vector_size(16)));
 
-/* Frames per block of the check node: its four running arrays stay in L1. */
-#define BLOCK 64
+/* Frames decoding at once.  Chosen by measurement on the C2 code against the
+ * decoding loop; see docs/components.md. */
+#define LANES 4
+#define PAIRS (LANES / 2)
+
+/* Each pass is compiled once per schedule and quantizer it serves. */
+#define INLINE static inline __attribute__((always_inline))
 
 static const i64x2 SIGN = {INT64_MIN, INT64_MIN};
 
-/* Load or store `lanes` (1 or 2) frames; one lane is read into both. */
-static inline f64x2 load(const double *p, int64_t lanes)
+static inline f64x2 load(const double *p)
 {
-    f64x2 v = {p[0], p[0]};
-    if (lanes == 2)
-        memcpy(&v, p, sizeof v);
+    f64x2 v;
+    memcpy(&v, p, sizeof v);
     return v;
 }
 
-static inline void store(double *p, f64x2 v, int64_t lanes)
+static inline void store(double *p, f64x2 v)
 {
-    if (lanes == 2)
-        memcpy(p, &v, sizeof v);
-    else
-        p[0] = v[0];
+    memcpy(p, &v, sizeof v);
 }
 
-static inline i64x2 load_mask(const int64_t *p, int64_t lanes)
+static inline f64x2 splat(double v)
 {
-    i64x2 v = {p[0], p[0]};
-    if (lanes == 2)
-        memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void store_mask(int64_t *p, i64x2 v, int64_t lanes)
-{
-    if (lanes == 2)
-        memcpy(p, &v, sizeof v);
-    else
-        p[0] = v[0];
+    return (f64x2){v, v};
 }
 
 static inline f64x2 magnitude(f64x2 v)
@@ -76,8 +65,8 @@ static inline f64x2 pick(i64x2 mask, f64x2 a, f64x2 b)
     return (f64x2)((mask & (i64x2)a) | (~mask & (i64x2)b));
 }
 
-/* The smaller and the larger of two magnitudes.  x86's minpd is a < b ? a :
- * b and maxpd a > b ? a : b, the same choice as the portable spelling. */
+/* a < b ? a : b and a > b ? a : b.  x86's minpd and maxpd make the same
+ * choice as the portable spelling. */
 static inline f64x2 smaller(f64x2 a, f64x2 b)
 {
 #ifdef __SSE2__
@@ -104,31 +93,64 @@ static inline void keep_two_smallest(f64x2 *min1, f64x2 *min2, f64x2 m)
     *min1 = smaller(*min1, m);
 }
 
+/* The decoder's correction and message quantizer. */
+struct rule {
+    double scale;   /* times scale when != 1 */
+    double offset;  /* minus offset, clamped at 0, when != 0 */
+    double step;    /* quantizer step, a power of two */
+    double inverse; /* 1 / step, exact */
+    double limit;   /* saturation: the quantizer clips to [-limit, limit] */
+};
+
+/*
+ * UniformQuantizer.quantize of a symmetric format: round(x / step) * step,
+ * clipped to [-limit, limit].  As step is a power of two, x * (1 / step)
+ * is x / step bit for bit.  Adding and subtracting 2^52 rounds a magnitude
+ * below 2^52 to an integer, half to even, as numpy's round does; a larger
+ * one already is an integer.  The sign is put back after, so -0.3 rounds to
+ * -0.0 as it does in numpy.  np.clip(v, lo, hi) is min(max(v, lo), hi).
+ */
+static inline f64x2 quantize(f64x2 x, const struct rule *rule)
+{
+    const f64x2 big = splat(0x1p52);
+    const f64x2 v = x * splat(rule->inverse);
+    const f64x2 m = magnitude(v);
+    const f64x2 whole = (f64x2)((i64x2)((m + big) - big) | ((i64x2)v & SIGN));
+    const f64x2 rounded = pick(m < big, whole, v) * splat(rule->step);
+    return smaller(larger(rounded, splat(-rule->limit)), splat(rule->limit));
+}
+
 /* Correct a check's two smallest magnitudes once: minus `offset`, clamped at
  * 0, when offset != 0; times `scale` when scale != 1.  A check of degree 1
- * has no other message, so its second magnitude is 0. */
-static inline void correct(f64x2 *min1, f64x2 *min2, double scale, double offset,
-                           int64_t degree)
+ * has no other message, so its second magnitude is 0.  The quantizer, when
+ * the decoder has one, applies to both corrected magnitudes: it commutes
+ * with the sign the message takes after. */
+INLINE void correct(f64x2 *min1, f64x2 *min2, const struct rule *rule, int quantized,
+                    int64_t degree)
 {
     const f64x2 zero = {0.0, 0.0};
     f64x2 a = *min1;
     f64x2 b = *min2;
-    if (offset != 0.0) {
-        const f64x2 offset2 = {offset, offset};
-        a = a - offset2;
-        b = b - offset2;
+    if (rule->offset != 0.0) {
+        a = a - splat(rule->offset);
+        b = b - splat(rule->offset);
         a = pick(a < zero, zero, a);
         b = pick(b < zero, zero, b);
     }
-    if (scale != 1.0) {
-        const f64x2 scale2 = {scale, scale};
-        a = a * scale2;
-        b = b * scale2;
+    if (rule->scale != 1.0) {
+        a = a * splat(rule->scale);
+        b = b * splat(rule->scale);
     }
     if (degree == 1)
         b = zero;
-    *min1 = magnitude(a);
-    *min2 = magnitude(b);
+    a = magnitude(a);
+    b = magnitude(b);
+    if (quantized) {
+        a = quantize(a, rule);
+        b = quantize(b, rule);
+    }
+    *min1 = a;
+    *min2 = b;
 }
 
 /* The message back to the edge that sent x: the corrected second smallest
@@ -142,222 +164,72 @@ static inline f64x2 extrinsic(f64x2 x, f64x2 smallest, f64x2 fix1, f64x2 fix2,
     return (f64x2)((i64x2)value | (((x < zero) ^ parity) & SIGN));
 }
 
-/* Run the body over frames [0, count): pairs, then a last single frame.
- * `lanes` is a constant in each copy of the body. */
-#define FOR_FRAMES(count, ...)                                               \
-    do {                                                                     \
-        int64_t f = 0;                                                       \
-        for (; f + 2 <= (count); f += 2) {                                   \
-            const int64_t lanes = 2;                                         \
-            __VA_ARGS__                                                      \
-        }                                                                    \
-        if (f < (count)) {                                                   \
-            const int64_t lanes = 1;                                         \
-            __VA_ARGS__                                                      \
-        }                                                                    \
-    } while (0)
+/* The graph, as TannerGraph holds it.  Edges are sorted by check; non-empty
+ * check i owns edges [starts[i], starts[i + 1]) (the last one ends at
+ * `edges`), and edge e joins bit edge_bit[e].  Bit b has degrees[b] edges,
+ * slot_edges[s * bits + b] for slot s in bit-sorted order. */
+struct graph {
+    const int64_t *edge_bit, *starts, *slot_edges, *degrees;
+    int64_t bits, checks, edges;
+};
 
-/*
- * Min-sum check node, TannerGraph.min_sum_extrinsic.
- *
- * `in` and `out` are (edges, frames), edges sorted by check; non-empty check
- * i owns edges [starts[i], starts[i + 1]) (the last one ends at `edges`).
- * For each check and frame the first pass over the slots keeps the smallest
- * and second smallest magnitude (a minimum held twice is also the second
- * smallest) and the parity of the messages below zero.  Both magnitudes are
- * then corrected once: minus `offset`, clamped at 0, when offset != 0; times
- * `scale` when scale != 1.  A check of degree 1 sends 0.  The second pass
- * gives each edge min2 if its magnitude equals min1 and min1 otherwise, with
- * the sign of (x < 0) XOR the parity, that is the parity of the others.
- */
-void repro_min_sum(const double *in, const int64_t *starts, int64_t checks,
-                   int64_t edges, int64_t frames, double scale, double offset,
-                   double *out)
+/* The first edge of non-empty check c; `edges` for c == checks. */
+static inline int64_t first_edge(const struct graph *g, int64_t c)
 {
-    const f64x2 zero = {0.0, 0.0};
-    const f64x2 inf = {__builtin_inf(), __builtin_inf()};
-    double min1[BLOCK], fix1[BLOCK], fix2[BLOCK];
-    int64_t parity[BLOCK];
-
-    for (int64_t c = 0; c < checks; c++) {
-        const int64_t first = starts[c];
-        const int64_t degree = (c + 1 < checks ? starts[c + 1] : edges) - first;
-        for (int64_t f0 = 0; f0 < frames; f0 += BLOCK) {
-            const int64_t count = frames - f0 < BLOCK ? frames - f0 : BLOCK;
-            const double *rows = in + first * frames + f0;
-
-            FOR_FRAMES(count, {
-                const f64x2 x = load(rows + f, lanes);
-                store(min1 + f, magnitude(x), lanes);
-                store(fix2 + f, inf, lanes);
-                store_mask(parity + f, x < zero, lanes);
-            });
-            for (int64_t slot = 1; slot < degree; slot++) {
-                const double *row = rows + slot * frames;
-                FOR_FRAMES(count, {
-                    const f64x2 x = load(row + f, lanes);
-                    f64x2 smallest = load(min1 + f, lanes);
-                    f64x2 second = load(fix2 + f, lanes);
-                    keep_two_smallest(&smallest, &second, magnitude(x));
-                    store(min1 + f, smallest, lanes);
-                    store(fix2 + f, second, lanes);
-                    store_mask(parity + f, load_mask(parity + f, lanes) ^ (x < zero),
-                               lanes);
-                });
-            }
-
-            FOR_FRAMES(count, {
-                f64x2 a = load(min1 + f, lanes);
-                f64x2 b = load(fix2 + f, lanes);
-                correct(&a, &b, scale, offset, degree);
-                store(fix1 + f, a, lanes);
-                store(fix2 + f, b, lanes);
-            });
-
-            for (int64_t slot = 0; slot < degree; slot++) {
-                const double *row = rows + slot * frames;
-                double *dst = out + (first + slot) * frames + f0;
-                FOR_FRAMES(count, {
-                    const f64x2 message =
-                        extrinsic(load(row + f, lanes), load(min1 + f, lanes),
-                                  load(fix1 + f, lanes), load(fix2 + f, lanes),
-                                  load_mask(parity + f, lanes));
-                    store(dst + f, message, lanes);
-                });
-            }
-        }
-    }
+    return c < g->checks ? g->starts[c] : g->edges;
 }
-
-/*
- * Bit node, TannerGraph.bit_node_update.
- *
- * `c2b` and `b2c` are (edges, frames), `llr` and `post` (bits, frames).  Bit
- * b has degrees[b] edges, slot_edges[s * bits + b] for slot s in bit-sorted
- * order.  Its total is m0 + ((m1 + m2) + ... + m_{d-1}), 0 without edges;
- * post = llr + total, and each edge sends post - its own message.
- */
-void repro_bit_node(const double *restrict c2b, const double *restrict llr,
-                    const int64_t *slot_edges, const int64_t *degrees,
-                    int64_t bits, int64_t frames, double *restrict post,
-                    double *restrict b2c)
-{
-    const f64x2 zero = {0.0, 0.0};
-    for (int64_t b = 0; b < bits; b++) {
-        const int64_t degree = degrees[b];
-        const int64_t *edge = slot_edges + b;
-        FOR_FRAMES(frames, {
-            f64x2 total = zero;
-            if (degree > 0) {
-                total = load(c2b + edge[0] * frames + f, lanes);
-                if (degree > 1) {
-                    f64x2 rest = load(c2b + edge[bits] * frames + f, lanes);
-                    for (int64_t slot = 2; slot < degree; slot++)
-                        rest = rest + load(c2b + edge[slot * bits] * frames + f, lanes);
-                    total = total + rest;
-                }
-            }
-            const f64x2 p = load(llr + b * frames + f, lanes) + total;
-            store(post + b * frames + f, p, lanes);
-            for (int64_t slot = 0; slot < degree; slot++) {
-                const int64_t at = edge[slot * bits] * frames + f;
-                store(b2c + at, p - load(c2b + at, lanes), lanes);
-            }
-        });
-    }
-}
-
-/*
- * Syndrome, TannerGraph.syndrome_ok.
- *
- * `hard` is (bits, frames), nonzero meaning 1; edge e joins bit edge_bit[e]
- * to its check, and non-empty check i owns edges [starts[i], starts[i + 1]).
- * ok[f] is 1 when every check's XOR is 0 in frame f.  Sixteen frames at a
- * time keep their parity in one register.
- */
-void repro_syndrome(const uint8_t *hard, const int64_t *edge_bit,
-                    const int64_t *starts, int64_t checks, int64_t edges,
-                    int64_t frames, uint8_t *ok)
-{
-    const u8x16 zero = {0};
-    int64_t f = 0;
-    for (; f + 16 <= frames; f += 16) {
-        u8x16 failed = zero;
-        for (int64_t c = 0; c < checks; c++) {
-            const int64_t stop = c + 1 < checks ? starts[c + 1] : edges;
-            u8x16 parity = zero;
-            for (int64_t e = starts[c]; e < stop; e++) {
-                u8x16 bits;
-                memcpy(&bits, hard + edge_bit[e] * frames + f, sizeof bits);
-                parity ^= (u8x16)(bits != zero);
-            }
-            failed |= parity;
-        }
-        for (int64_t lane = 0; lane < 16; lane++)
-            ok[f + lane] = !failed[lane];
-    }
-    for (; f < frames; f++) {
-        uint8_t failed = 0;
-        for (int64_t c = 0; c < checks; c++) {
-            const int64_t stop = c + 1 < checks ? starts[c + 1] : edges;
-            uint8_t parity = 0;
-            for (int64_t e = starts[c]; e < stop; e++)
-                parity ^= hard[edge_bit[e] * frames + f] != 0;
-            failed |= parity;
-        }
-        ok[f] = !failed;
-    }
-}
-
-/* ------------------------------------------------------------------------ */
-/* Streaming decode                                                         */
-/* ------------------------------------------------------------------------ */
-
-/* Frames decoding at once.  Chosen by measurement on the C2 code against the
- * decoding loop; see docs/components.md. */
-#define LANES 4
-#define PAIRS (LANES / 2)
 
 /* The lane buffers: one row of LANES values per bit or edge. */
-struct lane_buffers {
-    double *llr;  /* [bits][LANES] channel LLRs */
-    double *post; /* [bits][LANES] posteriors */
-    double *c2b;  /* [edges][LANES] check-to-bit messages */
+struct lanes {
+    double *llr;   /* [bits][LANES] channel LLRs */
+    double *post;  /* [bits][LANES] posteriors */
+    double *c2b;   /* [edges][LANES] check-to-bit messages */
+    double *delta; /* [edges of the largest layer][LANES], layered only */
 };
 
 /* Put `values` (one frame's LLRs, or NULL for an idle lane of zeros) into
  * `lane`, with every check-to-bit message +0.0. */
-static void fill_lane(struct lane_buffers *lanes, int64_t lane, const double *values,
-                      int64_t bits, int64_t edges)
+static void fill_lane(struct lanes *lanes, int64_t lane, const double *values,
+                      const struct graph *g)
 {
-    for (int64_t b = 0; b < bits; b++) {
+    for (int64_t b = 0; b < g->bits; b++) {
         const double v = values ? values[b] : 0.0;
         lanes->llr[b * LANES + lane] = v;
         lanes->post[b * LANES + lane] = v;
     }
-    for (int64_t e = 0; e < edges; e++)
+    for (int64_t e = 0; e < g->edges; e++)
         lanes->c2b[e * LANES + lane] = 0.0;
 }
 
 /*
- * Check pass: every check node, in posterior form.  Each slot's bit-to-check
- * message is x = post[bit] - c2b, the bit node's own subtraction; the first
- * sweep keeps the running pair and the parity of x < 0 as repro_min_sum does
- * and XORs post <= 0 into the check's syndrome, the second rewrites c2b.
+ * Check pass over the non-empty checks [first, last), in posterior form.
+ * Each slot's bit-to-check message is x = post[bit] - c2b, the bit node's
+ * own subtraction, quantized when the decoder quantizes its messages.  The
+ * first sweep forms x, keeps it for the second, and keeps the running pair
+ * of smallest magnitudes and the parity of x < 0; the second gives each edge
+ * its message, as extrinsic() forms it.
+ *
+ * Flooding (`layered` 0): x is kept in c2b, whose old value no later
+ * operation reads, and the second sweep overwrites it with the message.
+ * The first sweep also XORs post <= 0 into the check's syndrome, and
  * failed[] collects, per lane, whether any check's syndrome is 1.
+ *
+ * Layered (exact messages only): x is kept in delta[], from `first`'s first
+ * edge on, and the second sweep writes the new message to c2b and new - old
+ * to delta[]; failed[] is not touched.  post stays as it stood at the
+ * pass's start.
  */
-static void check_pass(struct lane_buffers *lanes, const int64_t *edge_bit,
-                       const int64_t *starts, int64_t checks, int64_t edges,
-                       double scale, double offset, i64x2 failed[PAIRS])
+INLINE void check_pass(struct lanes *lanes, const struct graph *g, int64_t first,
+                       int64_t last, const struct rule *rule, int quantized, int layered,
+                       i64x2 failed[PAIRS])
 {
     const f64x2 zero = {0.0, 0.0};
-    const f64x2 inf = {__builtin_inf(), __builtin_inf()};
-    for (int h = 0; h < PAIRS; h++)
-        failed[h] = (i64x2){0, 0};
+    const f64x2 inf = splat(__builtin_inf());
+    const int64_t base = first_edge(g, first);
 
-    for (int64_t c = 0; c < checks; c++) {
-        const int64_t first = starts[c];
-        const int64_t stop = c + 1 < checks ? starts[c + 1] : edges;
+    for (int64_t c = first; c < last; c++) {
+        const int64_t start = g->starts[c];
+        const int64_t stop = first_edge(g, c + 1);
         f64x2 min1[PAIRS], min2[PAIRS];
         i64x2 parity[PAIRS], syndrome[PAIRS];
         for (int h = 0; h < PAIRS; h++) {
@@ -366,86 +238,142 @@ static void check_pass(struct lane_buffers *lanes, const int64_t *edge_bit,
             parity[h] = (i64x2){0, 0};
             syndrome[h] = (i64x2){0, 0};
         }
-        for (int64_t e = first; e < stop; e++) {
-            const double *post = lanes->post + edge_bit[e] * LANES;
-            const double *c2b = lanes->c2b + e * LANES;
+        for (int64_t e = start; e < stop; e++) {
+            const double *post = lanes->post + g->edge_bit[e] * LANES;
+            double *c2b = lanes->c2b + e * LANES;
+            double *kept = layered ? lanes->delta + (e - base) * LANES : c2b;
             for (int h = 0; h < PAIRS; h++) {
-                const f64x2 p = load(post + 2 * h, 2);
-                const f64x2 x = p - load(c2b + 2 * h, 2);
+                const f64x2 p = load(post + 2 * h);
+                f64x2 x = p - load(c2b + 2 * h);
+                if (quantized)
+                    x = quantize(x, rule);
+                store(kept + 2 * h, x);
                 keep_two_smallest(&min1[h], &min2[h], magnitude(x));
                 parity[h] ^= x < zero;
-                syndrome[h] ^= p <= zero;
+                if (!layered)
+                    syndrome[h] ^= p <= zero;
             }
         }
         f64x2 fix1[PAIRS], fix2[PAIRS];
         for (int h = 0; h < PAIRS; h++) {
             fix1[h] = min1[h];
             fix2[h] = min2[h];
-            correct(&fix1[h], &fix2[h], scale, offset, stop - first);
-            failed[h] |= syndrome[h];
+            correct(&fix1[h], &fix2[h], rule, quantized, stop - start);
+            if (!layered)
+                failed[h] |= syndrome[h];
         }
-        for (int64_t e = first; e < stop; e++) {
-            const double *post = lanes->post + edge_bit[e] * LANES;
+        for (int64_t e = start; e < stop; e++) {
             double *c2b = lanes->c2b + e * LANES;
+            double *kept = layered ? lanes->delta + (e - base) * LANES : c2b;
             for (int h = 0; h < PAIRS; h++) {
-                const f64x2 x = load(post + 2 * h, 2) - load(c2b + 2 * h, 2);
-                store(c2b + 2 * h, extrinsic(x, min1[h], fix1[h], fix2[h], parity[h]), 2);
+                const f64x2 x = load(kept + 2 * h);
+                const f64x2 message = extrinsic(x, min1[h], fix1[h], fix2[h], parity[h]);
+                if (layered)
+                    store(kept + 2 * h, message - load(c2b + 2 * h));
+                store(c2b + 2 * h, message);
             }
         }
     }
 }
 
-/* Bit pass: post = llr + (m0 + ((m1 + m2) + ... + m_{d-1})), as
- * repro_bit_node sums, over the slot-major bit layout. */
-static void bit_pass(struct lane_buffers *lanes, const int64_t *slot_edges,
-                     const int64_t *degrees, int64_t bits)
+/* Bit pass of the flooding schedule: post = llr + (m0 + ((m1 + m2) + ... +
+ * m_{d-1})), as TannerGraph.sum_per_bit sums, over the slot-major bit
+ * layout. */
+INLINE void bit_pass(struct lanes *lanes, const struct graph *g)
 {
     const f64x2 zero = {0.0, 0.0};
-    for (int64_t b = 0; b < bits; b++) {
-        const int64_t degree = degrees[b];
-        const int64_t *edge = slot_edges + b;
+    for (int64_t b = 0; b < g->bits; b++) {
+        const int64_t degree = g->degrees[b];
+        const int64_t *edge = g->slot_edges + b;
         f64x2 total[PAIRS];
         for (int h = 0; h < PAIRS; h++)
             total[h] = zero;
         if (degree > 0) {
             const double *m0 = lanes->c2b + edge[0] * LANES;
             for (int h = 0; h < PAIRS; h++)
-                total[h] = load(m0 + 2 * h, 2);
+                total[h] = load(m0 + 2 * h);
         }
         if (degree > 1) {
             f64x2 rest[PAIRS];
-            const double *m1 = lanes->c2b + edge[bits] * LANES;
+            const double *m1 = lanes->c2b + edge[g->bits] * LANES;
             for (int h = 0; h < PAIRS; h++)
-                rest[h] = load(m1 + 2 * h, 2);
+                rest[h] = load(m1 + 2 * h);
             for (int64_t slot = 2; slot < degree; slot++) {
-                const double *m = lanes->c2b + edge[slot * bits] * LANES;
+                const double *m = lanes->c2b + edge[slot * g->bits] * LANES;
                 for (int h = 0; h < PAIRS; h++)
-                    rest[h] = rest[h] + load(m + 2 * h, 2);
+                    rest[h] = rest[h] + load(m + 2 * h);
             }
             for (int h = 0; h < PAIRS; h++)
                 total[h] = total[h] + rest[h];
         }
         for (int h = 0; h < PAIRS; h++)
             store(lanes->post + b * LANES + 2 * h,
-                  load(lanes->llr + b * LANES + 2 * h, 2) + total[h], 2);
+                  load(lanes->llr + b * LANES + 2 * h) + total[h]);
+    }
+}
+
+/* Syndrome pass of the layered schedule: failed[] collects, per lane,
+ * whether any check's XOR of post <= 0 is 1. */
+INLINE void syndrome_pass(const struct lanes *lanes, const struct graph *g,
+                          i64x2 failed[PAIRS])
+{
+    const f64x2 zero = {0.0, 0.0};
+    for (int64_t c = 0; c < g->checks; c++) {
+        const int64_t stop = first_edge(g, c + 1);
+        i64x2 syndrome[PAIRS];
+        for (int h = 0; h < PAIRS; h++)
+            syndrome[h] = (i64x2){0, 0};
+        for (int64_t e = g->starts[c]; e < stop; e++) {
+            const double *post = lanes->post + g->edge_bit[e] * LANES;
+            for (int h = 0; h < PAIRS; h++)
+                syndrome[h] ^= load(post + 2 * h) <= zero;
+        }
+        for (int h = 0; h < PAIRS; h++)
+            failed[h] |= syndrome[h];
+    }
+}
+
+/* The layer's posterior update: each edge's new - old added to its bit, in
+ * edge order, as np.add.at adds. */
+INLINE void add_pass(struct lanes *lanes, const struct graph *g, int64_t first,
+                     int64_t last)
+{
+    const int64_t base = first_edge(g, first);
+    const int64_t stop = first_edge(g, last);
+    for (int64_t e = base; e < stop; e++) {
+        double *post = lanes->post + g->edge_bit[e] * LANES;
+        const double *delta = lanes->delta + (e - base) * LANES;
+        for (int h = 0; h < PAIRS; h++)
+            store(post + 2 * h, load(post + 2 * h) + load(delta + 2 * h));
     }
 }
 
 /*
- * Flooding min-sum decode of a whole batch: the decoding loop of
- * repro.decode.base.MessagePassingDecoder for the min-sum kinds.
+ * Min-sum decode of a whole batch: the decoding loop of
+ * repro.decode.base.MessagePassingDecoder for a decoder with streaming
+ * parameters.
  *
- * `llrs`, `posterior` and `hard` are (frames, bits), one frame per row.
- * LANES frames decode at once in posterior form (struct lane_buffers).  Each round
- * runs the check pass on every lane.  A lane whose syndrome is clear at an
- * iteration >= early_stop, or that has run max_iterations, then writes out
- * its posterior, hard decisions (post <= 0), iteration count and syndrome
- * flag, before the bit pass: a frame stopped at iteration 0 keeps its LLRs
- * bit for bit.  The other lanes take the bit pass, and each stopped lane
- * takes the next frame with post = llr and c2b = +0.0, which the next check
- * pass reads as x = llr - 0.0, bit for bit the LLR, as the loop's first
- * check node reads it.  Every value a frame sees is the loop's, computed in
- * the loop's order, whatever the other lanes hold.
+ * `llrs`, `posterior` and `hard` are (frames, bits), one frame per row; the
+ * LLRs are the conditioned ones the loop decodes.  `scale` and `offset`
+ * correct each check's two smallest magnitudes.  `step` > 0 quantizes every
+ * message to multiples of `step` within [-limit, limit]; 0 leaves them
+ * exact.  `layers` == 0 floods; otherwise layer i holds the non-empty
+ * checks [layer_starts[i], layer_starts[i + 1]) (the last one ends at
+ * `checks`), and the messages stay exact.
+ *
+ * LANES frames decode at once in posterior form (struct lanes).  Each round
+ * takes the syndrome of post <= 0 on every lane: in the flooding check
+ * pass, which also updates c2b, or in a syndrome pass of its own before the
+ * layers.  A lane whose syndrome is clear at an iteration >= early_stop, or
+ * that has run max_iterations, then writes out its posterior, hard
+ * decisions (post <= 0), iteration count and syndrome flag: a frame stopped
+ * at iteration 0 keeps its LLRs bit for bit.  The other lanes finish the
+ * iteration: the bit pass, or each layer's check pass and posterior update
+ * in turn.  Each stopped lane then takes the next frame with post = llr and
+ * c2b = +0.0, which the next check pass reads as x = llr - 0.0, bit for bit
+ * the LLR, as the loop's first check node reads it.  Every value a frame
+ * sees is the loop's, computed in the loop's order, whatever the other
+ * lanes hold.
  *
  * Returns 0, or -1 when the lanes cannot be allocated.
  */
@@ -453,25 +381,38 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
                          const int64_t *edge_bit, const int64_t *starts,
                          int64_t checks, int64_t edges,
                          const int64_t *slot_edges, const int64_t *degrees,
-                         double scale, double offset, int64_t max_iterations,
-                         int64_t early_stop, double *posterior, uint8_t *hard,
-                         int64_t *iterations, uint8_t *converged)
+                         double scale, double offset, double step, double limit,
+                         const int64_t *layer_starts, int64_t layers,
+                         int64_t max_iterations, int64_t early_stop,
+                         double *posterior, uint8_t *hard, int64_t *iterations,
+                         uint8_t *converged)
 {
+    const struct graph g = {edge_bit, starts, slot_edges, degrees, bits, checks, edges};
+    const struct rule rule = {scale, offset, step, step > 0.0 ? 1.0 / step : 0.0, limit};
+    const int quantized = step > 0.0;
+
+    /* The largest layer's edges, which delta[] holds. */
+    int64_t widest = 0;
+    for (int64_t i = 0; i < layers; i++) {
+        const int64_t last = i + 1 < layers ? layer_starts[i + 1] : checks;
+        const int64_t width = first_edge(&g, last) - first_edge(&g, layer_starts[i]);
+        if (width > widest)
+            widest = width;
+    }
     const size_t row = LANES * sizeof(double);
-    const size_t size = ((size_t)(2 * bits + edges) * row + 63) / 64 * 64;
+    const size_t size = ((size_t)(2 * bits + edges + widest) * row + 63) / 64 * 64;
     double *buffer = aligned_alloc(64, size ? size : 64);
     if (buffer == NULL)
         return -1;
-    struct lane_buffers lanes = {buffer, buffer + bits * LANES,
-                                 buffer + 2 * bits * LANES};
+    struct lanes lanes = {buffer, buffer + bits * LANES, buffer + 2 * bits * LANES,
+                          buffer + (2 * bits + edges) * LANES};
 
     int64_t frame[LANES], iteration[LANES];
     int64_t next = 0;
     for (int64_t lane = 0; lane < LANES; lane++) {
         frame[lane] = next < frames ? next++ : -1;
         iteration[lane] = 0;
-        fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits,
-                  bits, edges);
+        fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits, &g);
     }
 
     for (;;) {
@@ -481,7 +422,14 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
         if (!active)
             break;
         i64x2 failed[PAIRS];
-        check_pass(&lanes, edge_bit, starts, checks, edges, scale, offset, failed);
+        for (int h = 0; h < PAIRS; h++)
+            failed[h] = (i64x2){0, 0};
+        if (layers)
+            syndrome_pass(&lanes, &g, failed);
+        else if (quantized)
+            check_pass(&lanes, &g, 0, checks, &rule, 1, 0, failed);
+        else
+            check_pass(&lanes, &g, 0, checks, &rule, 0, 0, failed);
 
         int stopped[LANES];
         int decoding = 0;
@@ -505,8 +453,16 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
                 decoding = 1;
             }
         }
-        if (decoding)
-            bit_pass(&lanes, slot_edges, degrees, bits);
+        if (decoding && !layers) {
+            bit_pass(&lanes, &g);
+        } else if (decoding) {
+            for (int64_t i = 0; i < layers; i++) {
+                const int64_t first = layer_starts[i];
+                const int64_t last = i + 1 < layers ? layer_starts[i + 1] : checks;
+                check_pass(&lanes, &g, first, last, &rule, 0, 1, NULL);
+                add_pass(&lanes, &g, first, last);
+            }
+        }
 
         for (int64_t lane = 0; lane < LANES; lane++) {
             if (frame[lane] < 0)
@@ -517,8 +473,7 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
             }
             frame[lane] = next < frames ? next++ : -1;
             iteration[lane] = 0;
-            fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits,
-                      bits, edges);
+            fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits, &g);
         }
     }
     free(buffer);

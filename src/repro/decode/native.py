@@ -1,16 +1,14 @@
-"""Native min-sum kernels: ``native.c`` built with the system compiler, loaded with ctypes.
+"""The native min-sum decode: ``native.c`` built with the system compiler, loaded with ctypes.
 
-:class:`~repro.decode.graph.TannerGraph` runs the bodies of
-``min_sum_extrinsic``, ``bit_node_update`` and ``syndrome_ok`` through three
-C functions of ``native.c`` whenever :func:`kernels` returns them, and its
-numpy bodies otherwise.  The decoding loop of
-:class:`~repro.decode.base.MessagePassingDecoder` hands a whole batch of the
-flooding min-sum kinds to a fourth, ``repro_decode_min_sum``
-(:meth:`NativeKernels.decode_min_sum`).  The numpy bodies and the loop are
-the reference: the C code implements the orders ``graph.py`` documents,
-operation for operation.
+The decoding loop of :class:`~repro.decode.base.MessagePassingDecoder`
+hands a whole batch of every decoder that states streaming parameters
+(``min-sum``, ``nms``, ``offset``, ``quantized`` and ``layered``) to one C
+function, ``repro_decode_min_sum`` (:meth:`NativeKernels.decode_min_sum`),
+whenever :func:`kernels` returns it.  The loop, over the numpy methods of
+:class:`~repro.decode.graph.TannerGraph`, is the reference: the C code
+implements the orders ``graph.py`` documents, operation for operation.
 
-Build.  On the first kernel call of a process, never at import, the source
+Build.  On the first decode of a process, never at import, the source
 is compiled with ``cc -O3 -ffp-contract=off -fPIC -shared``: no ``-march``,
 no fast-math, so no operation is fused or reordered and each rounds as
 numpy's does.  The library is cached under a name hashed from the source and
@@ -23,12 +21,13 @@ fabric workers) never load a partial file.  After a build into
 ``__pycache__``, the libraries built there from older sources are deleted.
 
 Acceptance.  The library is used only after a one-time probe on a tiny graph
-(ties, signed zeros, empty and degree-1 checks, bits of degree 0 to 4 and an
-odd frame count) reproduces the numpy bodies bit for bit, and its streaming
-decode reproduces the decoding loop on them.  When the compiler is missing,
-the build fails, the cache cannot be written or the probe disagrees, the
-process warns once and stays on the numpy bodies.  Nothing else (no option,
-parameter or environment variable) picks the backend.
+(ties, signed zeros, empty and degree-1 checks, bits of degree 0 to 4)
+reproduces the loop bit for bit for each streamed kind: both stopping
+rules, a quantizer whose channel grid is finer than its message grid, and
+two layers.  When the compiler is missing, the build fails, the cache
+cannot be written or the probe disagrees, the process warns once and
+decodes on the loop.  Nothing else (no option, parameter or environment
+variable) picks the backend.
 """
 
 from __future__ import annotations
@@ -48,9 +47,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-import numpy.typing as npt
+
+from repro.channel.quantize import FixedPointFormat
 
 if TYPE_CHECKING:
+    from repro.decode.base import StreamingParameters
     from repro.decode.graph import TannerGraph
 
 __all__ = ["NativeKernels", "kernels"]
@@ -77,122 +78,50 @@ class _Unavailable(Exception):
     """Why this process cannot use the native kernels."""
 
 
-def _rows(values: np.ndarray, width: int, dtype: npt.DTypeLike = np.float64) -> np.ndarray:
-    """``(batch, width)`` values as C-contiguous ``(width, batch)`` rows.
-
-    A view of a frame-innermost array, as the decoding loop keeps them; a
-    copy of any other layout.
-    """
-    if values.ndim != 2 or values.shape[1] != width:
-        raise ValueError(f"expected a (batch, {width}) array, got shape {values.shape}")
-    return np.ascontiguousarray(values.T, dtype=dtype)
-
-
 class NativeKernels:
-    """Typed entry points of a loaded kernel library.
-
-    Each kernel method takes ``(batch, width)`` arrays in any layout plus the
-    graph's index arrays, checks their sizes, and returns frame-innermost
-    arrays as the numpy bodies do.  :meth:`decode_min_sum` takes the graph
-    itself and returns one row per frame, as the decoding loop does.  The
-    index arrays are trusted: the graph builds them.
-    """
+    """The typed entry point of a loaded kernel library: :meth:`decode_min_sum`."""
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self._library = library
-        self._min_sum = library.repro_min_sum
-        self._min_sum.argtypes = [
-            _DOUBLES, _INDEX, _SIZE, _SIZE, _SIZE, ctypes.c_double, ctypes.c_double,
-            _DOUBLES,
-        ]
-        self._min_sum.restype = None
-        self._bit_node = library.repro_bit_node
-        self._bit_node.argtypes = [
-            _DOUBLES, _DOUBLES, _INDEX, _INDEX, _SIZE, _SIZE, _DOUBLES, _DOUBLES,
-        ]
-        self._bit_node.restype = None
-        self._syndrome = library.repro_syndrome
-        self._syndrome.argtypes = [_BYTES, _INDEX, _INDEX, _SIZE, _SIZE, _SIZE, _BOOLS]
-        self._syndrome.restype = None
         self._decode_min_sum = library.repro_decode_min_sum
         self._decode_min_sum.argtypes = [
             _DOUBLES, _SIZE, _SIZE, _INDEX, _INDEX, _SIZE, _SIZE, _INDEX, _INDEX,
-            ctypes.c_double, ctypes.c_double, _SIZE, _SIZE, _DOUBLES, _BYTES, _INDEX, _BOOLS,
+            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double, _INDEX, _SIZE,
+            _SIZE, _SIZE, _DOUBLES, _BYTES, _INDEX, _BOOLS,
         ]
         self._decode_min_sum.restype = ctypes.c_int
-
-    def min_sum(
-        self,
-        check_starts: np.ndarray,
-        num_edges: int,
-        bit_to_check: np.ndarray,
-        scale: float,
-        offset: float,
-    ) -> np.ndarray:
-        """The min-sum check node; ``check_starts`` are the non-empty checks' first edges."""
-        rows = _rows(bit_to_check, num_edges)
-        out = np.empty_like(rows)
-        self._min_sum(rows, check_starts, check_starts.size, num_edges, rows.shape[1],
-                      scale, offset, out)
-        return out.T
-
-    def bit_node(
-        self,
-        bit_slot_edges: np.ndarray,
-        bit_degrees: np.ndarray,
-        num_edges: int,
-        channel_llrs: np.ndarray,
-        check_to_bit: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The bit node, ``(bit_to_check, posterior)``, over the slot-major bit layout."""
-        llrs = _rows(channel_llrs, bit_degrees.size)
-        messages = _rows(check_to_bit, num_edges)
-        if messages.shape[1] != llrs.shape[1]:
-            raise ValueError(
-                f"{check_to_bit.shape[0]} frames of messages, {channel_llrs.shape[0]} of LLRs"
-            )
-        posterior = np.empty_like(llrs)
-        bit_to_check = np.empty_like(messages)
-        self._bit_node(messages, llrs, bit_slot_edges, bit_degrees, bit_degrees.size,
-                       llrs.shape[1], posterior, bit_to_check)
-        return bit_to_check.T, posterior.T
-
-    def syndrome(
-        self,
-        edge_bit: np.ndarray,
-        check_starts: np.ndarray,
-        num_bits: int,
-        hard_bits: np.ndarray,
-    ) -> np.ndarray:
-        """Whether each frame's hard decisions (nonzero means 1) satisfy every check."""
-        if hard_bits.dtype.itemsize != 1 or hard_bits.dtype.kind not in "biu":
-            hard_bits = hard_bits != 0
-        rows = _rows(hard_bits, num_bits, hard_bits.dtype).view(np.uint8)
-        ok = np.empty(rows.shape[1], dtype=np.bool_)
-        self._syndrome(rows, edge_bit, check_starts, check_starts.size, edge_bit.size,
-                       rows.shape[1], ok)
-        return ok
 
     def decode_min_sum(
         self,
         graph: TannerGraph,
         channel_llrs: np.ndarray,
-        scale: float,
-        offset: float,
+        parameters: StreamingParameters,
         max_iterations: int,
         early_stop: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flooding min-sum over ``(batch, n)`` LLRs, in one call.
+        """Min-sum over ``(batch, n)`` conditioned LLRs as ``parameters`` describe it, in one call.
 
         Returns the hard decisions, posteriors, syndrome flags and iteration
-        counts that the decoding loop would.  A frame stops once its
-        syndrome is clear at an iteration of at least ``early_stop``, or
-        after ``max_iterations``.
+        counts that the decoding loop would, one row per frame.  A frame
+        stops once its syndrome is clear at an iteration of at least
+        ``early_stop``, or after ``max_iterations``.  The graph's index
+        arrays are trusted: the graph builds them; the layer starts are
+        checked.
         """
         llrs = np.ascontiguousarray(channel_llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != graph.num_bits:
             raise ValueError(
                 f"expected a (batch, {graph.num_bits}) array, got shape {llrs.shape}"
+            )
+        step = limit = 0.0
+        if parameters.message_format is not None:
+            step = parameters.message_format.step
+            limit = parameters.message_format.max_value
+        layer_starts = np.array(parameters.layer_starts or (), dtype=np.int64)
+        bounds = np.concatenate([[0], layer_starts, [graph.check_starts.size]])
+        if (np.diff(bounds) < 0).any():
+            raise ValueError(
+                f"layer starts {parameters.layer_starts} are not ordered non-empty checks"
             )
         frames = llrs.shape[0]
         posterior = np.empty_like(llrs)
@@ -201,9 +130,9 @@ class NativeKernels:
         iterations = np.empty(frames, dtype=np.int64)
         status = self._decode_min_sum(
             llrs, frames, graph.num_bits, graph.edge_bit, graph.check_starts,
-            graph.check_starts.size, graph.num_edges, graph.bit_slot_edges,
-            graph.bit_degrees, scale, offset, max_iterations, early_stop, posterior, bits,
-            iterations, converged,
+            graph.check_starts.size, graph.num_edges, graph.bit_slot_edges, graph.bit_degrees,
+            parameters.scale, parameters.offset, step, limit, layer_starts, layer_starts.size,
+            max_iterations, early_stop, posterior, bits, iterations, converged,
         )
         if status != 0:
             raise MemoryError("cannot allocate the decoding lanes")
@@ -317,79 +246,69 @@ def _load() -> NativeKernels:
 #: Checks of degree 4, 2, 1, 0, 6 and 2 on 8 bits of degree 2, 2, 4, 3, 2,
 #: 1, 1 and 0.
 PROBE_CHECKS = ((0, 1, 2, 3), (1, 4), (2,), (), (0, 2, 3, 4, 5, 6), (2, 3))
-#: Message values, cycled: ties, signed zeros and both signs.
+#: LLR values, cycled: ties, signed zeros and both signs.
 PROBE_VALUES = (0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 0.75, -2.5, 0.25, 3.0, -0.0)
-#: Frames of the probe: odd, so the last frame takes the single-lane path.
-PROBE_FRAMES = 5
-#: Channel LLRs of the streaming probe on the same graph, more frames than
-#: ``native.c`` has lanes.  Row 1 is a codeword holding ``-0.0`` on three of
-#: its ones.  Row 2 can never satisfy the degree-1 check on bit 2, as every
-#: other check confirms that bit.
+#: Channel LLRs of the probe, more frames than ``native.c`` has lanes.  Row 1
+#: is a codeword holding ``-0.0`` on three of its ones.  Row 2 can never
+#: satisfy the degree-1 check on bit 2, as every other check confirms that
+#: bit.  Row 3 lies on a grid finer than the quantized decoder's messages,
+#: with ties of its rounding.
 PROBE_LLRS = np.concatenate(
     [
         [[0.5, -0.25, 1.0, 0.75, 0.25, -1.0, 2.0, -0.25]],
         [[-1.0, -0.25, 1.0, 0.75, -0.0, -2.5, -0.0, -0.0]],
         [[2.0, 2.0, -3.0, -3.0, 2.0, 1.0, 1.0, 1.0]],
+        [[0.3125, -0.0625, 0.125, -0.125, 0.375, -1.1875, 2.5625, -0.4375]],
         np.resize(PROBE_VALUES, (8, 8)) + np.resize((0.5, 0.0, 1.5), (8, 1)),
     ]
 )
-#: Kinds, stopping rules and iteration caps of the streaming probe.
-PROBE_DECODERS = (
-    ("min-sum", "SyndromeStopping", 0, 5),
-    ("nms", "SyndromeStopping", 2, 6),
-    ("offset", "FixedIterations", 0, 4),
+#: Kinds with their parameters, stopping rules and iteration caps of the
+#: probe.  The quantized decoder's channel format is finer than its message
+#: format, and the layered decoder's two layers put the degree-1 check in the
+#: first and the empty check in the second.
+PROBE_DECODERS: tuple[tuple[str, dict[str, object], str, int, int], ...] = (
+    ("min-sum", {}, "SyndromeStopping", 0, 5),
+    ("nms", {}, "SyndromeStopping", 2, 6),
+    ("offset", {}, "FixedIterations", 0, 4),
+    (
+        "quantized",
+        {"message_format": FixedPointFormat(5, 2), "channel_format": FixedPointFormat(7, 4)},
+        "SyndromeStopping", 0, 6,
+    ),
+    ("layered", {"num_layers": 2}, "SyndromeStopping", 1, 5),
 )
 
 
 def _probe(native: NativeKernels) -> str:
-    """The first kernel whose output differs from numpy's bits, or ``""``.
+    """The first decoder whose native decode differs from the loop's bits, or ``""``.
 
-    The streaming decode is compared with the decoding loop, which runs on
-    the numpy bodies here: :func:`kernels` returns ``None`` to the thread
-    that is settling the backend.
+    The reference decodes run the loop: :func:`kernels` returns ``None`` to
+    the thread that is settling the backend.
     """
-    from repro.codes.parity_check import ParityCheckMatrix
-    from repro.decode.graph import TannerGraph
     from repro.decode.stopping import FixedIterations, SyndromeStopping
     from repro.registry import get_component
 
     h = np.zeros((len(PROBE_CHECKS), 8), dtype=np.uint8)
     for check, bits in enumerate(PROBE_CHECKS):
         h[check, list(bits)] = 1
-    graph = TannerGraph(ParityCheckMatrix(h))
-    messages = np.asfortranarray(np.resize(PROBE_VALUES, (PROBE_FRAMES, graph.num_edges)))
-    llrs = np.asfortranarray(np.resize(PROBE_VALUES[::-1], (PROBE_FRAMES, graph.num_bits)))
-    hard = (llrs <= 0).astype(np.uint8)
-    hard[0] = 0  # a codeword, so the probe sees both syndrome outcomes
 
     def same(got: np.ndarray, want: np.ndarray) -> bool:
         return got.shape == want.shape and np.array_equal(
             np.ascontiguousarray(got).view(np.uint8), np.ascontiguousarray(want).view(np.uint8)
         )
 
-    for scale, offset in ((1.0, 0.0), (0.8, 0.0), (1.0, 0.25)):
-        got = native.min_sum(graph.check_starts, graph.num_edges, messages, scale, offset)
-        if not same(got, graph._numpy_min_sum_extrinsic(messages, scale=scale, offset=offset)):
-            return f"min_sum_extrinsic(scale={scale}, offset={offset})"
-    got_pair = native.bit_node(
-        graph.bit_slot_edges, graph.bit_degrees, graph.num_edges, llrs, messages
-    )
-    want_pair = graph._numpy_bit_node_update(llrs, messages)
-    if not all(same(g, w) for g, w in zip(got_pair, want_pair)):
-        return "bit_node_update"
-    got_ok = native.syndrome(graph.edge_bit, graph.check_starts, graph.num_bits, hard)
-    if not same(got_ok, graph._numpy_syndrome_ok(hard)):
-        return "syndrome_ok"
-    for kind, rule, min_iterations, max_iterations in PROBE_DECODERS:
+    for kind, params, rule, min_iterations, max_iterations in PROBE_DECODERS:
         stopping = (
             SyndromeStopping(min_iterations) if rule == "SyndromeStopping" else FixedIterations()
         )
         decoder = get_component("decoder", kind).build(
-            h, max_iterations=max_iterations, stopping=stopping
+            h, max_iterations=max_iterations, stopping=stopping, **params
         )
         arguments = decoder._streaming_arguments()
         want_result = decoder.decode_batch(PROBE_LLRS)
-        got_result = native.decode_min_sum(decoder.edge_structure, PROBE_LLRS, *arguments)
+        got_result = native.decode_min_sum(
+            decoder.edge_structure, decoder._condition_channel(PROBE_LLRS), *arguments
+        )
         want_fields = (
             want_result.bits, want_result.posterior_llrs, want_result.converged,
             want_result.iterations,
@@ -407,7 +326,7 @@ class _Backend:
 
     Other threads wait for the settling thread.  The settling thread itself
     gets ``None`` when the probe's reference decodes call back in, so they
-    run the numpy bodies.
+    run the loop.
     """
 
     def __init__(self) -> None:
@@ -424,9 +343,9 @@ class _Backend:
                     try:
                         self._kernels = _load()
                     except _Unavailable as reason:
-                        # Attributed to the caller of graph.native_kernels
-                        # (a TannerGraph kernel or the decoding loop) whose
-                        # first call settled the backend.
+                        # Attributed to the decoding loop, through
+                        # base.native_kernels, whose first decode settled
+                        # the backend.
                         warnings.warn(
                             f"native min-sum kernels unavailable ({reason}); "
                             "decoding with the numpy kernels",
@@ -443,7 +362,7 @@ _BACKEND = _Backend()
 
 
 def kernels() -> NativeKernels | None:
-    """The native kernels, or ``None`` while this process runs the numpy bodies.
+    """The native kernels, or ``None`` while this process decodes on the loop alone.
 
     The first call builds, loads and probes the library (see the module
     docstring); every later call returns the same answer.

@@ -48,7 +48,7 @@ def native_backend():
 
 @pytest.fixture(scope="class")
 def numpy_backend():
-    """Put the process on the numpy kernel bodies for one test class."""
+    """Put the process on the decoding loop alone, no native decode, for one test class."""
     from repro.decode import native
 
     with pytest.MonkeyPatch.context() as patch:

@@ -1,9 +1,10 @@
 """Differential test battery: batched decoding vs per-frame decoding.
 
 Every message-passing decoder runs the compacting loop that drops frames
-from its working set as they finish, except the flooding min-sum kinds
-under syndrome or fixed stopping, which stream each batch through the
-native kernel and keep the loop as their reference and fallback.  For each
+from its working set as they finish, except the min-sum kinds (``min-sum``,
+``nms``, ``offset``, ``quantized`` and ``layered``) under syndrome or fixed
+stopping, which stream each batch through the native kernel and keep the
+loop as their reference and fallback.  For each
 of the six base kinds, one ``decode_batch`` call must be bit-identical —
 hard decisions, posterior LLRs, iteration counts and syndrome (converged)
 flags — to a per-frame ``decode`` loop (batch 1 through the same path,

@@ -223,10 +223,11 @@ class TestBitNodeSumOrder:
 
     ``sum_per_bit`` and ``bit_node_update`` are compared bit for bit,
     signed zeros included, with the explicit order; it is the contract the
-    native kernel must match.  ``reduceat``, whose order it is, is compared
-    by value only: numpy does not promise how its reductions treat signed
-    zeros.  These run on the native kernels; the subclass below runs them
-    on the numpy bodies.
+    native decode's bit node must match.  ``reduceat``, whose order it is,
+    is compared by value only: numpy does not promise how its reductions
+    treat signed zeros.  These run with the native kernels loaded; the
+    subclass below runs them with the process on the loop alone.  The
+    methods must hold the order either way.
     """
 
     @pytest.fixture(autouse=True, scope="class")
@@ -288,7 +289,7 @@ class TestBitNodeSumOrder:
 
 
 class TestBitNodeSumOrderOnNumpy(TestBitNodeSumOrder):
-    """The documented order, with the process on the numpy bodies."""
+    """The documented order, with the process decoding on the loop alone."""
 
     @pytest.fixture(autouse=True, scope="class")
     def backend(self, numpy_backend):
@@ -324,8 +325,10 @@ class TestCheckNodeReference:
     """``min_sum_extrinsic`` and ``syndrome_ok`` against edge-by-edge references.
 
     Messages are compared bit for bit, signed zeros included, with scale and
-    with offset, for check-sorted messages in C and F layouts.  These run on
-    the native kernels; the subclass below runs them on the numpy bodies.
+    with offset, for check-sorted messages in C and F layouts.  These run
+    with the native kernels loaded; the subclass below runs them with the
+    process on the loop alone.  The methods must agree with the references
+    either way.
     """
 
     @pytest.fixture(autouse=True, scope="class")
@@ -364,7 +367,7 @@ class TestCheckNodeReference:
 
 
 class TestCheckNodeReferenceOnNumpy(TestCheckNodeReference):
-    """The references, with the process on the numpy bodies."""
+    """The references, with the process decoding on the loop alone."""
 
     @pytest.fixture(autouse=True, scope="class")
     def backend(self, numpy_backend):

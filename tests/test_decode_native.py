@@ -10,8 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.decode import FixedIterations, SyndromeStopping, native
-from repro.decode.graph import TannerGraph
+from repro.channel.quantize import FixedPointFormat
+from repro.decode import (
+    FixedIterations,
+    LayeredMinSumDecoder,
+    NormalizedMinSumDecoder,
+    QuantizedMinSumDecoder,
+    SyndromeStopping,
+    native,
+)
+from repro.decode.base import StreamingParameters
 from repro.registry import get_component
 
 
@@ -30,69 +38,68 @@ def empty_cache(monkeypatch, tmp_path):
     return cache
 
 
-def settle_and_decode(graph, messages, bits):
-    """Settle the backend through the graph's kernels; return the warnings it raised."""
+def settle_and_decode(decoder, llrs):
+    """Settle the backend through two decodes; return the warnings they raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for _ in range(2):
-            got = graph.min_sum_extrinsic(messages, scale=0.8)
-            ok = graph.syndrome_ok(bits)
-    want = graph._numpy_min_sum_extrinsic(messages, scale=0.8, offset=0.0)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.array_equal(ok, graph._numpy_syndrome_ok(bits))
+        first, second = (decoder.decode_batch(llrs) for _ in range(2))
+    assert np.array_equal(first.posterior_llrs.view(np.int64), second.posterior_llrs.view(np.int64))
+    assert np.array_equal(first.iterations, second.iterations)
     return [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture
-def small_graph(hamming_pcm, rng):
-    graph = TannerGraph(hamming_pcm)
-    messages = rng.normal(size=(5, graph.num_edges))
-    bits = rng.integers(0, 2, size=(5, graph.num_bits), dtype=np.uint8)
-    return graph, messages, bits
+def small_decoder(hamming_pcm, rng):
+    """An nms decoder, which streams, and five frames of LLRs to settle it on."""
+    decoder = get_component("decoder", "nms").build(hamming_pcm, max_iterations=5)
+    return decoder, rng.normal(1.0, 1.0, size=(5, hamming_pcm.block_length))
 
 
 class TestFallback:
     """Every failure leaves the process on numpy, with exactly one warning."""
 
-    def assert_on_numpy(self, small_graph, reason):
-        caught = settle_and_decode(*small_graph)
+    def assert_on_numpy(self, small_decoder, reason):
+        caught = settle_and_decode(*small_decoder)
         assert len(caught) == 1, [str(w.message) for w in caught]
         assert reason in str(caught[0].message)
         assert native.kernels() is None
 
     @pytest.mark.usefixtures("fresh_backend", "empty_cache")
-    def test_no_compiler(self, monkeypatch, small_graph):
+    def test_no_compiler(self, monkeypatch, small_decoder):
         monkeypatch.setattr(native, "COMPILER", "repro-no-such-cc")
-        self.assert_on_numpy(small_graph, "no C compiler")
+        self.assert_on_numpy(small_decoder, "no C compiler")
 
     @pytest.mark.skipif(shutil.which(native.COMPILER) is None, reason="no C compiler")
     @pytest.mark.usefixtures("fresh_backend", "empty_cache")
-    def test_failed_compile(self, monkeypatch, tmp_path, small_graph):
+    def test_failed_compile(self, monkeypatch, tmp_path, small_decoder):
         broken = tmp_path / "native.c"
         broken.write_text("this is not C\n")
         monkeypatch.setattr(native, "SOURCE", broken)
-        self.assert_on_numpy(small_graph, "exited with code")
+        self.assert_on_numpy(small_decoder, "exited with code")
 
     @pytest.mark.usefixtures("fresh_backend")
-    def test_unwritable_cache_directory(self, monkeypatch, tmp_path, small_graph):
+    def test_unwritable_cache_directory(self, monkeypatch, tmp_path, small_decoder):
         # A path below a regular file cannot be written, whoever runs this.
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         monkeypatch.setattr(native, "_cache_directory", lambda: (blocker / "cache", False))
-        self.assert_on_numpy(small_graph, "cannot build or load")
+        self.assert_on_numpy(small_decoder, "cannot build or load")
 
     @pytest.mark.usefixtures("fresh_backend")
-    def test_probe_mismatch(self, monkeypatch, small_graph, native_backend):
-        exact = native.NativeKernels.min_sum
+    def test_probe_mismatch(self, monkeypatch, small_decoder, native_backend):
+        exact = native.NativeKernels.decode_min_sum
 
-        def flipped(self, *args):
-            return -exact(self, *args)
+        def misquantized(self, graph, llrs, parameters, *args):
+            bits, posterior, converged, iterations = exact(self, graph, llrs, parameters, *args)
+            if parameters.message_format is not None:
+                posterior = -posterior
+            return bits, posterior, converged, iterations
 
-        monkeypatch.setattr(native.NativeKernels, "min_sum", flipped)
-        self.assert_on_numpy(small_graph, "disagrees with numpy on min_sum_extrinsic")
+        monkeypatch.setattr(native.NativeKernels, "decode_min_sum", misquantized)
+        self.assert_on_numpy(small_decoder, "disagrees with numpy on decode_min_sum(quantized")
 
     @pytest.mark.usefixtures("fresh_backend")
-    def test_probe_mismatch_in_the_streaming_decode(self, monkeypatch, small_graph, native_backend):
+    def test_probe_mismatch_in_the_streaming_decode(self, monkeypatch, small_decoder, native_backend):
         exact = native.NativeKernels.decode_min_sum
 
         def one_iteration_more(self, *args):
@@ -100,7 +107,7 @@ class TestFallback:
             return bits, posterior, converged, iterations + 1
 
         monkeypatch.setattr(native.NativeKernels, "decode_min_sum", one_iteration_more)
-        self.assert_on_numpy(small_graph, "disagrees with numpy on decode_min_sum(min-sum")
+        self.assert_on_numpy(small_decoder, "disagrees with numpy on decode_min_sum(min-sum")
 
 
 class TestBuild:
@@ -179,12 +186,48 @@ class CountingStopping(SyndromeStopping):
         return super().should_stop(iteration, syndrome_ok)
 
 
+class ClippedNms(NormalizedMinSumDecoder):
+    """nms whose messages saturate at +-2."""
+
+    def _condition_messages(self, messages):
+        return np.clip(messages, -2.0, 2.0)
+
+
+class HalvedNms(NormalizedMinSumDecoder):
+    """nms whose check node sends half its messages."""
+
+    def _check_node_update(self, bit_to_check):
+        return 0.5 * super()._check_node_update(bit_to_check)
+
+
+class ClippedQuantized(QuantizedMinSumDecoder):
+    """The 6-bit decoder with its messages saturating at +-2."""
+
+    def _condition_messages(self, messages):
+        return np.clip(super()._condition_messages(messages), -2.0, 2.0)
+
+
+class HalvedQuantized(QuantizedMinSumDecoder):
+    """The 6-bit decoder whose check node sends half its messages."""
+
+    def _check_node_update(self, bit_to_check):
+        return 0.5 * super()._check_node_update(bit_to_check)
+
+
+class TwoSweepLayered(LayeredMinSumDecoder):
+    """Layered decoding with two sweeps over the layers per iteration."""
+
+    def _iterate(self, llrs, state):
+        state, _ = super()._iterate(llrs, state)
+        return super()._iterate(llrs, state)
+
+
 class TestDispatch:
-    """The streaming kernel decodes the flooding min-sum kinds; the rest keep the loop."""
+    """Decoders that state streaming parameters stream; the rest keep the loop."""
 
     @pytest.fixture
     def streamed(self, monkeypatch, native_backend):
-        """Every batch the streaming kernel decodes, by its number of frames."""
+        """Every batch the native kernel decodes, by its number of frames."""
         calls = []
         exact = native.NativeKernels.decode_min_sum
 
@@ -196,11 +239,17 @@ class TestDispatch:
         return calls
 
     @staticmethod
-    def decode(kind, code, rng, **kwargs):
-        decoder = get_component("decoder", kind).build(code, max_iterations=6, **kwargs)
-        return decoder.decode_batch(6.0 + 4.0 * rng.normal(size=(9, code.block_length)))
+    def llrs(code, rng):
+        return 6.0 + 4.0 * rng.normal(size=(9, code.block_length))
 
-    @pytest.mark.parametrize("kind", ["min-sum", "nms", "offset", "nms-batched"])
+    @classmethod
+    def decode(cls, kind, code, rng, **kwargs):
+        decoder = get_component("decoder", kind).build(code, max_iterations=6, **kwargs)
+        return decoder.decode_batch(cls.llrs(code, rng))
+
+    @pytest.mark.parametrize(
+        "kind", ["min-sum", "nms", "offset", "nms-batched", "quantized", "layered"]
+    )
     @pytest.mark.parametrize(
         "stopping",
         [SyndromeStopping(), SyndromeStopping(3), FixedIterations()],
@@ -210,7 +259,7 @@ class TestDispatch:
         self.decode(kind, scaled_code, rng, stopping=stopping)
         assert streamed == [9]
 
-    @pytest.mark.parametrize("kind", ["quantized", "layered", "sum-product"])
+    @pytest.mark.parametrize("kind", ["sum-product"])
     def test_other_kinds_take_the_loop(self, streamed, kind, scaled_code, rng):
         self.decode(kind, scaled_code, rng)
         assert streamed == []
@@ -220,3 +269,52 @@ class TestDispatch:
         self.decode("nms", scaled_code, rng, stopping=stopping)
         assert streamed == []
         assert stopping.calls > 1
+
+    @pytest.mark.parametrize(
+        "subclass, kind",
+        [
+            (ClippedNms, "nms"),
+            (HalvedNms, "nms"),
+            (ClippedQuantized, "quantized"),
+            (HalvedQuantized, "quantized"),
+            (TwoSweepLayered, "layered"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value.__name__,
+    )
+    def test_a_subclass_that_overrides_a_hook_takes_its_own_loop(
+        self, streamed, monkeypatch, subclass, kind, scaled_code, rng
+    ):
+        """A subclass that does not restate the streaming parameters decodes on its own loop.
+
+        It decodes otherwise than its base kind, and the same with the
+        native kernels loaded as with the process on the loop alone.
+        """
+        llrs = self.llrs(scaled_code, rng)
+        got = subclass(scaled_code, max_iterations=6).decode_batch(llrs)
+        assert streamed == []
+        base = get_component("decoder", kind).build(scaled_code, max_iterations=6)
+        assert not np.array_equal(
+            got.posterior_llrs.view(np.int64), base.decode_batch(llrs).posterior_llrs.view(np.int64)
+        )
+        monkeypatch.setattr(native, "kernels", lambda: None)
+        want = subclass(scaled_code, max_iterations=6).decode_batch(llrs)
+        assert np.array_equal(got.bits, want.bits)
+        assert np.array_equal(got.posterior_llrs.view(np.int64), want.posterior_llrs.view(np.int64))
+        assert np.array_equal(got.converged, want.converged)
+        assert np.array_equal(got.iterations, want.iterations)
+
+
+def test_the_layered_schedule_keeps_its_messages_exact():
+    """No decoder quantizes a layered schedule, so the parameters refuse the pair."""
+    with pytest.raises(ValueError, match="exact"):
+        StreamingParameters(message_format=FixedPointFormat(6, 2), layer_starts=(0,))
+
+
+@pytest.mark.parametrize("layer_starts", [(-1,), (0, 3, 2), (0, 99)])
+def test_layer_starts_outside_the_graph_are_refused(layer_starts, native_backend, hamming_pcm):
+    """The kernel indexes the graph by the layer starts, so they must be ordered checks of it."""
+    decoder = get_component("decoder", "layered").build(hamming_pcm, max_iterations=3)
+    with pytest.raises(ValueError, match="layer starts"):
+        native_backend.decode_min_sum(
+            decoder.edge_structure, np.ones((2, 7)), StreamingParameters(layer_starts=layer_starts), 3, 0
+        )

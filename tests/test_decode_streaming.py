@@ -1,12 +1,14 @@
-"""The streaming min-sum decode against the decoding loop on the numpy bodies.
+"""The native min-sum decode against the decoding loop.
 
-``NativeKernels.decode_min_sum`` decodes the flooding min-sum kinds of a
-whole batch in one call: a few frames stay resident in lanes, and a lane
-takes the next frame as soon as its own stops.  Every ``DecodeResult`` field
-must be bit-identical to what the loop computes on the numpy bodies, the
-posteriors through ``.view(np.int64)`` so that signed zeros count.  The
-cases cover random graphs with empty and degree-1 checks and bits of degree
-0, LLRs with ties and signed zeros, every correction, both stopping rules
+``NativeKernels.decode_min_sum`` decodes a whole batch of every streamed
+kind in one call: a few frames stay resident in lanes, and a lane takes the
+next frame as soon as its own stops.  Every ``DecodeResult`` field must be
+bit-identical to what the loop computes over the numpy ``TannerGraph``
+methods, the posteriors through ``.view(np.int64)`` so that signed zeros
+count.  The cases cover random graphs with empty and degree-1 checks and
+bits of degree 0, LLRs with ties and signed zeros, every correction, the
+quantizer on a channel grid equal to or finer than its message grid, one
+to five layers (some holding only empty checks), both stopping rules
 (batches where every frame runs ``max_iterations`` included), batches from
 0 to 300 frames, the scaled C2 twins and the full C2 code.
 """
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from repro.channel.awgn import ebn0_to_sigma
+from repro.channel.quantize import FixedPointFormat
 from repro.codes import build_scaled_ccsds_code
 from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
@@ -23,18 +26,31 @@ from repro.decode import DecodeResult, FixedIterations, SyndromeStopping
 from repro.registry import get_component
 
 #: The kinds that stream.
-KINDS = ["min-sum", "nms", "offset"]
-#: The same kinds with their corrections: none, a trivial one (``alpha`` 1,
-#: ``beta`` 0) and a real one.
+KINDS = ["min-sum", "nms", "offset", "quantized", "layered"]
+#: The same kinds with their parameters: each correction, none, trivial
+#: (``alpha`` 1, ``beta`` 0) and real; the quantizer on Q4.2 alone and with
+#: a channel format finer than its messages'; one, two and five layers.
 DECODERS = [
     ("min-sum", {}),
     ("nms", {"alpha": 1.0}),
     ("nms", {"alpha": 1.25}),
     ("offset", {"beta": 0.0}),
     ("offset", {"beta": 0.5}),
+    ("quantized", {}),
+    (
+        "quantized",
+        {"message_format": FixedPointFormat(6, 2), "channel_format": FixedPointFormat(8, 4)},
+    ),
+    ("layered", {"num_layers": 1}),
+    ("layered", {"num_layers": 2}),
+    ("layered", {"num_layers": 5}),
 ]
 STOPPING_RULES = [SyndromeStopping(), SyndromeStopping(2), FixedIterations()]
 STOPPING_IDS = ["syndrome", "syndrome-after-2", "fixed"]
+
+#: Eb/N0 (dB) and batch of the full C2 cases: below the waterfall, where
+#: every frame runs 18 iterations, in it and above it.
+C2_CASES = [(3.0, 37), (3.7, 64), (3.7, 131), (4.5, 16)]
 
 #: LLR values that make ties and signed zeros common.
 TIED_VALUES = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0])
@@ -57,10 +73,15 @@ def tied_llrs(rng, frames, num_bits, mean):
 
 
 def assert_streams_like_the_loop(kernels, decoder, llrs):
-    """The streaming decode of ``llrs`` is the loop's, field for field and bit for bit."""
+    """The native decode of ``llrs`` is the loop's, field for field and bit for bit.
+
+    The kernel, like the loop, decodes the LLRs that the decoder's channel
+    conditioning gives.
+    """
     arguments = decoder._streaming_arguments()
     assert arguments is not None
-    got = DecodeResult(*kernels.decode_min_sum(decoder.edge_structure, llrs, *arguments))
+    conditioned = decoder._condition_channel(llrs)
+    got = DecodeResult(*kernels.decode_min_sum(decoder.edge_structure, conditioned, *arguments))
     want = decoder.decode_batch(llrs)
     assert np.array_equal(got.bits, want.bits)
     assert np.array_equal(got.posterior_llrs.view(np.int64), want.posterior_llrs.view(np.int64))
@@ -98,14 +119,14 @@ def streaming_cases(draw):
 
 
 class TestStreamingMatchesTheLoop:
-    """Streaming decodes on the native kernels; the loop runs on the numpy bodies."""
+    """Native decodes on the kernels; the reference decodes take the loop."""
 
     @pytest.fixture(autouse=True, scope="class")
     def kernels(self, native_backend, numpy_backend):
         return native_backend
 
     @seed(20261018)
-    @settings(max_examples=150, deadline=3000)
+    @settings(max_examples=250, deadline=3000)
     @given(streaming_cases())
     def test_random_graphs(self, kernels, case):
         decoder, llrs = case
@@ -136,19 +157,28 @@ class TestStreamingMatchesTheLoop:
                 llrs[tied] = TIED_VALUES[rng.integers(0, TIED_VALUES.size, size=tied.sum())]
                 assert_streams_like_the_loop(kernels, decoder, llrs)
 
-    @pytest.mark.parametrize(
-        "ebn0, frames", [(3.0, 37), (3.7, 64), (3.7, 131), (4.5, 16)]
-    )
+    @pytest.mark.parametrize("ebn0, frames", C2_CASES)
     def test_full_c2_code(self, kernels, ebn0, frames):
         """The paper's decoder: nms, alpha 1.25, 18 iterations, all-zero codewords."""
-        code = build_ccsds_c2_code()
-        decoder = get_component("decoder", "nms").build(code, max_iterations=18)
-        sigma = ebn0_to_sigma(ebn0, 7154 / 8176)
-        rng = np.random.default_rng(frames)
-        llrs = 2.0 * (1.0 + sigma * rng.normal(size=(frames, code.block_length))) / sigma**2
-        llrs[0, :4] = [0.0, -0.0, -0.0, 0.0]
-        want = assert_streams_like_the_loop(kernels, decoder, llrs)
-        if ebn0 == 3.0:
-            assert (want.iterations == 18).all()
-        else:
-            assert want.converged.any()
+        assert_decodes_c2_like_the_loop(kernels, "nms", ebn0, frames)
+
+    @pytest.mark.parametrize("ebn0, frames", C2_CASES)
+    @pytest.mark.parametrize("kind", ["quantized", "layered"])
+    def test_full_c2_code_of_the_other_kinds(self, kernels, kind, ebn0, frames):
+        """The 6-bit datapath (Q4.2) and the two block-row layers, as the paper's decoder."""
+        assert_decodes_c2_like_the_loop(kernels, kind, ebn0, frames)
+
+
+def assert_decodes_c2_like_the_loop(kernels, kind, ebn0, frames):
+    """``kind`` at alpha 1.25 and 18 iterations on all-zero C2 codewords, with signed zeros."""
+    code = build_ccsds_c2_code()
+    decoder = get_component("decoder", kind).build(code, max_iterations=18)
+    sigma = ebn0_to_sigma(ebn0, 7154 / 8176)
+    rng = np.random.default_rng(frames)
+    llrs = 2.0 * (1.0 + sigma * rng.normal(size=(frames, code.block_length))) / sigma**2
+    llrs[0, :4] = [0.0, -0.0, -0.0, 0.0]
+    want = assert_streams_like_the_loop(kernels, decoder, llrs)
+    if ebn0 == 3.0:
+        assert (want.iterations == 18).all()
+    else:
+        assert want.converged.any()

@@ -27,6 +27,8 @@ PROMOTED = sorted(
         REPO_ROOT / "src" / "repro" / "decode" / "base.py",
         REPO_ROOT / "src" / "repro" / "decode" / "layered.py",
         REPO_ROOT / "src" / "repro" / "decode" / "native.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "min_sum.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "fixed_point.py",
         REPO_ROOT / "src" / "repro" / "sim" / "parallel.py",
         REPO_ROOT / "src" / "repro" / "devtools" / "linter.py",
         REPO_ROOT / "src" / "repro" / "devtools" / "flow.py",
@@ -42,6 +44,7 @@ def test_mypy_ini_promotes_the_modules():
         "mypy-repro.fabric,repro.fabric.*",
         "mypy-repro.decode.graph,repro.decode.base,repro.decode.layered",
         "mypy-repro.decode.native",
+        "mypy-repro.decode.min_sum,repro.decode.fixed_point",
         "mypy-repro.sim.parallel",
     ):
         assert config.has_section(section), section
