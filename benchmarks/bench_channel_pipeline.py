@@ -18,14 +18,6 @@ workload — identical full-C2 simulations at the shape of perfbench's
 :class:`~repro.obs.probe.StageAccumulator` attached — asserts the
 overhead stays within 3%, and appends frames/s plus the measured overhead
 to the ``BENCH_channel_pipeline.json`` trajectory at the repo root.
-
-Finally it pins the batched-decode speedup: the same pinned shard
-schedule of AWGN LLRs for the rate-1/2 deep-space code decoded by one
-normalized-min-sum decoder, once with one ``decode_batch`` call per shard
-and once with one ``decode`` call per frame (the ``decode_frames``
-fallback for decoders without ``decode_batch``).  Counts must be
-bit-identical — the dispatch is a speed knob, never a physics knob — and
-the frames/s ratio lands in the trajectory as ``batched_speedup``.
 """
 
 from __future__ import annotations
@@ -38,10 +30,7 @@ import numpy as np
 from scale_config import DEFAULT_SCALED_CIRCULANT, full_scale
 from trajectory import record as record_trajectory
 
-from repro.channel.awgn import ebn0_to_sigma
-from repro.codes import build_ccsds_c2_code, build_deepspace_code, build_scaled_ccsds_code
-from repro.decode import NormalizedMinSumDecoder
-from repro.decode.base import decode_frames
+from repro.codes import build_ccsds_c2_code, build_scaled_ccsds_code
 from repro.obs.probe import StageAccumulator
 from repro.registry import component_names
 from repro.sim import MonteCarloSimulator, SimulationConfig
@@ -49,20 +38,6 @@ from repro.sim.campaign import ChannelSpec, DecoderSpec
 from repro.utils.formatting import format_table
 
 EBN0_DB = 4.0
-
-#: Operating point of the batched-vs-serial measurement: the AR4JA-style
-#: rate-1/2 deep-space code at moderate Eb/N0, where a realistic fraction
-#: of frames converges early and the compacted working set has to earn its
-#: keep against stragglers.
-BATCHED_EBN0_DB = 3.5
-BATCHED_RATE = 0.5
-BATCHED_CIRCULANT = 8
-BATCHED_BATCH_FRAMES = 256
-BATCHED_MAX_ITERATIONS = 10
-
-#: Engagement floor for the batched kernels on shared CI runners; the
-#: recorded trajectory on a quiet host lands well above 10x.
-MIN_BATCHED_SPEEDUP = 3.0
 
 #: Hard ceiling on the telemetry probe's hot-path cost (fraction of the
 #: probe-free runtime).  The disabled path is one attribute check per
@@ -114,23 +89,6 @@ def _paired_best_seconds(fn_a, fn_b, rounds: int = 7) -> tuple[float, float]:
     return min(times_a), min(times_b)
 
 
-class _SerialOnlyView:
-    """A decoder seen through the per-frame protocol.
-
-    Exposes ``decode`` and ``block_length`` but *not* ``decode_batch``, so
-    :func:`repro.decode.base.decode_frames` takes the same per-frame loop
-    it uses for third-party decoders without a batched entry point: one
-    ``decode`` call per frame.
-    """
-
-    def __init__(self, decoder):
-        self._decoder = decoder
-        self.block_length = decoder.block_length
-
-    def decode(self, llrs):
-        return self._decoder.decode(llrs)
-
-
 def _measure_probe_overhead() -> dict:
     """Interleaved best-of-7 seconds of one C2 point without and with the probe.
 
@@ -172,66 +130,6 @@ def _measure_probe_overhead() -> dict:
         "seconds_on": seconds_on,
         "overhead_fraction": max(seconds_on - seconds_off, 0.0) / seconds_off,
         "budget_fraction": MAX_TELEMETRY_OVERHEAD,
-    }
-
-
-def _measure_batched_speedup() -> dict:
-    """Batched vs per-frame min-sum frames/s on the same shard schedule.
-
-    Both sides decode the *identical* pinned sequence of LLR shards with
-    the same decoder object — same code, same iteration cap, same AWGN
-    draws — so the ratio isolates the dispatch: one ``decode_batch`` call
-    per ``(batch, n)`` shard versus one ``decode`` call per frame.  Counts
-    are asserted bit-identical before anything is timed.
-    """
-    num_shards = 16 if full_scale() else 8
-    code, _ = build_deepspace_code("1/2", BATCHED_CIRCULANT)
-    batched = NormalizedMinSumDecoder(code, max_iterations=BATCHED_MAX_ITERATIONS)
-    serial_view = _SerialOnlyView(batched)
-
-    pipeline = ChannelSpec(kind="awgn").build()
-    sigma = ebn0_to_sigma(BATCHED_EBN0_DB, BATCHED_RATE)
-    rng = np.random.default_rng(2026)
-    bits = np.zeros((BATCHED_BATCH_FRAMES, code.block_length), dtype=np.uint8)
-    shards = [pipeline.llrs(bits, sigma, rng) for _ in range(num_shards)]
-
-    # The dispatch must not change a single count on any shard.
-    for shard in shards:
-        batch_result = batched.decode_batch(shard)
-        serial_result = decode_frames(serial_view, shard)
-        np.testing.assert_array_equal(batch_result.bits, serial_result.bits)
-        np.testing.assert_array_equal(
-            batch_result.iterations, serial_result.iterations
-        )
-        np.testing.assert_array_equal(
-            batch_result.converged, serial_result.converged
-        )
-
-    def run_serial():
-        for shard in shards:
-            decode_frames(serial_view, shard)
-
-    def run_batched():
-        for shard in shards:
-            batched.decode_batch(shard)
-
-    seconds_serial, seconds_batched = _paired_best_seconds(
-        run_serial, run_batched, rounds=5
-    )
-    frames = num_shards * BATCHED_BATCH_FRAMES
-    serial_fps = frames / seconds_serial
-    batched_fps = frames / seconds_batched
-    return {
-        "code": "deepspace-1/2",
-        "circulant_size": BATCHED_CIRCULANT,
-        "block_length": code.block_length,
-        "ebn0_db": BATCHED_EBN0_DB,
-        "max_iterations": BATCHED_MAX_ITERATIONS,
-        "shards": num_shards,
-        "batch_frames": BATCHED_BATCH_FRAMES,
-        "serial_frames_per_second": serial_fps,
-        "batched_frames_per_second": batched_fps,
-        "speedup": batched_fps / serial_fps,
     }
 
 
@@ -305,7 +203,6 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
     )
     probe = _measure_probe_overhead()
     overhead = probe["overhead_fraction"]
-    batched = _measure_batched_speedup()
 
     text += (
         "\n\nSame seeds and shard schedule for every channel; BER differences "
@@ -319,13 +216,6 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
         f"{probe['seconds_off']:.3f}s off vs {probe['seconds_on']:.3f}s on = "
         f"{100.0 * overhead:.2f}% overhead "
         f"(budget {100.0 * MAX_TELEMETRY_OVERHEAD:.0f}%), counts identical."
-        f"\n\nBatched decoder dispatch (deepspace 1/2 circ "
-        f"{BATCHED_CIRCULANT}, nms it{BATCHED_MAX_ITERATIONS}, "
-        f"{batched['shards']} x {batched['batch_frames']}-frame shards @ "
-        f"{BATCHED_EBN0_DB:g} dB, interleaved best of 5): "
-        f"{batched['serial_frames_per_second']:.0f} frames/s per-frame vs "
-        f"{batched['batched_frames_per_second']:.0f} frames/s batched = "
-        f"{batched['speedup']:.1f}x, counts bit-identical."
     )
     report_sink("channel_pipeline", text)
 
@@ -337,8 +227,6 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
         "channels": channel_rates,
         "frames_per_second": channel_rates["awgn"]["frames_per_second"],
         "telemetry_overhead": probe,
-        "batched_decode": batched,
-        "batched_speedup": batched["speedup"],
     })
 
     # Physics sanity: hard decisions cannot beat soft ones at the same Eb/N0.
@@ -346,11 +234,4 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
     assert overhead <= MAX_TELEMETRY_OVERHEAD, (
         f"telemetry probe costs {100.0 * overhead:.2f}% "
         f"(> {100.0 * MAX_TELEMETRY_OVERHEAD:.0f}%) in the hot path"
-    )
-    # The batched kernels must actually engage — the committed trajectory
-    # on a quiet host records well above 10x; this floor only guards
-    # against the dispatch silently regressing to the per-frame loop.
-    assert batched["speedup"] >= MIN_BATCHED_SPEEDUP, (
-        f"batched min-sum only {batched['speedup']:.2f}x over per-frame "
-        f"(floor {MIN_BATCHED_SPEEDUP:g}x)"
     )

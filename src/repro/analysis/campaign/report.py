@@ -9,7 +9,7 @@ back into those artifacts:
 
 * a per-experiment summary (points measured, frames spent, best BER);
 * threshold crossings — the Eb/N0 at which each curve reaches a target
-  BER/FER, interpolated in the log domain (:mod:`.crossing`);
+  BER/FER, interpolated in the log domain (:mod:`repro.sim.crossing`);
 * coding gain vs. uncoded BPSK and gap to the rate-dependent Shannon
   limit at the target BER (:mod:`repro.sim.reference`);
 * cross-experiment comparison tables grouped by code, ranking decoder
@@ -17,8 +17,8 @@ back into those artifacts:
   best of its group — the form of the paper's "within 0.05 dB of
   sum-product" claim;
 * the raw waterfall points, exporter-friendly;
-* when the campaign ran with telemetry (``REPRO_TELEMETRY=1`` or
-  ``--telemetry``), an "Execution telemetry" section folded from the
+* when the campaign ran with telemetry (``--telemetry``), an
+  "Execution telemetry" section folded from the
   recorded ``telemetry/events.jsonl`` log by
   :func:`repro.obs.trace.run_summary` — wall time, throughput, pool
   utilization, stage split and early-stop savings of the last run that

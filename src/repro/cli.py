@@ -333,7 +333,7 @@ def _fabric_config_from_args(args, *, fresh: bool = False):
     )
 
 
-def _run_campaign(store: ResultStore, workers, telemetry=None, fabric=None) -> int:
+def _run_campaign(store: ResultStore, workers, telemetry=False, fabric=None) -> int:
     scheduler = CampaignScheduler(
         store.spec, store, workers=workers, telemetry=telemetry, fabric=fabric
     )
@@ -352,8 +352,8 @@ def _run_campaign(store: ResultStore, workers, telemetry=None, fabric=None) -> i
         mode = "serial" if not workers else f"{workers} workers, one shared pool"
     print(f"campaign '{store.spec.name}': {total - pending}/{total} points done, "
           f"{pending} to run ({mode})")
-    if scheduler.telemetry is not None:
-        print(f"telemetry: recording to {scheduler.telemetry.directory}")
+    if telemetry:
+        print(f"telemetry: recording to {store.directory / 'telemetry'}")
     if fabric is not None:
         from repro.fabric import FabricError
 
@@ -771,11 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="size of the shared worker pool (default: serial)")
     run.add_argument("--fresh", action="store_true",
                      help="discard any existing results in the directory")
-    run.add_argument("--telemetry", action=argparse.BooleanOptionalAction,
-                     default=None,
+    run.add_argument("--telemetry", action="store_true",
                      help="record an execution event log under "
-                          "<dir>/telemetry (default: on when "
-                          "REPRO_TELEMETRY=1; results are byte-identical "
+                          "<dir>/telemetry (results are byte-identical "
                           "either way)")
     _add_fabric_arguments(run)
     run.set_defaults(func=_cmd_campaign_run)
@@ -786,11 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("dir", type=str, help="campaign result directory")
     resume.add_argument("--workers", type=int, default=None,
                         help="size of the shared worker pool (default: serial)")
-    resume.add_argument("--telemetry", action=argparse.BooleanOptionalAction,
-                        default=None,
+    resume.add_argument("--telemetry", action="store_true",
                         help="record an execution event log under "
-                             "<dir>/telemetry (default: on when "
-                             "REPRO_TELEMETRY=1)")
+                             "<dir>/telemetry")
     _add_fabric_arguments(resume)
     resume.set_defaults(func=_cmd_campaign_resume)
 

@@ -9,26 +9,27 @@ touching the thing being observed.  Two primitives:
   schema (``campaign_start/end``, ``job_dispatched``,
   ``shard_completed``, ``early_stop``, ``resume_skip``,
   ``point_recorded``, ``worker_up/down``).  It is the only telemetry
-  artifact;
+  artifact, and the campaign scheduler
+  (:class:`~repro.sim.campaign.scheduler.CampaignScheduler`, switched on
+  by its ``telemetry`` flag) is its only writer;
 * :mod:`repro.obs.probe` — **stage profiling** of the simulator hot path
   (encode / channel / decode / count) behind a no-op-when-disabled
   :class:`~repro.obs.probe.Probe` protocol: disabled cost is one
   attribute check per batch.  A profiled shard's split rides on its
   ``shard_completed`` event.
 
-:class:`~repro.obs.telemetry.Telemetry` is the facade the scheduler, pool
-and store record through; :mod:`repro.obs.trace` folds the recorded log
-back into the counters and gauges of a run
-(:func:`~repro.obs.trace.run_summary`), the ``campaign trace`` report and
-the live rates behind ``campaign status --watch``.  All timestamps flow
-through the audited :mod:`repro.obs.clock` chokepoint — the only file in
-the package allowed to read the :mod:`time` module directly (linter rules
-REP104/REP110).
+:mod:`repro.obs.trace` folds the recorded log back into the counters and
+gauges of a run (:func:`~repro.obs.trace.run_summary`), the ``campaign
+trace`` report and the live rates behind ``campaign status --watch``.
+All timestamps flow through the audited :mod:`repro.obs.clock`
+chokepoint — the only file in the package allowed to read the
+:mod:`time` module directly (linter rules REP104/REP110).
 
 The contract that makes this safe to leave on: telemetry is strictly
 write-only with respect to simulation state.  RNG streams, shard
 schedules, stopping decisions and stored curves are byte-identical with
-telemetry on or off; ``tests/test_obs_telemetry.py`` pins it.
+telemetry on or off; the byte-identity tests (``TestByteIdentity``) pin
+it.
 """
 
 from repro.obs import clock
@@ -42,7 +43,6 @@ from repro.obs.events import (
     validate_event_log,
 )
 from repro.obs.probe import STAGES, Probe, StageAccumulator
-from repro.obs.telemetry import ENV_VAR, Telemetry, telemetry_enabled
 from repro.obs.trace import live_rates, run_summary, split_runs, trace_summary
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
     "STAGES",
     "Probe",
     "StageAccumulator",
-    "ENV_VAR",
-    "Telemetry",
-    "telemetry_enabled",
     "live_rates",
     "run_summary",
     "split_runs",

@@ -19,7 +19,7 @@ that feed it — flows through this module, for two reasons:
 
 Telemetry is write-only with respect to simulation results: nothing read
 from these clocks may influence counts, and the telemetry-on/off
-byte-identity test (``tests/test_obs_telemetry.py``) pins that contract.
+byte-identity tests (``TestByteIdentity``) pin that contract.
 """
 
 from __future__ import annotations

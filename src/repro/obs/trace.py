@@ -372,7 +372,7 @@ def trace_summary(directory: str | Path, *, top: int = 8) -> str:
     if not log_path.exists():
         raise FileNotFoundError(
             f"{root} has no telemetry event log ({log_path}); run the "
-            "campaign with REPRO_TELEMETRY=1 or --telemetry"
+            "campaign with --telemetry"
         )
     valid_events = validate_event_log(log_path)
     records = read_events(log_path)

@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.obs.telemetry import Telemetry
+from repro.obs import clock
+from repro.obs.events import EventLog
 from repro.sim.campaign.spec import CampaignSpec, config_to_dict
 from repro.sim.campaign.store import ResultStore
 from repro.sim.montecarlo import BatchResult, SimulationConfig
@@ -84,14 +85,12 @@ class CampaignScheduler:
     mp_context:
         Optional ``multiprocessing`` context or start-method name.
     telemetry:
-        Campaign observability (:mod:`repro.obs`).  ``None`` — the default
-        — consults the ``REPRO_TELEMETRY`` environment variable; ``True`` /
-        ``False`` force it on or off; a ready-made
-        :class:`~repro.obs.telemetry.Telemetry` is used as-is.  When
-        enabled, the run appends to a structured event log,
-        ``<store>/telemetry/events.jsonl``.  Telemetry is strictly
-        write-only: counts and stored curves are byte-identical with it on
-        or off.
+        Campaign observability (:mod:`repro.obs`), off by default.  When
+        on, the scheduler is the only writer of the run's event log,
+        ``<store>/telemetry/events.jsonl``
+        (:class:`~repro.obs.events.EventLog`), and every worker profiles
+        its shards.  Telemetry is strictly write-only: counts and stored
+        curves are byte-identical with it on or off.
     fabric:
         A :class:`~repro.fabric.FabricConfig` routes the shard stream
         through the campaign fabric (work-lease broker + embedded and/or
@@ -111,7 +110,7 @@ class CampaignScheduler:
         *,
         workers: int | None = None,
         mp_context: Any = None,
-        telemetry: "Telemetry | bool | None" = None,
+        telemetry: bool = False,
         fabric: "FabricConfig | None" = None,
     ) -> None:
         self.spec = spec
@@ -119,11 +118,11 @@ class CampaignScheduler:
         self.workers = workers
         self.fabric = fabric
         self._mp_context = mp_context
-        if telemetry is None or isinstance(telemetry, bool):
-            telemetry = Telemetry.if_enabled(
-                Path(store.directory) / "telemetry", enabled=telemetry
-            )
-        self.telemetry = telemetry
+        self._log = (
+            EventLog(Path(store.directory) / "telemetry" / "events.jsonl")
+            if telemetry
+            else None
+        )
         self._points_recorded = 0
         self._resolved_configs: dict[str, SimulationConfig] = {}
 
@@ -175,38 +174,42 @@ class CampaignScheduler:
         ``resume_skip`` so a resumed run's log names exactly what it reused.
         """
         jobs = self.pending()
-        telemetry = self.telemetry
-        if telemetry is None:
+        log = self._log
+        if log is None:
             if jobs:
                 self._dispatch(jobs, progress)
             return self.store.curves()
 
         plan = self.plan()
         pending_keys = {(job.label, job.point_index) for job in jobs}
-        telemetry.campaign_started(
-            campaign=self.spec.name,
-            total_points=len(plan),
-            pending_points=len(jobs),
-            workers=int(self.workers or 0),
-        )
         self._points_recorded = 0
-        self.store.telemetry = telemetry
+        started = clock.monotonic()
         try:
+            log.emit(
+                "campaign_start",
+                campaign=self.spec.name,
+                total_points=len(plan),
+                pending_points=len(jobs),
+                workers=int(self.workers or 0),
+            )
             for job in plan:
                 if (job.label, job.point_index) not in pending_keys:
-                    telemetry.record_resume_skip(
+                    log.emit(
+                        "resume_skip",
                         experiment=job.label,
                         point_index=job.point_index,
                         ebn0_db=job.ebn0_db,
                     )
             if jobs:
                 self._dispatch(jobs, progress)
-            telemetry.campaign_ended(
-                campaign=self.spec.name, points_recorded=self._points_recorded
+            log.emit(
+                "campaign_end",
+                campaign=self.spec.name,
+                points_recorded=self._points_recorded,
+                seconds=max(clock.monotonic() - started, 0.0),
             )
         finally:
-            self.store.telemetry = None
-            telemetry.close()
+            log.close()
         return self.store.curves()
 
     # ------------------------------------------------------------------ #
@@ -221,7 +224,7 @@ class CampaignScheduler:
         stored curves are byte-identical whichever one runs; points land in
         the store as they complete.
         """
-        telemetry = self.telemetry
+        log = self._log
         entries = self._entries({job.label for job in jobs})
         states = [
             PointState(
@@ -235,15 +238,15 @@ class CampaignScheduler:
         ]
         on_shard: ShardObserver | None = None
         workers: dict[int | str, int] = {}
-        if telemetry is not None:
+        if log is not None:
             for job in jobs:
-                telemetry.emit(
+                log.emit(
                     "job_dispatched",
                     experiment=job.label,
                     point_index=job.point_index,
                     ebn0_db=job.ebn0_db,
                 )
-            on_shard = _shard_observer(telemetry, workers)
+            on_shard = _shard_observer(log, workers)
         try:
             with self._executor(entries) as executor:
                 executor.run_states(
@@ -254,9 +257,9 @@ class CampaignScheduler:
                     on_shard=on_shard,
                 )
         finally:
-            if telemetry is not None:
+            if log is not None:
                 for worker in workers.values():
-                    telemetry.emit("worker_down", worker=worker)
+                    log.emit("worker_down", worker=worker)
 
     def _executor(self, entries: dict[str, PoolEntry]) -> ShardExecutor:
         """The fabric, a worker pool, or in-process shards."""
@@ -285,7 +288,7 @@ class CampaignScheduler:
             workers=fabric.local_workers,
             fault_plan=fabric.fault_plan,
             wall_clock=fabric.resolved_wall_clock(),
-            on_event=self.telemetry.emit if self.telemetry is not None else None,
+            on_event=self._log.emit if self._log is not None else None,
         )
 
     def _entries(self, labels: set[str]) -> dict[str, PoolEntry]:
@@ -303,7 +306,7 @@ class CampaignScheduler:
                 experiment.decoder.factory(code),
                 self._resolved_config(experiment.label),
                 experiment.channel.build(),
-                profiled=self.telemetry is not None,
+                profiled=self._log is not None,
             )
         return entries
 
@@ -325,17 +328,29 @@ class CampaignScheduler:
         point: SimulationPoint,
         progress: Callable[[str, SimulationPoint], None] | None,
     ) -> None:
-        recorded = self.store.record_point(label, point)
-        telemetry = self.telemetry
-        if telemetry is not None and recorded:
+        log = self._log
+        if self.store.record_point(label, point) and log is not None:
+            # Emitted once per newly stored point, after the curve is saved,
+            # so frame totals folded from the log agree serial and pooled.
             self._points_recorded += 1
+            log.emit(
+                "point_recorded",
+                experiment=label,
+                ebn0_db=point.ebn0_db,
+                frames=point.frames,
+                frame_errors=point.frame_errors,
+                ber=point.ber,
+                fer=point.fer,
+            )
             max_frames = self._resolved_config(label).max_frames
             if point.frames < max_frames:
-                telemetry.record_early_stop(
+                log.emit(
+                    "early_stop",
                     experiment=label,
                     ebn0_db=point.ebn0_db,
                     frames=point.frames,
                     max_frames=max_frames,
+                    frames_saved=max_frames - point.frames,
                 )
         if progress is not None:
             progress(label, point)
@@ -361,16 +376,15 @@ class CampaignScheduler:
         return {"campaign": self.spec.name, "entries": entries}
 
 
-def _shard_observer(
-    recorder: Telemetry, workers: dict[int | str, int]
-) -> ShardObserver:
+def _shard_observer(log: EventLog, workers: dict[int | str, int]) -> ShardObserver:
     """Book each folded shard as a ``shard_completed`` event.
 
     Workers — pool or serial processes by pid, fabric workers by name — are
     numbered by first appearance in ``workers``, and ``worker_up`` marks
     each one.  Queue wait runs from dispatch to the worker's start stamp,
     both read from the host's monotonic clock, so it excludes the
-    simulator build and any wait for an earlier shard's fold.
+    simulator build and any wait for an earlier shard's fold.  A profiled
+    shard's hot-path split rides along as the extra ``stage_seconds`` field.
     """
 
     def observe(
@@ -383,11 +397,13 @@ def _shard_observer(
         worker = workers.get(shard.worker)
         if worker is None:
             worker = workers[shard.worker] = len(workers)
-            recorder.emit("worker_up", worker=worker)
+            log.emit("worker_up", worker=worker)
         queue_seconds = 0.0
         if shard.started is not None:
             queue_seconds = max(shard.started - dispatched_at, 0.0)
-        recorder.record_shard(
+        extra = {"stage_seconds": shard.stage_seconds} if shard.stage_seconds else {}
+        log.emit(
+            "shard_completed",
             experiment=state.key,
             ebn0_db=state.ebn0_db,
             shard_index=shard_index,
@@ -396,7 +412,7 @@ def _shard_observer(
             seconds=shard.seconds,
             queue_seconds=queue_seconds,
             worker=worker,
-            stage_seconds=shard.stage_seconds,
+            **extra,
         )
 
     return observe

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.sim.campaign.spec import (
     DEFAULT_CHANNEL_DICT,
@@ -35,9 +35,6 @@ from repro.sim.campaign.spec import (
 )
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.utils.files import atomic_write_text
-
-if TYPE_CHECKING:
-    from repro.obs.telemetry import Telemetry
 
 __all__ = ["ResultStore", "StoreMismatchError"]
 
@@ -61,10 +58,6 @@ class ResultStore:
         self.directory = Path(directory)
         self.spec = spec
         self._curves: dict[str, SimulationCurve] = {}
-        # Optional repro.obs.Telemetry the scheduler attaches for the run;
-        # record_point reports through it.  Strictly write-only: nothing it
-        # does can alter what gets persisted.
-        self.telemetry: Telemetry | None = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -219,18 +212,13 @@ class ResultStore:
         """Add one completed point and persist the curve immediately.
 
         Returns whether the point was newly recorded (``False`` for a
-        duplicate Eb/N0, which is ignored).  When a
-        :class:`~repro.obs.telemetry.Telemetry` is attached, every newly
-        recorded point is reported — after the curve is already saved, so
-        telemetry failures or slowness cannot affect persistence.
+        duplicate Eb/N0, which is ignored).
         """
         curve = self.curve(label)
         if float(point.ebn0_db) in curve.completed_ebn0():
             return False
         curve.add(point)
         curve.save(self.curve_path(label))
-        if self.telemetry is not None:
-            self.telemetry.record_point(experiment=label, point=point)
         return True
 
     # ------------------------------------------------------------------ #

@@ -17,6 +17,7 @@ import pytest
 from repro.cli import main
 from repro.obs import clock
 from repro.obs.events import (
+    ENVELOPE_FIELDS,
     EVENT_FIELDS,
     EventLog,
     EventSchemaError,
@@ -26,7 +27,6 @@ from repro.obs.events import (
     validate_event_log,
 )
 from repro.obs.probe import STAGES, StageAccumulator
-from repro.obs.telemetry import ENV_VAR, Telemetry, telemetry_enabled
 from repro.obs.trace import live_rates, run_summary, split_runs, trace_summary
 from repro.sim import MonteCarloSimulator, SimulationConfig
 from repro.sim.campaign import (
@@ -218,6 +218,67 @@ class TestEventLog:
         log.emit("worker_down", worker=1)
         log.close()
         assert [r["seq"] for r in read_events(path)] == [0, 1]
+
+
+#: Payload keys (envelope left out) of every event a pool or serial
+#: campaign writes; profiled shards carry ``stage_seconds``.
+_PAYLOAD_KEYS = {
+    "campaign_start": {"campaign", "total_points", "pending_points", "workers"},
+    "job_dispatched": {"experiment", "point_index", "ebn0_db"},
+    "worker_up": {"worker"},
+    "shard_completed": {
+        "experiment", "ebn0_db", "shard_index", "frames", "frame_errors",
+        "seconds", "queue_seconds", "worker", "stage_seconds",
+    },
+    "point_recorded": {"experiment", "ebn0_db", "frames", "frame_errors", "ber", "fer"},
+    "early_stop": {"experiment", "ebn0_db", "frames", "max_frames", "frames_saved"},
+    "worker_down": {"worker"},
+    "campaign_end": {"campaign", "points_recorded", "seconds"},
+    "resume_skip": {"experiment", "point_index", "ebn0_db"},
+}
+
+#: The serial sequence of :func:`tiny_spec`, 29 records: every point stops
+#: early, the 4.0 dB points after three and two shards; the resume reuses
+#: all four.
+_SERIAL_SEQUENCE = (
+    ["campaign_start"] + ["job_dispatched"] * 4 + ["worker_up"]
+    + ["shard_completed", "point_recorded", "early_stop"] * 2
+    + ["shard_completed"] * 3 + ["point_recorded", "early_stop"]
+    + ["shard_completed"] * 2 + ["point_recorded", "early_stop"]
+    + ["worker_down", "campaign_end"]
+    + ["campaign_start"] + ["resume_skip"] * 4 + ["campaign_end"]
+)
+
+
+def _run_and_resume(directory, workers):
+    spec = tiny_spec()
+    run_campaign(directory, workers=workers, telemetry=True, spec=spec)
+    CampaignScheduler(
+        spec, ResultStore.open(directory), workers=workers, telemetry=True
+    ).run()
+    return read_events(directory / "telemetry" / "events.jsonl")
+
+
+def _payload_keys(record):
+    return set(record) - set(ENVELOPE_FIELDS)
+
+
+class TestEventSequence:
+    """The log a campaign and its resume write, pinned record by record."""
+
+    def test_serial_run_and_resume_write_the_pinned_sequence(self, tmp_path):
+        records = _run_and_resume(tmp_path / "c", workers=None)
+        assert [r["event"] for r in records] == _SERIAL_SEQUENCE
+        for record in records:
+            assert _payload_keys(record) == _PAYLOAD_KEYS[record["event"]], record
+
+    def test_pooled_run_and_resume_write_the_pinned_key_sets(self, tmp_path):
+        """Which processes serve shards decides how many ``worker_up``
+        records a pooled run writes, so only the key sets are pinned."""
+        records = _run_and_resume(tmp_path / "c", workers=2)
+        assert {r["event"] for r in records} == set(_PAYLOAD_KEYS)
+        for record in records:
+            assert _payload_keys(record) == _PAYLOAD_KEYS[record["event"]], record
 
 
 # --------------------------------------------------------------------- #
@@ -442,33 +503,9 @@ class TestProbe:
 
 
 # --------------------------------------------------------------------- #
-# Enablement and the clock chokepoint
+# The clock chokepoint
 # --------------------------------------------------------------------- #
 class TestEnablement:
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), (" on ", True),
-        ("0", False), ("", False), ("off", False), (None, False),
-    ])
-    def test_telemetry_enabled_parsing(self, value, expected, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        if value is None:
-            assert telemetry_enabled() is expected
-        else:
-            assert telemetry_enabled(value) is expected
-
-    def test_environment_variable_switches_scheduler_telemetry(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(ENV_VAR, "1")
-        store, _ = run_campaign(tmp_path / "c", telemetry=None)
-        assert (tmp_path / "c" / "telemetry" / "events.jsonl").exists()
-
-    def test_if_enabled_override_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert Telemetry.if_enabled(tmp_path, enabled=False) is None
-        monkeypatch.delenv(ENV_VAR)
-        assert isinstance(Telemetry.if_enabled(tmp_path, enabled=True), Telemetry)
-
     def test_wall_iso_is_a_pure_formatter(self):
         assert clock.wall_iso(0.0) == "1970-01-01T00:00:00Z"
 
@@ -487,7 +524,7 @@ class TestTrace:
 
     def test_trace_summary_without_telemetry_raises(self, tmp_path):
         run_campaign(tmp_path / "c", telemetry=False)
-        with pytest.raises(FileNotFoundError, match="REPRO_TELEMETRY"):
+        with pytest.raises(FileNotFoundError, match="--telemetry"):
             trace_summary(tmp_path / "c")
 
     def test_live_rates_from_synthetic_records(self):
@@ -579,17 +616,6 @@ class TestCliSurfaces:
         assert (tmp_path / "c" / "telemetry" / "events.jsonl").exists()
         assert not (tmp_path / "c" / "telemetry" / "metrics.json").exists()
         assert "telemetry: recording to" in capsys.readouterr().out
-
-    def test_no_telemetry_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        spec_path = tmp_path / "spec.json"
-        tiny_spec().save(spec_path)
-        code = main([
-            "campaign", "run", str(spec_path),
-            "--dir", str(tmp_path / "c"), "--no-telemetry",
-        ])
-        assert code == 0
-        assert not (tmp_path / "c" / "telemetry").exists()
 
 
 # --------------------------------------------------------------------- #
