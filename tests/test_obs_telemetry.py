@@ -8,6 +8,7 @@ interrupted runs, the counters folded from the log, trace rendering, the
 status surfaces) protects the observability layer itself.
 """
 
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -279,6 +280,125 @@ class TestEventSequence:
         assert {r["event"] for r in records} == set(_PAYLOAD_KEYS)
         for record in records:
             assert _payload_keys(record) == _PAYLOAD_KEYS[record["event"]], record
+
+
+# --------------------------------------------------------------------- #
+# One switch, one writer: the scheduler's telemetry flag
+# --------------------------------------------------------------------- #
+def _save_tiny_spec(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    tiny_spec().save(spec_path)
+    return spec_path
+
+
+class TestOneSwitch:
+    """``CampaignScheduler(telemetry=...)`` — ``--telemetry`` on the CLI —
+    is the only switch of the event log, and the scheduler writes every
+    record of it."""
+
+    def test_scheduler_telemetry_defaults_off(self, tmp_path):
+        spec = tiny_spec()
+        CampaignScheduler(spec, ResultStore.create(tmp_path / "c", spec)).run()
+        assert not (tmp_path / "c" / "telemetry").exists()
+
+    @pytest.mark.parametrize("surface", ["scheduler", "run", "resume"])
+    def test_environment_does_not_switch_telemetry_on(
+        self, surface, tmp_path, monkeypatch
+    ):
+        """``REPRO_TELEMETRY``, the switch older versions read, is ignored."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        directory = tmp_path / "c"
+        if surface == "scheduler":
+            spec = tiny_spec()
+            CampaignScheduler(spec, ResultStore.create(directory, spec)).run()
+        elif surface == "run":
+            spec_path = _save_tiny_spec(tmp_path)
+            assert main(["campaign", "run", str(spec_path),
+                         "--dir", str(directory)]) == 0
+        else:
+            run_campaign(directory, telemetry=False)
+            assert main(["campaign", "resume", str(directory)]) == 0
+        assert not (directory / "telemetry").exists()
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_no_telemetry_flag_is_rejected(self, command, tmp_path, capsys):
+        target = _save_tiny_spec(tmp_path) if command == "run" else tmp_path
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", command, str(target), "--no-telemetry"])
+        assert raised.value.code == 2
+        assert "--no-telemetry" in capsys.readouterr().err
+
+    def test_resume_with_telemetry_flag_appends_one_run(self, tmp_path, capsys):
+        run_campaign(tmp_path / "c", telemetry=True)
+        assert main(["campaign", "resume", str(tmp_path / "c"), "--telemetry"]) == 0
+        assert "telemetry: recording to" in capsys.readouterr().out
+        runs = split_runs(read_events(tmp_path / "c" / "telemetry" / "events.jsonl"))
+        assert [[r["event"] for r in run] for run in runs[1:]] == [
+            ["campaign_start"] + ["resume_skip"] * 4 + ["campaign_end"]
+        ]
+
+    def test_store_imports_nothing_from_obs(self):
+        """Persistence does not report to observability."""
+        import ast
+        import inspect
+
+        from repro.sim.campaign import store as store_module
+
+        tree = ast.parse(inspect.getsource(store_module))
+        imported = {
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        } | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        }
+        assert not [
+            name for name in imported
+            if name == "repro.obs" or name.startswith("repro.obs.")
+        ]
+        assert "telemetry" not in inspect.signature(ResultStore.create).parameters
+
+    def test_point_events_only_for_newly_stored_points(self, tmp_path, monkeypatch):
+        """``point_recorded`` and ``early_stop`` follow ``record_point``'s
+        answer: a point the store does not take writes neither, though its
+        shards are still booked."""
+        original = ResultStore.record_point
+
+        def refuse_min_sum(self, label, point):
+            return label != "min-sum" and original(self, label, point)
+
+        monkeypatch.setattr(ResultStore, "record_point", refuse_min_sum)
+        run_campaign(tmp_path / "c", telemetry=True)
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+
+        def experiments(event):
+            return {r["experiment"] for r in events_of_type(records, event)}
+
+        assert experiments("point_recorded") == experiments("early_stop") == {"nms"}
+        assert experiments("shard_completed") == {"nms", "min-sum"}
+        (end,) = events_of_type(records, "campaign_end")
+        assert end["points_recorded"] == 2
+
+    def test_campaign_end_seconds_span_the_run(self, tmp_path, monkeypatch):
+        """The scheduler stamps its own clock just before it writes
+        ``campaign_start`` and ``campaign_end``: on a clock that ticks one
+        second per read, ``seconds`` is exactly the gap of their stamps."""
+        ticks = itertools.count()
+        monkeypatch.setattr(clock, "monotonic", lambda: float(next(ticks)))
+        run_campaign(tmp_path / "c", telemetry=True)
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        (start,) = events_of_type(records, "campaign_start")
+        (end,) = events_of_type(records, "campaign_end")
+        assert end["seconds"] == end["t_mono"] - start["t_mono"] > 0
+
+    def test_every_pool_worker_up_has_its_worker_down(self, tmp_path):
+        run_campaign(tmp_path / "c", workers=2, telemetry=True)
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        up = [r["worker"] for r in events_of_type(records, "worker_up")]
+        down = [r["worker"] for r in events_of_type(records, "worker_down")]
+        assert up == list(range(len(up))) and sorted(down) == up
+        (end,) = events_of_type(records, "campaign_end")
+        assert records[-1] == end  # the workers close before the run does
 
 
 # --------------------------------------------------------------------- #
