@@ -31,7 +31,7 @@ from repro.utils import random_bits
 def main() -> None:
     rng = np.random.default_rng(2009)
 
-    # 1. The code: a scaled twin of the CCSDS C2 (8176, 7154) QC-LDPC code.
+    # 1. The code: a scaled twin of the CCSDS C2 (8176, 7156) QC-LDPC code.
     code = build_scaled_ccsds_code(63)
     print(f"Code: n = {code.block_length}, k = {code.dimension}, "
           f"rate = {code.rate:.3f}, edges = {code.num_edges}")

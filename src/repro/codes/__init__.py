@@ -6,7 +6,7 @@ The central objects are:
   matrix with degree profiles and syndrome checks,
 * :class:`~repro.codes.qc.QCLDPCCode` — a Quasi-Cyclic code described by a
   block array of circulants,
-* :func:`~repro.codes.ccsds_c2.build_ccsds_c2_code` — the (8176, 7154) CCSDS
+* :func:`~repro.codes.ccsds_c2.build_ccsds_c2_code` — the (8176, 7156) CCSDS
   near-earth code (2 x 16 array of 511 x 511 weight-2 circulants),
 * :class:`~repro.codes.shortening.ShortenedCode` — the (8160, 7136)
   transmitted frame with virtual fill, and

@@ -84,7 +84,7 @@ def build_ccsds_c2_spec(
 def build_ccsds_c2_code(
     *, circulant_size: int = CCSDS_C2_CIRCULANT_SIZE, seed: int = CCSDS_C2_DEFAULT_SEED
 ) -> QCLDPCCode:
-    """The (8176, ~7154) base QC-LDPC code (unshortened)."""
+    """The (8176, 7156) base QC-LDPC code (unshortened)."""
     return QCLDPCCode(build_ccsds_c2_spec(circulant_size=circulant_size, seed=seed))
 
 

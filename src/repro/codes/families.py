@@ -4,7 +4,7 @@ Each entry wraps one of the concrete constructions in this package behind a
 flat keyword interface so :class:`~repro.sim.campaign.spec.CodeSpec` (and
 the ``components`` CLI) can build and document it symbolically:
 
-* ``ccsds-c2`` — the paper's full (8176, 7154) code; a ``circulant``
+* ``ccsds-c2`` — the paper's full (8176, 7156) code; a ``circulant``
   override builds the scaled structural twin instead (the spec's ``key``
   reflects that, so stored curves never claim the full code's results);
 * ``scaled`` — the smaller structural twin directly (``circulant`` is
@@ -41,7 +41,7 @@ __all__ = []  # nothing to export: importing this module registers the families
             "the full code, anything else its scaled structural twin",
         ),
     ],
-    summary="The paper's (8176, 7154) CCSDS near-earth C2 code",
+    summary="The paper's (8176, 7156) CCSDS near-earth C2 code",
 )
 def _build_ccsds_c2_family(circulant: int | None = None):
     if circulant in (None, CCSDS_C2_CIRCULANT_SIZE):

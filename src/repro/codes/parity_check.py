@@ -2,16 +2,21 @@
 
 ``ParityCheckMatrix`` owns the sparse H matrix of an LDPC code and exposes
 the views the rest of the library needs: degree profiles, syndrome checks,
-edge lists for the decoders, rank/dimension (computed lazily because the
-dense row-reduction of the full CCSDS matrix is a multi-second operation),
-and the scatter data used to reproduce Figure 2 of the paper.
+edge lists for the decoders, the systematic form that both rank/dimension
+and the systematic encoder read (derived lazily, at most once per matrix,
+and cached on disk — see :mod:`repro.codes.systematic_form`), and the
+scatter data used to reproduce Figure 2 of the paper.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gf2.dense import gf2_rank
+from repro.codes.systematic_form import (
+    DEFAULT_CACHE,
+    SystematicForm,
+    derive_systematic_form,
+)
 from repro.gf2.sparse import SparseBinaryMatrix
 
 __all__ = ["ParityCheckMatrix"]
@@ -33,7 +38,7 @@ class ParityCheckMatrix:
             self._sparse = matrix
         else:
             self._sparse = SparseBinaryMatrix.from_dense(np.asarray(matrix))
-        self._rank: int | None = None
+        self._form: SystematicForm | None = None
 
     # ------------------------------------------------------------------ #
     # Basic dimensions
@@ -58,12 +63,23 @@ class ParityCheckMatrix:
         """Number of ones in H — the number of messages exchanged per iteration."""
         return self._sparse.nnz
 
+    def systematic_form(self, cache_dir=DEFAULT_CACHE) -> SystematicForm:
+        """Pivot columns, information columns and parity map of H.
+
+        Derived on the first call, from the on-disk cache in ``cache_dir``
+        or by one row reduction that it then stores (see
+        :func:`~repro.codes.systematic_form.derive_systematic_form`), and
+        kept: later calls return the same form whatever their
+        ``cache_dir``.
+        """
+        if self._form is None:
+            self._form = derive_systematic_form(self._sparse.to_dense(), cache_dir)
+        return self._form
+
     @property
     def rank(self) -> int:
-        """GF(2) rank of H (computed once, then cached)."""
-        if self._rank is None:
-            self._rank = gf2_rank(self._sparse.to_dense())
-        return self._rank
+        """GF(2) rank of H, from its systematic form."""
+        return self.systematic_form().rank
 
     @property
     def dimension(self) -> int:

@@ -1,8 +1,9 @@
 """Encoders for LDPC codes.
 
 :class:`~repro.encode.systematic.SystematicEncoder` works for any
-parity-check matrix (it derives a systematic-like generator by GF(2) row
-reduction); :class:`~repro.encode.qc_encoder.QCCirculantEncoder` exploits the
+parity-check matrix (it encodes through H's systematic form, which the
+matrix derives once by GF(2) row reduction);
+:class:`~repro.encode.qc_encoder.QCCirculantEncoder` exploits the
 circulant structure of Quasi-Cyclic codes and models the linear-complexity
 shift-register encoder the paper attributes to the QC construction.
 """

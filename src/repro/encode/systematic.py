@@ -1,36 +1,36 @@
 """General systematic encoder derived from a parity-check matrix.
 
-The encoder row-reduces H once, splits the columns into *parity positions*
-(the pivot columns of the reduced matrix) and *information positions* (the
-free columns), and precomputes the dense map from information bits to parity
-bits.  Encoding a frame (or a batch of frames) is then a single GF(2)
-matrix product.
+The encoder reads H's systematic form
+(:meth:`~repro.codes.parity_check.ParityCheckMatrix.systematic_form`): the
+parity positions (the pivot columns of the row-reduced matrix), the
+information positions (the free columns) and the dense map from information
+bits to parity bits.  The form is derived at most once per matrix and cached
+on disk, so a process with a warm cache never row-reduces H (see
+:mod:`repro.codes.systematic_form`, which also documents the
+``REPRO_ENCODER_CACHE`` variable).
+
+Encoding a batch of frames is one GF(2) product with the parity map, done
+with the table method of "the Method of Four Russians" (M4RI: Albrecht, Bard
+and Hart, "Algorithm 898: Efficient multiplication of dense matrices over
+GF(2)", ACM TOMS 2010).  At construction the encoder builds, for every group
+of four information bits, the XOR of the packed parity-map columns for each
+of the group's 16 values; per frame it XORs the one table row its four bits
+select, group by group.  The product is exact for any dimension.
 
 This is the reference encoder used by the Monte-Carlo simulations; the
 hardware-style circulant encoder lives in :mod:`repro.encode.qc_encoder`.
-
-Because the row reduction is by far the most expensive part (minutes for the
-full 8176-bit CCSDS code) and every Monte-Carlo *worker process* builds its
-own encoder, the reduction result is memoized to an on-disk cache keyed by a
-hash of the parity-check matrix.  The cache lives under
-``~/.cache/repro/encoders`` by default; the ``REPRO_ENCODER_CACHE``
-environment variable overrides the directory, and setting it to ``0`` /
-``off`` / ``none`` disables caching entirely.  Cache reads and writes are
-best-effort — any I/O problem or corrupt file silently falls back to the
-direct computation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.gf2.dense import gf2_row_reduce
+from repro.codes.systematic_form import (
+    DEFAULT_CACHE,
+    default_encoder_cache_dir,
+    parity_check_fingerprint,
+)
 from repro.utils.validation import check_binary_array
 
 __all__ = [
@@ -40,40 +40,11 @@ __all__ = [
     "parity_check_fingerprint",
 ]
 
-#: Float32 represents every integer below 2**24 exactly, so the encoding
-#: product (see :meth:`SystematicEncoder.encode`) is exact for k below it.
-_FLOAT32_EXACT_INTEGERS = 2**24
-
-_CACHE_ENV = "REPRO_ENCODER_CACHE"
-_CACHE_DISABLED = {"", "0", "off", "none", "disabled", "false"}
-_DEFAULT_CACHE = object()
-
-
-def default_encoder_cache_dir() -> Path | None:
-    """Directory of the encoder cache, or ``None`` when caching is disabled.
-
-    Controlled by the ``REPRO_ENCODER_CACHE`` environment variable: unset
-    means ``~/.cache/repro/encoders``, a path means that path, and ``0`` /
-    ``off`` / ``none`` / ``false`` disables the cache.
-    """
-    value = os.environ.get(_CACHE_ENV)
-    if value is None:
-        return Path.home() / ".cache" / "repro" / "encoders"
-    if value.strip().lower() in _CACHE_DISABLED:
-        return None
-    return Path(value)
-
-
-def parity_check_fingerprint(pcm: ParityCheckMatrix) -> str:
-    """Content hash of a parity-check matrix (shape + bit pattern)."""
-    return _dense_fingerprint(pcm.to_dense())
-
-
-def _dense_fingerprint(h_dense: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(np.asarray(h_dense.shape, dtype=np.int64).tobytes())
-    digest.update(np.packbits(h_dense, axis=None).tobytes())
-    return digest.hexdigest()
+#: Information bits per table group: 2**4 = 16 entries per table.
+_GROUP_BITS = 4
+#: Budget of the per-chunk table gather; the frames of one batch are encoded
+#: in chunks that keep it below this, whatever the batch size.
+_CHUNK_BYTES = 1 << 22
 
 
 def as_parity_check_matrix(code) -> ParityCheckMatrix:
@@ -92,6 +63,33 @@ def as_parity_check_matrix(code) -> ParityCheckMatrix:
     return ParityCheckMatrix(np.asarray(code))
 
 
+def _xor_tables(parity_map: np.ndarray) -> np.ndarray:
+    """One 16-entry XOR table per group of four information bits.
+
+    Row ``16 * g + v`` of the result is the XOR of the parity-map columns of
+    information bits ``4g + j`` over the set bits ``j`` of ``v``, with each
+    column's ``m`` parity bits packed little-endian into ``ceil(m / 64)``
+    uint64 words.  Missing columns of the last group are zero.
+    """
+    parity_bits, info_bits = parity_map.shape
+    groups = -(-info_bits // _GROUP_BITS)
+    words = -(-parity_bits // 64)
+    # Maps derived or loaded from the cache are column-major, so the
+    # transpose is free and the packing reads contiguous memory.
+    columns = np.zeros((groups * _GROUP_BITS, words * 8), dtype=np.uint8)
+    columns[:info_bits, : -(-parity_bits // 8)] = np.packbits(
+        np.ascontiguousarray(parity_map.T), axis=1, bitorder="little"
+    )
+    packed = columns.view(np.uint64).reshape(groups, _GROUP_BITS, words)
+    tables = np.zeros((groups, 1 << _GROUP_BITS, words), dtype=np.uint64)
+    for value in range(1, 1 << _GROUP_BITS):
+        lowest = (value & -value).bit_length() - 1
+        np.bitwise_xor(
+            tables[:, value & (value - 1)], packed[:, lowest], out=tables[:, value]
+        )
+    return tables.reshape(groups << _GROUP_BITS, words)
+
+
 class SystematicEncoder:
     """Encoder mapping information bits to codewords of an LDPC code.
 
@@ -102,93 +100,23 @@ class SystematicEncoder:
         object with a ``parity_check_matrix()`` method (such as
         :class:`~repro.codes.qc.QCLDPCCode`), or a dense 0/1 H matrix.
     cache_dir:
-        Directory of the on-disk row-reduction cache.  Defaults to
+        Directory of the on-disk row-reduction cache, read when H's
+        systematic form is not yet derived.  Defaults to
         :func:`default_encoder_cache_dir` (environment-controlled); pass
         ``None`` to disable caching for this encoder.
     """
 
-    def __init__(self, code, *, cache_dir=_DEFAULT_CACHE):
+    def __init__(self, code, *, cache_dir=DEFAULT_CACHE):
         pcm = as_parity_check_matrix(code)
+        form = pcm.systematic_form(cache_dir)
         self._pcm = pcm
-        if cache_dir is _DEFAULT_CACHE:
-            cache_dir = default_encoder_cache_dir()
-        n = pcm.block_length
-        # Materialize the dense H (and hash it) exactly once per build: both
-        # the fingerprint and the row reduction need it, and for the full
-        # 8176-bit code each dense build is ~8M entries.
-        h_dense = None
-        cache_path = None
-        if cache_dir is not None:
-            h_dense = pcm.to_dense()
-            cache_path = Path(cache_dir) / f"{_dense_fingerprint(h_dense)}.npz"
-        cached = self._load_cached(cache_path, n)
-        if cached is not None:
-            parity_map, pivot_cols, info_cols = cached
-        else:
-            if h_dense is None:
-                h_dense = pcm.to_dense()
-            rref, pivots = gf2_row_reduce(h_dense)
-            pivot_cols = np.array(pivots, dtype=np.int64)
-            info_cols = np.setdiff1d(np.arange(n, dtype=np.int64), pivot_cols)
-            # Parity equations: for pivot row r with pivot column pivots[r],
-            #   c[pivots[r]] = sum over info columns f of rref[r, f] * c[f].
-            parity_map = rref[: pivot_cols.size][:, info_cols].astype(np.uint8)
-            self._store_cached(cache_path, parity_map, pivot_cols, info_cols)
-        if info_cols.size >= _FLOAT32_EXACT_INTEGERS:
-            raise ValueError(
-                f"the encoding product needs k < 2**24, got k = {info_cols.size}"
-            )
-        self._parity_map = parity_map
-        self._pivot_cols = pivot_cols
-        self._info_cols = info_cols
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _load_cached(path: Path | None, n: int):
-        """Load (parity_map, pivot_cols, info_cols) or ``None``.
-
-        Any corruption — missing arrays, wrong shapes, unreadable file —
-        falls back to recomputation; the cache can never make an encoder
-        wrong, only fast.
-        """
-        if path is None or not path.exists():
-            return None
-        try:
-            with np.load(path) as data:
-                parity_map = np.asarray(data["parity_map"], dtype=np.uint8)
-                pivot_cols = np.asarray(data["pivot_cols"], dtype=np.int64)
-                info_cols = np.asarray(data["info_cols"], dtype=np.int64)
-        except Exception:
-            return None
-        if pivot_cols.size + info_cols.size != n:
-            return None
-        if parity_map.shape != (pivot_cols.size, info_cols.size):
-            return None
-        return parity_map, pivot_cols, info_cols
-
-    @staticmethod
-    def _store_cached(path: Path | None, parity_map, pivot_cols, info_cols) -> None:
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(
-                        handle,
-                        parity_map=parity_map,
-                        pivot_cols=pivot_cols,
-                        info_cols=info_cols,
-                    )
-                os.replace(tmp_name, path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
-        except Exception:  # pragma: no cover - cache writes are best-effort
-            return
+        self._pivot_cols = form.pivot_cols
+        self._info_cols = form.info_cols
+        self._parity_bits = form.rank
+        self._tables = _xor_tables(form.parity_map)
+        groups = self._tables.shape[0] >> _GROUP_BITS
+        self._table_offsets = np.arange(groups, dtype=np.intp) << _GROUP_BITS
+        self._chunk_frames = max(1, _CHUNK_BYTES // max(1, self._tables.nbytes >> _GROUP_BITS))
 
     # ------------------------------------------------------------------ #
     @property
@@ -240,16 +168,31 @@ class SystematicEncoder:
                 f"expected {self.dimension} information bits per frame, "
                 f"got {info.shape[1]}"
             )
-        # The GF(2) product runs through float32 BLAS, and it is exact: every
-        # partial sum is an integer of at most k < 2**24 (checked in
-        # __init__), which float32 represents exactly, so no addition in
-        # any order rounds.  The map is cast per call and never cached: a
-        # float32 copy of the C2 map would stay resident at 29 MB.
-        parity = (info.astype(np.float32) @ self._parity_map.T.astype(np.float32)) % 2
-        codewords = np.zeros((info.shape[0], self.block_length), dtype=np.uint8)
+        codewords = np.empty((info.shape[0], self.block_length), dtype=np.uint8)
         codewords[:, self._info_cols] = info
-        codewords[:, self._pivot_cols] = parity.astype(np.uint8)
+        codewords[:, self._pivot_cols] = self._parity(info)
         return codewords[0] if single else codewords
+
+    def _parity(self, info: np.ndarray) -> np.ndarray:
+        """Parity bits ``(batch, m)`` of a ``(batch, k)`` information batch."""
+        words = self._tables.shape[1]
+        packed = np.empty((info.shape[0], words), dtype=np.uint64)
+        groups = self._table_offsets.size
+        for start in range(0, info.shape[0], self._chunk_frames):
+            chunk = info[start : start + self._chunk_frames]
+            # Two groups per byte: the low nibble holds bits 4g .. 4g + 3.
+            octets = np.packbits(chunk, axis=1, bitorder="little")
+            nibbles = np.empty((octets.shape[0], 2 * octets.shape[1]), dtype=np.intp)
+            nibbles[:, 0::2] = octets & 0x0F
+            nibbles[:, 1::2] = octets >> 4
+            rows = nibbles[:, :groups].T + self._table_offsets[:, None]
+            np.bitwise_xor.reduce(
+                np.take(self._tables, rows, axis=0),
+                axis=0,
+                out=packed[start : start + self._chunk_frames],
+            )
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+        return bits[:, : self._parity_bits]
 
     def extract_information(self, codeword) -> np.ndarray:
         """Recover the information bits from a (decoded) codeword."""

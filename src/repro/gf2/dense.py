@@ -5,9 +5,9 @@ are the workhorses for deriving generator matrices from parity-check
 matrices, computing code dimensions, and verifying codewords in tests.
 
 They are written to be clear rather than maximally fast: the largest dense
-operation in the library is the one-off row reduction of the CCSDS
-1022 x 8176 parity-check matrix, which completes in a few seconds with the
-vectorized XOR elimination used below.
+operation in the library is the row reduction of the CCSDS 1022 x 8176
+parity-check matrix, which a process runs at most once and only on a cold
+encoder cache (see :mod:`repro.codes.systematic_form`).
 """
 
 from __future__ import annotations

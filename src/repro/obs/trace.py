@@ -96,7 +96,8 @@ def run_summary(records: Sequence[_Record]) -> dict[str, dict[str, float]] | Non
 
     * ``shards_total``, ``shard_compute_seconds_total``,
       ``shard_queue_seconds_total`` and ``stage_seconds.<stage>`` (the
-      hot-path split of profiled shards) from ``shard_completed``;
+      split of profiled shards: the four hot-path stages plus ``setup``)
+      from ``shard_completed``;
     * ``points_recorded_total`` and ``frames_total`` from
       ``point_recorded``;
     * ``points_early_stopped_total`` and

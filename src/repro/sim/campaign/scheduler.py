@@ -384,7 +384,8 @@ def _shard_observer(log: EventLog, workers: dict[int | str, int]) -> ShardObserv
     each one.  Queue wait runs from dispatch to the worker's start stamp,
     both read from the host's monotonic clock, so it excludes the
     simulator build and any wait for an earlier shard's fold.  A profiled
-    shard's hot-path split rides along as the extra ``stage_seconds`` field.
+    shard's stage split (the hot-path stages plus ``setup``) rides along as
+    the extra ``stage_seconds`` field.
     """
 
     def observe(

@@ -116,7 +116,8 @@ class ShardTelemetry:
     clock, taken before any lazy simulator build; ``None`` when unknown (a
     fabric completion record carries only the worker's name).  ``seconds``
     runs from that stamp to the shard's end; ``stage_seconds`` is the
-    per-stage split of profiled entries.
+    per-stage split of profiled entries, whose ``setup`` stage makes it sum
+    to ``seconds``.
     """
 
     worker: int | str
@@ -147,7 +148,9 @@ class ShardRunner:
 
         The telemetry's time includes the simulator build on a key's first
         shard.  A shard is one ``run_batch`` call, so the stage split of a
-        profiled entry is its probe's latest batch.
+        profiled entry is its probe's latest batch, plus a ``setup`` stage:
+        the rest of the shard's time (the lazy build and ``sigma_for``), so
+        that the split sums to ``seconds``.
         """
         started = clock.monotonic()
         simulator = self._simulators.get(key)
@@ -157,9 +160,10 @@ class ShardRunner:
         result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed))
         seconds = clock.monotonic() - started
         probe = simulator.probe
-        stage_seconds = (
-            probe.last_stage_seconds if isinstance(probe, StageAccumulator) else None
-        )
+        stage_seconds: dict[str, float] | None = None
+        if isinstance(probe, StageAccumulator):
+            batch = probe.last_stage_seconds
+            stage_seconds = {**batch, "setup": max(0.0, seconds - sum(batch.values()))}
         return result, ShardTelemetry(os.getpid(), started, seconds, stage_seconds)
 
 

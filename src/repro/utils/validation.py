@@ -85,7 +85,13 @@ def check_binary_array(name: str, array: npt.ArrayLike) -> npt.NDArray[np.uint8]
     Returns the array converted to ``np.uint8``.
     """
     arr = np.asarray(array)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.dtype.kind in "biu":
+        # Bounds need no temporaries, where np.isin would widen the array
+        # to int64: 100 MB for the dense parity-check matrix of C2.
+        binary = not arr.size or bool(arr.min() >= 0 and arr.max() <= 1)
+    else:
+        binary = bool(np.isin(arr, (0, 1)).all())
+    if not binary:
         raise ValueError(f"{name} must contain only 0/1 entries")
     return arr.astype(np.uint8)
 

@@ -35,6 +35,29 @@ def isolated_encoder_cache(tmp_path_factory):
         yield
 
 
+def _forbid_row_reduction(patch):
+    """Make every GF(2) row reduction raise, through ``patch`` (a MonkeyPatch).
+
+    Patches the reduction where the systematic form calls it and where
+    ``gf2_rank`` and the other dense routines do; forked pool workers
+    inherit the patch.
+    """
+    import repro.codes.systematic_form as systematic_form
+    import repro.gf2.dense as dense
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a parity-check matrix was row-reduced")
+
+    for module in (dense, systematic_form):
+        patch.setattr(module, "gf2_row_reduce", boom)
+
+
+@pytest.fixture(scope="session")
+def forbid_row_reduction():
+    """The function that makes every row reduction raise (see above)."""
+    return _forbid_row_reduction
+
+
 @pytest.fixture(scope="session")
 def native_backend():
     """The native min-sum kernels; skips the test where they cannot be built."""

@@ -1,11 +1,22 @@
 """Unit tests for repro.encode.systematic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+import repro.encode.systematic as systematic
 from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.encode.systematic import SystematicEncoder, as_parity_check_matrix
+from repro.gf2.dense import gf2_matmul
+
+
+@pytest.fixture
+def fresh_hamming(hamming_pcm):
+    """Builds new matrices equal to ``hamming_pcm``, with no systematic form yet."""
+    return lambda: ParityCheckMatrix(hamming_pcm.to_dense())
 
 
 class TestAsParityCheckMatrix:
@@ -78,76 +89,130 @@ class TestScaledCodeEncoder:
             scaled_encoder.encode(np.full(scaled_encoder.dimension, 2))
 
 
-class TestFullC2Encoder:
-    """The encoder at the paper's dimension, k = 7156: each parity bit of
-    the float32 product sums thousands of terms."""
+@pytest.fixture(scope="class")
+def c2_code():
+    return build_ccsds_c2_code()
 
-    def test_frames_are_codewords_carrying_their_information(self):
-        code = build_ccsds_c2_code()
-        encoder = SystematicEncoder(code)
+
+class TestFullC2Encoder:
+    """The encoder at the paper's dimension, k = 7156: each parity bit is
+    the XOR of 1789 table rows, one per group of four information bits."""
+
+    def test_frames_are_codewords_carrying_their_information(self, c2_code):
+        encoder = SystematicEncoder(c2_code)
         assert encoder.dimension == 7156
         info = np.random.default_rng(7156).integers(
             0, 2, size=(64, encoder.dimension), dtype=np.uint8
         )
         codewords = encoder.encode(info)
-        assert bool(np.all(code.parity_check_matrix().is_codeword(codewords)))
+        assert bool(np.all(c2_code.parity_check_matrix().is_codeword(codewords)))
         assert np.array_equal(encoder.extract_information(codewords), info)
 
-    def test_dimension_beyond_exact_float32_sums_rejected(self, hamming_pcm, monkeypatch):
-        import repro.encode.systematic as module
+    def test_encode_peak_memory_stays_below_a_float32_parity_map(self, c2_code):
+        """A 256-frame encode allocates less than the 29 MB float32 copy of
+        the parity map that a BLAS product would cast on every call."""
+        encoder = SystematicEncoder(c2_code)
+        info = np.random.default_rng(256).integers(
+            0, 2, size=(256, encoder.dimension), dtype=np.uint8
+        )
+        float32_map = encoder.dimension * (encoder.block_length - encoder.dimension) * 4
+        tracemalloc.start()
+        try:
+            encoder.encode(info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < float32_map
 
-        # Stands in for k >= 2**24, which no dense row reduction reaches.
-        monkeypatch.setattr(module, "_FLOAT32_EXACT_INTEGERS", 4)
-        with pytest.raises(ValueError, match="k < 2"):
-            SystematicEncoder(hamming_pcm, cache_dir=None)
+
+class TestPackedEncode:
+    """The table product against :func:`gf2_matmul`.  With ``H = [I | A]``
+    the reduction keeps H as it is, so the parity map is ``A`` itself."""
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        parity_bits=st.integers(1, 150).filter(lambda m: m % 64),
+        info_bits=st.integers(1, 90).filter(lambda k: k % 4),
+        batch=st.integers(2, 70),
+        chunk_bytes=st.sampled_from([1, 1 << 10, systematic._CHUNK_BYTES]),
+        data=st.data(),
+    )
+    def test_matches_gf2_matmul(self, parity_bits, info_bits, batch, chunk_bytes, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        a = rng.integers(0, 2, size=(parity_bits, info_bits), dtype=np.uint8)
+        h = np.concatenate([np.eye(parity_bits, dtype=np.uint8), a], axis=1)
+        pcm = ParityCheckMatrix(h)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(systematic, "_CHUNK_BYTES", chunk_bytes)
+            encoder = SystematicEncoder(pcm, cache_dir=None)
+        assert encoder.dimension == info_bits
+        for frames in (0, 1, batch):
+            info = rng.integers(0, 2, size=(frames, info_bits), dtype=np.uint8)
+            codewords = encoder.encode(info)
+            assert codewords.shape == (frames, h.shape[1])
+            assert np.array_equal(codewords[:, :parity_bits], gf2_matmul(info, a.T))
+            assert np.array_equal(codewords[:, parity_bits:], info)
+            assert not gf2_matmul(h, codewords.T).any()
+        single = encoder.encode(info[0])
+        assert np.array_equal(single, codewords[0])
 
 
 class TestEncoderDiskCache:
-    def test_cache_file_written_and_loaded(self, hamming_pcm, tmp_path, monkeypatch):
-        cold = SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
+    def test_cache_file_written_and_loaded(
+        self, fresh_hamming, tmp_path, monkeypatch, forbid_row_reduction
+    ):
+        cold = SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
         cached = list(tmp_path.glob("*.npz"))
         assert len(cached) == 1
         # A warm build must not run Gaussian elimination at all.
-        import repro.encode.systematic as module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("row reduction ran despite a warm cache")
-
-        monkeypatch.setattr(module, "gf2_row_reduce", boom)
-        warm = SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
+        forbid_row_reduction(monkeypatch)
+        warm = SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
         info = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
         assert np.array_equal(cold.encode(info), warm.encode(info))
         assert np.array_equal(
             cold.information_positions, warm.information_positions
         )
 
-    def test_distinct_matrices_get_distinct_entries(self, hamming_pcm, scaled_code, tmp_path):
-        SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
-        SystematicEncoder(scaled_code, cache_dir=tmp_path)
+    def test_cache_keeps_its_file_format(self, fresh_hamming, tmp_path):
+        """Caches written by earlier versions stay valid: same ``.npz`` keys."""
+        SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+        (cache_file,) = tmp_path.glob("*.npz")
+        assert cache_file.stem == systematic.parity_check_fingerprint(fresh_hamming())
+        with np.load(cache_file) as data:
+            assert sorted(data.files) == ["info_cols", "parity_map", "pivot_cols"]
+            assert data["parity_map"].dtype == np.uint8
+            assert data["parity_map"].shape == (3, 4)
+
+    def test_distinct_matrices_get_distinct_entries(self, fresh_hamming, scaled_code, tmp_path):
+        SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+        SystematicEncoder(
+            ParityCheckMatrix(scaled_code.parity_check_matrix().sparse), cache_dir=tmp_path
+        )
         assert len(list(tmp_path.glob("*.npz"))) == 2
 
-    def test_corrupt_cache_falls_back_to_recompute(self, hamming_pcm, tmp_path):
-        reference = SystematicEncoder(hamming_pcm, cache_dir=None)
-        SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
+    def test_corrupt_cache_falls_back_to_recompute(self, fresh_hamming, tmp_path):
+        reference = SystematicEncoder(fresh_hamming(), cache_dir=None)
+        SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
         (cache_file,) = tmp_path.glob("*.npz")
         cache_file.write_bytes(b"not an npz archive")
-        recovered = SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
+        recovered = SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
         info = np.array([1, 0, 1, 1], dtype=np.uint8)
         assert np.array_equal(reference.encode(info), recovered.encode(info))
 
-    def test_cache_dir_none_writes_nothing(self, hamming_pcm, tmp_path, monkeypatch):
+    def test_cache_dir_none_writes_nothing(self, fresh_hamming, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path / "unused"))
-        SystematicEncoder(hamming_pcm, cache_dir=None)
+        SystematicEncoder(fresh_hamming(), cache_dir=None)
         assert not (tmp_path / "unused").exists()
 
-    def test_env_variable_controls_default(self, hamming_pcm, tmp_path, monkeypatch):
+    def test_env_variable_controls_default(self, fresh_hamming, tmp_path, monkeypatch):
         from repro.encode.systematic import default_encoder_cache_dir
 
         monkeypatch.setenv("REPRO_ENCODER_CACHE", "off")
         assert default_encoder_cache_dir() is None
         monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path / "cachedir"))
         assert default_encoder_cache_dir() == tmp_path / "cachedir"
-        SystematicEncoder(hamming_pcm)
+        SystematicEncoder(fresh_hamming())
         assert len(list((tmp_path / "cachedir").glob("*.npz"))) == 1
 
     def test_fingerprint_distinguishes_shapes_and_content(self, hamming_pcm):

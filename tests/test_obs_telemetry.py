@@ -606,6 +606,28 @@ class TestProbe:
                 accumulator.stage_seconds[stage]
             )
 
+    def test_shard_stage_split_sums_to_shard_seconds(self, tmp_path):
+        """``setup`` takes the rest of each shard's time (the lazy simulator
+        build and ``sigma_for``), so the trace's stage breakdown sums to
+        the shards' compute time."""
+        run_campaign(tmp_path / "c", workers=2, telemetry=True)
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        shards = events_of_type(records, "shard_completed")
+        for shard in shards:
+            split = shard["stage_seconds"]
+            assert set(split) == {*STAGES, "setup"}
+            assert min(split.values()) >= 0.0
+            assert sum(split.values()) == pytest.approx(shard["seconds"], abs=1e-9)
+        # A worker's first shard of an experiment builds its simulator.
+        first = {}
+        for shard in shards:
+            first.setdefault((shard["worker"], shard["experiment"]), shard)
+        assert max(s["stage_seconds"]["setup"] for s in first.values()) > 0.0
+        counters = run_summary(records)["counters"]
+        assert sum(
+            value for name, value in counters.items() if name.startswith("stage_seconds.")
+        ) == pytest.approx(counters["shard_compute_seconds_total"], abs=1e-6)
+
     def test_probed_simulator_counts_identical(self, scaled_code):
         decoder = DecoderSpec("nms", 8).build(scaled_code)
         plain = MonteCarloSimulator(

@@ -69,6 +69,38 @@ class TestCheckBinaryArray:
     def test_empty_ok(self):
         assert check_binary_array("bits", []).size == 0
 
+    @pytest.mark.parametrize(
+        "bits, binary",
+        [
+            (np.array([0, 1], dtype=np.int8), True),
+            (np.array([-1, 1], dtype=np.int8), False),
+            (np.array([0, 2], dtype=np.uint64), False),
+            (np.array([True, False]), True),
+            (np.array([0.0, 1.0]), True),
+            (np.array([0.0, 0.5]), False),
+        ],
+    )
+    def test_every_dtype_takes_the_same_rule(self, bits, binary):
+        if binary:
+            assert np.array_equal(check_binary_array("bits", bits), bits.astype(np.uint8))
+        else:
+            with pytest.raises(ValueError):
+                check_binary_array("bits", bits)
+
+    def test_integer_check_allocates_only_the_copy(self):
+        """The checked copy is the only allocation: widening to int64, as
+        ``np.isin`` does, would cost 8 bytes per entry of a dense H."""
+        import tracemalloc
+
+        bits = np.ones((1022, 1024), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            check_binary_array("bits", bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * bits.nbytes
+
 
 class TestCheckShape:
     def test_exact_match(self):
