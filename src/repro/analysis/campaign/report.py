@@ -47,7 +47,7 @@ from repro.sim.crossing import (
     shannon_gap_db,
 )
 from repro.analysis.campaign.curveset import CurveRecord, CurveSet
-from repro.obs import clock
+from repro.obs import STAGES, clock
 from repro.obs.events import read_events, validate_event_log
 from repro.obs.trace import run_summary
 from repro.sim.campaign.spec import CodeSpec
@@ -416,16 +416,18 @@ class CampaignReport:
             row("Shard queue wait (s)",
                 f"{counters['shard_queue_seconds_total']:.2f}")
         stages = {
-            name: value
+            name.removeprefix("stage_seconds."): value
             for name, value in counters.items()
             if name.startswith("stage_seconds.")
         }
-        stage_total = sum(stages.values())
-        if stage_total > 0:
+        # Shares are of the run_batch stages; ``setup`` gets none.
+        hot_path = sum(value for name, value in stages.items() if name in STAGES)
+        if hot_path > 0:
             for name in sorted(stages):
-                share = 100.0 * stages[name] / stage_total
-                row(f"Stage {name.removeprefix('stage_seconds.')} (s)",
-                    f"{stages[name]:.2f} ({share:.1f}%)")
+                value = f"{stages[name]:.2f}"
+                if name in STAGES:
+                    value += f" ({100.0 * stages[name] / hot_path:.1f}%)"
+                row(f"Stage {name} (s)", value)
         if counters.get("points_early_stopped_total"):
             row("Points early-stopped",
                 str(int(counters["points_early_stopped_total"])))

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codes.systematic_form import (
-    DEFAULT_CACHE,
-    SystematicForm,
-    derive_systematic_form,
-)
+from repro.codes.systematic_form import SystematicForm, derive_systematic_form
 from repro.gf2.sparse import SparseBinaryMatrix
 
 __all__ = ["ParityCheckMatrix"]
@@ -63,27 +59,36 @@ class ParityCheckMatrix:
         """Number of ones in H — the number of messages exchanged per iteration."""
         return self._sparse.nnz
 
-    def systematic_form(self, cache_dir=DEFAULT_CACHE) -> SystematicForm:
+    def systematic_form(self) -> SystematicForm:
         """Pivot columns, information columns and parity map of H.
 
-        Derived on the first call, from the on-disk cache in ``cache_dir``
-        or by one row reduction that it then stores (see
-        :func:`~repro.codes.systematic_form.derive_systematic_form`), and
-        kept: later calls return the same form whatever their
-        ``cache_dir``.
+        Derived on the first call and kept: read from the on-disk encoder
+        cache, or computed by one row reduction that is then stored there
+        (see :func:`~repro.codes.systematic_form.derive_systematic_form`).
         """
         if self._form is None:
-            self._form = derive_systematic_form(self._sparse.to_dense(), cache_dir)
+            self._form = derive_systematic_form(self._sparse.to_dense())
         return self._form
 
     @property
     def rank(self) -> int:
-        """GF(2) rank of H, from its systematic form."""
+        """GF(2) rank of H, from its systematic form.
+
+        The first read on a matrix reads the on-disk encoder cache, or
+        row-reduces H and fills the cache with its whole systematic form
+        (about 7 MB for C2), even if the code is never encoded.  With
+        ``REPRO_ENCODER_CACHE=off`` it row-reduces H once per matrix and
+        writes nothing.
+        """
         return self.systematic_form().rank
 
     @property
     def dimension(self) -> int:
-        """Code dimension ``k = n - rank(H)``."""
+        """Code dimension ``k = n - rank(H)``.
+
+        Reads :attr:`rank`, so the first read reads or fills the on-disk
+        encoder cache.
+        """
         return self.block_length - self.rank
 
     @property

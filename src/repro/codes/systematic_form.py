@@ -37,7 +37,6 @@ if TYPE_CHECKING:
     from repro.codes.parity_check import ParityCheckMatrix
 
 __all__ = [
-    "DEFAULT_CACHE",
     "SystematicForm",
     "default_encoder_cache_dir",
     "derive_systematic_form",
@@ -46,9 +45,6 @@ __all__ = [
 
 _CACHE_ENV = "REPRO_ENCODER_CACHE"
 _CACHE_DISABLED = {"", "0", "off", "none", "disabled", "false"}
-
-#: Stands for "the directory :func:`default_encoder_cache_dir` names".
-DEFAULT_CACHE = object()
 
 
 @dataclass(frozen=True)
@@ -99,19 +95,18 @@ def _dense_fingerprint(h_dense: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def derive_systematic_form(h_dense: np.ndarray, cache_dir=DEFAULT_CACHE) -> SystematicForm:
+def derive_systematic_form(h_dense: np.ndarray) -> SystematicForm:
     """The systematic form of ``h_dense``, from the cache or one row reduction.
 
-    ``cache_dir`` is the cache directory; :data:`DEFAULT_CACHE` means
-    :func:`default_encoder_cache_dir`, ``None`` disables the cache.  A
-    reduction stores its result there for the next process.
+    The cache is the directory :func:`default_encoder_cache_dir` names; a
+    reduction stores its result there for the next process.  With the cache
+    disabled every call reduces ``h_dense`` and writes nothing.
     """
-    if cache_dir is DEFAULT_CACHE:
-        cache_dir = default_encoder_cache_dir()
+    cache_dir = default_encoder_cache_dir()
     n = h_dense.shape[1]
     cache_path = None
     if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"{_dense_fingerprint(h_dense)}.npz"
+        cache_path = cache_dir / f"{_dense_fingerprint(h_dense)}.npz"
         cached = _load_cached(cache_path, n)
         if cached is not None:
             return cached

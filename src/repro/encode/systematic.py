@@ -26,19 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.codes.systematic_form import (
-    DEFAULT_CACHE,
-    default_encoder_cache_dir,
-    parity_check_fingerprint,
-)
 from repro.utils.validation import check_binary_array
 
-__all__ = [
-    "SystematicEncoder",
-    "as_parity_check_matrix",
-    "default_encoder_cache_dir",
-    "parity_check_fingerprint",
-]
+__all__ = ["SystematicEncoder", "as_parity_check_matrix"]
 
 #: Information bits per table group: 2**4 = 16 entries per table.
 _GROUP_BITS = 4
@@ -99,16 +89,11 @@ class SystematicEncoder:
         Either a :class:`~repro.codes.parity_check.ParityCheckMatrix`, an
         object with a ``parity_check_matrix()`` method (such as
         :class:`~repro.codes.qc.QCLDPCCode`), or a dense 0/1 H matrix.
-    cache_dir:
-        Directory of the on-disk row-reduction cache, read when H's
-        systematic form is not yet derived.  Defaults to
-        :func:`default_encoder_cache_dir` (environment-controlled); pass
-        ``None`` to disable caching for this encoder.
     """
 
-    def __init__(self, code, *, cache_dir=DEFAULT_CACHE):
+    def __init__(self, code):
         pcm = as_parity_check_matrix(code)
-        form = pcm.systematic_form(cache_dir)
+        form = pcm.systematic_form()
         self._pcm = pcm
         self._pivot_cols = form.pivot_cols
         self._info_cols = form.info_cols

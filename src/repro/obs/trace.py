@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.obs.events import read_events, validate_event_log
+from repro.obs.probe import STAGES
 from repro.utils.formatting import format_table
 
 __all__ = ["split_runs", "live_rates", "run_summary", "trace_summary"]
@@ -195,16 +196,23 @@ def _stage_breakdown(summary: Mapping[str, Any] | None) -> str | None:
         for name, value in sorted(counters.items())
         if name.startswith("stage_seconds.")
     }
-    total = sum(stages.values())
-    if total <= 0:
+    # Shares are of the run_batch stages alone; ``setup`` (the rest of the
+    # shard's time) follows them, and the last row is the shard time.
+    hot_path = sum(seconds for stage, seconds in stages.items() if stage in STAGES)
+    if hot_path <= 0:
         return None
     rows = [
-        [stage, f"{seconds:.3f}", f"{100.0 * seconds / total:5.1f}%"]
+        [stage, f"{seconds:.3f}", f"{100.0 * seconds / hot_path:5.1f}%"]
         for stage, seconds in sorted(
             stages.items(), key=lambda item: (-item[1], item[0])
         )
+        if stage in STAGES
     ]
-    rows.append(["total", f"{total:.3f}", "100.0%"])
+    rows.append(["hot path", f"{hot_path:.3f}", "100.0%"])
+    rest = sorted(stage for stage in stages if stage not in STAGES)
+    if rest:
+        rows.extend([stage, f"{stages[stage]:.3f}", ""] for stage in rest)
+        rows.append(["shard total", f"{sum(stages.values()):.3f}", ""])
     return format_table(
         ["Stage", "Seconds", "Share"], rows, title="Hot-path stage breakdown"
     )

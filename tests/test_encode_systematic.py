@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 import repro.encode.systematic as systematic
 from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
+from repro.codes.systematic_form import default_encoder_cache_dir, parity_check_fingerprint
 from repro.encode.systematic import SystematicEncoder, as_parity_check_matrix
 from repro.gf2.dense import gf2_matmul
 
@@ -145,7 +146,8 @@ class TestPackedEncode:
         pcm = ParityCheckMatrix(h)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(systematic, "_CHUNK_BYTES", chunk_bytes)
-            encoder = SystematicEncoder(pcm, cache_dir=None)
+            patch.setenv("REPRO_ENCODER_CACHE", "off")
+            encoder = SystematicEncoder(pcm)
         assert encoder.dimension == info_bits
         for frames in (0, 1, batch):
             info = rng.integers(0, 2, size=(frames, info_bits), dtype=np.uint8)
@@ -159,55 +161,64 @@ class TestPackedEncode:
 
 
 class TestEncoderDiskCache:
+    """The cache directory comes from ``REPRO_ENCODER_CACHE``.  A matrix
+    keeps its form once derived, so each encoder gets a fresh matrix."""
+
     def test_cache_file_written_and_loaded(
         self, fresh_hamming, tmp_path, monkeypatch, forbid_row_reduction
     ):
-        cold = SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path))
+        cold = SystematicEncoder(fresh_hamming())
         cached = list(tmp_path.glob("*.npz"))
         assert len(cached) == 1
         # A warm build must not run Gaussian elimination at all.
         forbid_row_reduction(monkeypatch)
-        warm = SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+        warm = SystematicEncoder(fresh_hamming())
         info = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
         assert np.array_equal(cold.encode(info), warm.encode(info))
         assert np.array_equal(
             cold.information_positions, warm.information_positions
         )
 
-    def test_cache_keeps_its_file_format(self, fresh_hamming, tmp_path):
+    def test_cache_keeps_its_file_format(self, fresh_hamming, tmp_path, monkeypatch):
         """Caches written by earlier versions stay valid: same ``.npz`` keys."""
-        SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path))
+        SystematicEncoder(fresh_hamming())
         (cache_file,) = tmp_path.glob("*.npz")
-        assert cache_file.stem == systematic.parity_check_fingerprint(fresh_hamming())
+        assert cache_file.stem == parity_check_fingerprint(fresh_hamming())
         with np.load(cache_file) as data:
             assert sorted(data.files) == ["info_cols", "parity_map", "pivot_cols"]
             assert data["parity_map"].dtype == np.uint8
             assert data["parity_map"].shape == (3, 4)
 
-    def test_distinct_matrices_get_distinct_entries(self, fresh_hamming, scaled_code, tmp_path):
-        SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
-        SystematicEncoder(
-            ParityCheckMatrix(scaled_code.parity_check_matrix().sparse), cache_dir=tmp_path
-        )
+    def test_distinct_matrices_get_distinct_entries(
+        self, fresh_hamming, scaled_code, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path))
+        SystematicEncoder(fresh_hamming())
+        SystematicEncoder(ParityCheckMatrix(scaled_code.parity_check_matrix().sparse))
         assert len(list(tmp_path.glob("*.npz"))) == 2
 
-    def test_corrupt_cache_falls_back_to_recompute(self, fresh_hamming, tmp_path):
-        reference = SystematicEncoder(fresh_hamming(), cache_dir=None)
-        SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+    def test_corrupt_cache_falls_back_to_recompute(self, fresh_hamming, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", "off")
+        reference = SystematicEncoder(fresh_hamming())
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path))
+        SystematicEncoder(fresh_hamming())
         (cache_file,) = tmp_path.glob("*.npz")
         cache_file.write_bytes(b"not an npz archive")
-        recovered = SystematicEncoder(fresh_hamming(), cache_dir=tmp_path)
+        recovered = SystematicEncoder(fresh_hamming())
         info = np.array([1, 0, 1, 1], dtype=np.uint8)
         assert np.array_equal(reference.encode(info), recovered.encode(info))
 
-    def test_cache_dir_none_writes_nothing(self, fresh_hamming, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path / "unused"))
-        SystematicEncoder(fresh_hamming(), cache_dir=None)
-        assert not (tmp_path / "unused").exists()
+    def test_cache_off_writes_nothing(self, fresh_hamming, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", "off")
+        pcm = fresh_hamming()
+        SystematicEncoder(pcm)
+        assert pcm.dimension == 4
+        assert not any(tmp_path.iterdir())
 
     def test_env_variable_controls_default(self, fresh_hamming, tmp_path, monkeypatch):
-        from repro.encode.systematic import default_encoder_cache_dir
-
         monkeypatch.setenv("REPRO_ENCODER_CACHE", "off")
         assert default_encoder_cache_dir() is None
         monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path / "cachedir"))
@@ -216,8 +227,6 @@ class TestEncoderDiskCache:
         assert len(list((tmp_path / "cachedir").glob("*.npz"))) == 1
 
     def test_fingerprint_distinguishes_shapes_and_content(self, hamming_pcm):
-        from repro.encode.systematic import parity_check_fingerprint
-
         other = ParityCheckMatrix(
             np.array([[1, 1, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0, 1, 0],
                       [0, 1, 1, 1, 0, 0, 1]], dtype=np.uint8)

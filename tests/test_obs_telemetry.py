@@ -628,6 +628,37 @@ class TestProbe:
             value for name, value in counters.items() if name.startswith("stage_seconds.")
         ) == pytest.approx(counters["shard_compute_seconds_total"], abs=1e-6)
 
+    def test_stage_shares_are_of_the_hot_path(self, tmp_path):
+        """The trace and the report take stage shares over the four
+        ``run_batch`` stages, as before ``setup`` existed; ``setup`` is
+        listed without a share, and the trace ends on the shard time."""
+        run_campaign(tmp_path / "c", workers=2, telemetry=True)
+        counters = run_summary(
+            read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        )["counters"]
+        table = trace_summary(tmp_path / "c").split("\n\n")[1].splitlines()
+        assert table[0] == "Hot-path stage breakdown"
+        cells = {
+            cells[0]: cells[1:]
+            for cells in ([c.strip() for c in line.split("|")] for line in table[3:])
+        }
+        hot_path = sum(counters[f"stage_seconds.{stage}"] for stage in STAGES)
+        assert sum(float(cells[stage][1].rstrip("%")) for stage in STAGES) == (
+            pytest.approx(100.0, abs=0.3)
+        )
+        assert float(cells["hot path"][0]) == pytest.approx(hot_path, abs=1e-3)
+        assert cells["setup"][1] == ""
+        assert float(cells["shard total"][0]) == pytest.approx(
+            counters["shard_compute_seconds_total"], abs=1e-3
+        )
+        _, rows = _telemetry_rows(tmp_path / "c")
+        stage_rows = {label: value for label, value in rows if label.startswith("Stage ")}
+        assert "%" not in stage_rows["Stage setup (s)"]
+        assert sum(
+            float(stage_rows[f"Stage {stage} (s)"].split("(")[1].rstrip("%)"))
+            for stage in STAGES
+        ) == pytest.approx(100.0, abs=0.3)
+
     def test_probed_simulator_counts_identical(self, scaled_code):
         decoder = DecoderSpec("nms", 8).build(scaled_code)
         plain = MonteCarloSimulator(
