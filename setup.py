@@ -3,8 +3,9 @@
 Carries the real metadata so ``pip install -e .`` / ``python setup.py
 develop`` work without network access, and ships the ``py.typed`` marker
 (PEP 561) so downstream type checkers see the package's inline annotations,
-and the C source of the native min-sum kernels, which the installed package
-compiles on first use (``repro.decode.native``).
+and the C sources of the native min-sum decode (every ``.c`` file beside
+``repro/decode/native.py``), which the installed package compiles on first
+use (``repro.decode.native``).
 """
 
 from setuptools import find_packages, setup
@@ -18,7 +19,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed"], "repro.decode": ["native.c"]},
+    package_data={"repro": ["py.typed"], "repro.decode": ["*.c"]},
     python_requires=">=3.11",
     install_requires=["numpy>=1.24"],
     zip_safe=False,

@@ -1,85 +1,109 @@
 /*
- * The native min-sum decode, repro_decode_min_sum: the decoding loop of
+ * The native min-sum decode: the decoding loop of
  * repro.decode.base.MessagePassingDecoder for every decoder that states
  * streaming parameters (min-sum, nms, offset, quantized and layered).
- * native.py builds this file, checks it against the loop on the numpy
- * bodies and loads it; graph.py documents the arithmetic both must follow.
+ * native.py builds this file twice into one library: as it stands, exporting
+ * repro_decode_min_sum, and through native_avx2.c, which compiles it for
+ * AVX2 as repro_decode_min_sum_avx2.  It loads the entry this CPU runs and
+ * checks it against the loop on the numpy bodies; graph.py documents the
+ * arithmetic both must follow.
  *
  * Layout.  LANES frames decode at once, in posterior form: one row of LANES
  * values per bit (the channel LLRs and the posteriors) and per edge (the
  * check-to-bit messages), the lane innermost, as the paper's memory word
  * holds one message of several frames.  Each loop runs along the lanes of
- * one row, two at a time.
+ * one row, WIDTH at a time: the target's vector width sets WIDTH, so a row
+ * is one 4-double vector under AVX2 and two 2-double halves otherwise.
  *
  * Exactness.  Built without fast-math and with -ffp-contract=off, every
  * addition, subtraction and multiplication below is one IEEE operation in
  * numpy's order; minima, maxima, selections and sign flips are exact.  So
- * every result is bit-identical to the loop's for every input without NaN.
+ * every result is bit-identical to the loop's for every input without NaN,
+ * at either width.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 
-/* Two lanes of one row. */
-typedef double f64x2 __attribute__((vector_size(16)));
-typedef int64_t i64x2 __attribute__((vector_size(16)));
+/* The exported decode; native_avx2.c names its own build of this file. */
+#ifndef ENTRY
+#define ENTRY repro_decode_min_sum
+#endif
 
 /* Frames decoding at once.  Chosen by measurement on the C2 code against the
  * decoding loop; see docs/components.md. */
 #define LANES 4
-#define PAIRS (LANES / 2)
+
+/* Lanes per vector, and vectors per row. */
+#ifdef __AVX2__
+#define WIDTH 4
+#else
+#define WIDTH 2
+#endif
+#define PARTS (LANES / WIDTH)
+
+/* WIDTH lanes of one row. */
+typedef double f64v __attribute__((vector_size(WIDTH * sizeof(double))));
+typedef int64_t i64v __attribute__((vector_size(WIDTH * sizeof(int64_t))));
 
 /* Each pass is compiled once per schedule and quantizer it serves. */
 #define INLINE static inline __attribute__((always_inline))
 
-static const i64x2 SIGN = {INT64_MIN, INT64_MIN};
+/* A double's sign bit; a vector operation applies it to every lane. */
+static const int64_t SIGN = INT64_MIN;
 
-static inline f64x2 load(const double *p)
+static inline f64v load(const double *p)
 {
-    f64x2 v;
+    f64v v;
     memcpy(&v, p, sizeof v);
     return v;
 }
 
-static inline void store(double *p, f64x2 v)
+static inline void store(double *p, f64v v)
 {
     memcpy(p, &v, sizeof v);
 }
 
-static inline f64x2 splat(double v)
+static inline f64v splat(double v)
 {
-    return (f64x2){v, v};
+    f64v lanes;
+    for (int i = 0; i < WIDTH; i++)
+        lanes[i] = v;
+    return lanes;
 }
 
-static inline f64x2 magnitude(f64x2 v)
+static inline f64v magnitude(f64v v)
 {
-    return (f64x2)((i64x2)v & ~SIGN);
+    return (f64v)((i64v)v & ~SIGN);
 }
 
 /* mask ? a : b, lane by lane; a mask lane is all ones or all zeros. */
-static inline f64x2 pick(i64x2 mask, f64x2 a, f64x2 b)
+static inline f64v pick(i64v mask, f64v a, f64v b)
 {
-    return (f64x2)((mask & (i64x2)a) | (~mask & (i64x2)b));
+    return (f64v)((mask & (i64v)a) | (~mask & (i64v)b));
 }
 
 /* a < b ? a : b and a > b ? a : b.  x86's minpd and maxpd make the same
- * choice as the portable spelling. */
-static inline f64x2 smaller(f64x2 a, f64x2 b)
+ * choice as the portable spelling.  They are named by their builtins, as
+ * <immintrin.h>, which declares the 256-bit intrinsics, raises the
+ * compiler's peak memory from 44 to 106 MB. */
+static inline f64v smaller(f64v a, f64v b)
 {
-#ifdef __SSE2__
-    return (f64x2)_mm_min_pd((__m128d)a, (__m128d)b);
+#if WIDTH == 4
+    return __builtin_ia32_minpd256(a, b);
+#elif defined(__SSE2__)
+    return __builtin_ia32_minpd(a, b);
 #else
     return pick(a < b, a, b);
 #endif
 }
 
-static inline f64x2 larger(f64x2 a, f64x2 b)
+static inline f64v larger(f64v a, f64v b)
 {
-#ifdef __SSE2__
-    return (f64x2)_mm_max_pd((__m128d)a, (__m128d)b);
+#if WIDTH == 4
+    return __builtin_ia32_maxpd256(a, b);
+#elif defined(__SSE2__)
+    return __builtin_ia32_maxpd(a, b);
 #else
     return pick(a > b, a, b);
 #endif
@@ -87,7 +111,7 @@ static inline f64x2 larger(f64x2 a, f64x2 b)
 
 /* Keep the smallest and second smallest of the magnitudes seen so far: a
  * minimum held twice is also the second smallest. */
-static inline void keep_two_smallest(f64x2 *min1, f64x2 *min2, f64x2 m)
+static inline void keep_two_smallest(f64v *min1, f64v *min2, f64v m)
 {
     *min2 = smaller(*min2, larger(*min1, m));
     *min1 = smaller(*min1, m);
@@ -110,13 +134,13 @@ struct rule {
  * one already is an integer.  The sign is put back after, so -0.3 rounds to
  * -0.0 as it does in numpy.  np.clip(v, lo, hi) is min(max(v, lo), hi).
  */
-static inline f64x2 quantize(f64x2 x, const struct rule *rule)
+static inline f64v quantize(f64v x, const struct rule *rule)
 {
-    const f64x2 big = splat(0x1p52);
-    const f64x2 v = x * splat(rule->inverse);
-    const f64x2 m = magnitude(v);
-    const f64x2 whole = (f64x2)((i64x2)((m + big) - big) | ((i64x2)v & SIGN));
-    const f64x2 rounded = pick(m < big, whole, v) * splat(rule->step);
+    const f64v big = splat(0x1p52);
+    const f64v v = x * splat(rule->inverse);
+    const f64v m = magnitude(v);
+    const f64v whole = (f64v)((i64v)((m + big) - big) | ((i64v)v & SIGN));
+    const f64v rounded = pick(m < big, whole, v) * splat(rule->step);
     return smaller(larger(rounded, splat(-rule->limit)), splat(rule->limit));
 }
 
@@ -125,12 +149,12 @@ static inline f64x2 quantize(f64x2 x, const struct rule *rule)
  * has no other message, so its second magnitude is 0.  The quantizer, when
  * the decoder has one, applies to both corrected magnitudes: it commutes
  * with the sign the message takes after. */
-INLINE void correct(f64x2 *min1, f64x2 *min2, const struct rule *rule, int quantized,
+INLINE void correct(f64v *min1, f64v *min2, const struct rule *rule, int quantized,
                     int64_t degree)
 {
-    const f64x2 zero = {0.0, 0.0};
-    f64x2 a = *min1;
-    f64x2 b = *min2;
+    const f64v zero = {0.0};
+    f64v a = *min1;
+    f64v b = *min2;
     if (rule->offset != 0.0) {
         a = a - splat(rule->offset);
         b = b - splat(rule->offset);
@@ -156,12 +180,12 @@ INLINE void correct(f64x2 *min1, f64x2 *min2, const struct rule *rule, int quant
 /* The message back to the edge that sent x: the corrected second smallest
  * magnitude where |x| is the smallest, the corrected smallest elsewhere,
  * with the sign of (x < 0) XOR the check's parity. */
-static inline f64x2 extrinsic(f64x2 x, f64x2 smallest, f64x2 fix1, f64x2 fix2,
-                              i64x2 parity)
+static inline f64v extrinsic(f64v x, f64v smallest, f64v fix1, f64v fix2,
+                              i64v parity)
 {
-    const f64x2 zero = {0.0, 0.0};
-    const f64x2 value = pick(magnitude(x) == smallest, fix2, fix1);
-    return (f64x2)((i64x2)value | (((x < zero) ^ parity) & SIGN));
+    const f64v zero = {0.0};
+    const f64v value = pick(magnitude(x) == smallest, fix2, fix1);
+    return (f64v)((i64v)value | (((x < zero) ^ parity) & SIGN));
 }
 
 /* The graph, as TannerGraph holds it.  Edges are sorted by check; non-empty
@@ -186,6 +210,29 @@ struct lanes {
     double *c2b;   /* [edges][LANES] check-to-bit messages */
     double *delta; /* [edges of the largest layer][LANES], layered only */
 };
+
+/*
+ * This thread's lane buffer, kept from call to call and grown to the largest
+ * call's size.  A buffer allocated and freed by each call fragments the
+ * heap: once other allocations split the freed block, the next aligned
+ * request no longer fits in it, and the heap grows by the lanes (1.6 MB for
+ * C2) again.  One mapped and unmapped by each call page-faults in on every
+ * call, 6 % of a 16-frame decode of C2.  A thread that exits leaves its
+ * buffer allocated.
+ */
+static _Thread_local double *kept_lanes;
+static _Thread_local size_t kept_size;
+
+/* `size` bytes of this thread's lanes, 64-byte aligned, or NULL. */
+static double *lanes_buffer(size_t size)
+{
+    if (kept_lanes == NULL || size > kept_size) {
+        free(kept_lanes);
+        kept_lanes = aligned_alloc(64, size ? size : 64);
+        kept_size = kept_lanes ? size : 0;
+    }
+    return kept_lanes;
+}
 
 /* Put `values` (one frame's LLRs, or NULL for an idle lane of zeros) into
  * `lane`, with every check-to-bit message +0.0. */
@@ -221,41 +268,41 @@ static void fill_lane(struct lanes *lanes, int64_t lane, const double *values,
  */
 INLINE void check_pass(struct lanes *lanes, const struct graph *g, int64_t first,
                        int64_t last, const struct rule *rule, int quantized, int layered,
-                       i64x2 failed[PAIRS])
+                       i64v failed[PARTS])
 {
-    const f64x2 zero = {0.0, 0.0};
-    const f64x2 inf = splat(__builtin_inf());
+    const f64v zero = {0.0};
+    const f64v inf = splat(__builtin_inf());
     const int64_t base = first_edge(g, first);
 
     for (int64_t c = first; c < last; c++) {
         const int64_t start = g->starts[c];
         const int64_t stop = first_edge(g, c + 1);
-        f64x2 min1[PAIRS], min2[PAIRS];
-        i64x2 parity[PAIRS], syndrome[PAIRS];
-        for (int h = 0; h < PAIRS; h++) {
+        f64v min1[PARTS], min2[PARTS];
+        i64v parity[PARTS], syndrome[PARTS];
+        for (int h = 0; h < PARTS; h++) {
             min1[h] = inf;
             min2[h] = inf;
-            parity[h] = (i64x2){0, 0};
-            syndrome[h] = (i64x2){0, 0};
+            parity[h] = (i64v){0};
+            syndrome[h] = (i64v){0};
         }
         for (int64_t e = start; e < stop; e++) {
             const double *post = lanes->post + g->edge_bit[e] * LANES;
             double *c2b = lanes->c2b + e * LANES;
             double *kept = layered ? lanes->delta + (e - base) * LANES : c2b;
-            for (int h = 0; h < PAIRS; h++) {
-                const f64x2 p = load(post + 2 * h);
-                f64x2 x = p - load(c2b + 2 * h);
+            for (int h = 0; h < PARTS; h++) {
+                const f64v p = load(post + WIDTH * h);
+                f64v x = p - load(c2b + WIDTH * h);
                 if (quantized)
                     x = quantize(x, rule);
-                store(kept + 2 * h, x);
+                store(kept + WIDTH * h, x);
                 keep_two_smallest(&min1[h], &min2[h], magnitude(x));
                 parity[h] ^= x < zero;
                 if (!layered)
                     syndrome[h] ^= p <= zero;
             }
         }
-        f64x2 fix1[PAIRS], fix2[PAIRS];
-        for (int h = 0; h < PAIRS; h++) {
+        f64v fix1[PARTS], fix2[PARTS];
+        for (int h = 0; h < PARTS; h++) {
             fix1[h] = min1[h];
             fix2[h] = min2[h];
             correct(&fix1[h], &fix2[h], rule, quantized, stop - start);
@@ -265,12 +312,12 @@ INLINE void check_pass(struct lanes *lanes, const struct graph *g, int64_t first
         for (int64_t e = start; e < stop; e++) {
             double *c2b = lanes->c2b + e * LANES;
             double *kept = layered ? lanes->delta + (e - base) * LANES : c2b;
-            for (int h = 0; h < PAIRS; h++) {
-                const f64x2 x = load(kept + 2 * h);
-                const f64x2 message = extrinsic(x, min1[h], fix1[h], fix2[h], parity[h]);
+            for (int h = 0; h < PARTS; h++) {
+                const f64v x = load(kept + WIDTH * h);
+                const f64v message = extrinsic(x, min1[h], fix1[h], fix2[h], parity[h]);
                 if (layered)
-                    store(kept + 2 * h, message - load(c2b + 2 * h));
-                store(c2b + 2 * h, message);
+                    store(kept + WIDTH * h, message - load(c2b + WIDTH * h));
+                store(c2b + WIDTH * h, message);
             }
         }
     }
@@ -281,54 +328,54 @@ INLINE void check_pass(struct lanes *lanes, const struct graph *g, int64_t first
  * layout. */
 INLINE void bit_pass(struct lanes *lanes, const struct graph *g)
 {
-    const f64x2 zero = {0.0, 0.0};
+    const f64v zero = {0.0};
     for (int64_t b = 0; b < g->bits; b++) {
         const int64_t degree = g->degrees[b];
         const int64_t *edge = g->slot_edges + b;
-        f64x2 total[PAIRS];
-        for (int h = 0; h < PAIRS; h++)
+        f64v total[PARTS];
+        for (int h = 0; h < PARTS; h++)
             total[h] = zero;
         if (degree > 0) {
             const double *m0 = lanes->c2b + edge[0] * LANES;
-            for (int h = 0; h < PAIRS; h++)
-                total[h] = load(m0 + 2 * h);
+            for (int h = 0; h < PARTS; h++)
+                total[h] = load(m0 + WIDTH * h);
         }
         if (degree > 1) {
-            f64x2 rest[PAIRS];
+            f64v rest[PARTS];
             const double *m1 = lanes->c2b + edge[g->bits] * LANES;
-            for (int h = 0; h < PAIRS; h++)
-                rest[h] = load(m1 + 2 * h);
+            for (int h = 0; h < PARTS; h++)
+                rest[h] = load(m1 + WIDTH * h);
             for (int64_t slot = 2; slot < degree; slot++) {
                 const double *m = lanes->c2b + edge[slot * g->bits] * LANES;
-                for (int h = 0; h < PAIRS; h++)
-                    rest[h] = rest[h] + load(m + 2 * h);
+                for (int h = 0; h < PARTS; h++)
+                    rest[h] = rest[h] + load(m + WIDTH * h);
             }
-            for (int h = 0; h < PAIRS; h++)
+            for (int h = 0; h < PARTS; h++)
                 total[h] = total[h] + rest[h];
         }
-        for (int h = 0; h < PAIRS; h++)
-            store(lanes->post + b * LANES + 2 * h,
-                  load(lanes->llr + b * LANES + 2 * h) + total[h]);
+        for (int h = 0; h < PARTS; h++)
+            store(lanes->post + b * LANES + WIDTH * h,
+                  load(lanes->llr + b * LANES + WIDTH * h) + total[h]);
     }
 }
 
 /* Syndrome pass of the layered schedule: failed[] collects, per lane,
  * whether any check's XOR of post <= 0 is 1. */
 INLINE void syndrome_pass(const struct lanes *lanes, const struct graph *g,
-                          i64x2 failed[PAIRS])
+                          i64v failed[PARTS])
 {
-    const f64x2 zero = {0.0, 0.0};
+    const f64v zero = {0.0};
     for (int64_t c = 0; c < g->checks; c++) {
         const int64_t stop = first_edge(g, c + 1);
-        i64x2 syndrome[PAIRS];
-        for (int h = 0; h < PAIRS; h++)
-            syndrome[h] = (i64x2){0, 0};
+        i64v syndrome[PARTS];
+        for (int h = 0; h < PARTS; h++)
+            syndrome[h] = (i64v){0};
         for (int64_t e = g->starts[c]; e < stop; e++) {
             const double *post = lanes->post + g->edge_bit[e] * LANES;
-            for (int h = 0; h < PAIRS; h++)
-                syndrome[h] ^= load(post + 2 * h) <= zero;
+            for (int h = 0; h < PARTS; h++)
+                syndrome[h] ^= load(post + WIDTH * h) <= zero;
         }
-        for (int h = 0; h < PAIRS; h++)
+        for (int h = 0; h < PARTS; h++)
             failed[h] |= syndrome[h];
     }
 }
@@ -343,8 +390,8 @@ INLINE void add_pass(struct lanes *lanes, const struct graph *g, int64_t first,
     for (int64_t e = base; e < stop; e++) {
         double *post = lanes->post + g->edge_bit[e] * LANES;
         const double *delta = lanes->delta + (e - base) * LANES;
-        for (int h = 0; h < PAIRS; h++)
-            store(post + 2 * h, load(post + 2 * h) + load(delta + 2 * h));
+        for (int h = 0; h < PARTS; h++)
+            store(post + WIDTH * h, load(post + WIDTH * h) + load(delta + WIDTH * h));
     }
 }
 
@@ -377,15 +424,12 @@ INLINE void add_pass(struct lanes *lanes, const struct graph *g, int64_t first,
  *
  * Returns 0, or -1 when the lanes cannot be allocated.
  */
-int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
-                         const int64_t *edge_bit, const int64_t *starts,
-                         int64_t checks, int64_t edges,
-                         const int64_t *slot_edges, const int64_t *degrees,
-                         double scale, double offset, double step, double limit,
-                         const int64_t *layer_starts, int64_t layers,
-                         int64_t max_iterations, int64_t early_stop,
-                         double *posterior, uint8_t *hard, int64_t *iterations,
-                         uint8_t *converged)
+int ENTRY(const double *llrs, int64_t frames, int64_t bits, const int64_t *edge_bit,
+          const int64_t *starts, int64_t checks, int64_t edges, const int64_t *slot_edges,
+          const int64_t *degrees, double scale, double offset, double step, double limit,
+          const int64_t *layer_starts, int64_t layers, int64_t max_iterations,
+          int64_t early_stop, double *posterior, uint8_t *hard, int64_t *iterations,
+          uint8_t *converged)
 {
     const struct graph g = {edge_bit, starts, slot_edges, degrees, bits, checks, edges};
     const struct rule rule = {scale, offset, step, step > 0.0 ? 1.0 / step : 0.0, limit};
@@ -400,8 +444,7 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
             widest = width;
     }
     const size_t row = LANES * sizeof(double);
-    const size_t size = ((size_t)(2 * bits + edges + widest) * row + 63) / 64 * 64;
-    double *buffer = aligned_alloc(64, size ? size : 64);
+    double *buffer = lanes_buffer(((size_t)(2 * bits + edges + widest) * row + 63) / 64 * 64);
     if (buffer == NULL)
         return -1;
     struct lanes lanes = {buffer, buffer + bits * LANES, buffer + 2 * bits * LANES,
@@ -421,9 +464,9 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
             active |= frame[lane] >= 0;
         if (!active)
             break;
-        i64x2 failed[PAIRS];
-        for (int h = 0; h < PAIRS; h++)
-            failed[h] = (i64x2){0, 0};
+        i64v failed[PARTS];
+        for (int h = 0; h < PARTS; h++)
+            failed[h] = (i64v){0};
         if (layers)
             syndrome_pass(&lanes, &g, failed);
         else if (quantized)
@@ -437,7 +480,7 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
             stopped[lane] = 0;
             if (frame[lane] < 0)
                 continue;
-            const int ok = failed[lane / 2][lane % 2] == 0;
+            const int ok = failed[lane / WIDTH][lane % WIDTH] == 0;
             if ((ok && iteration[lane] >= early_stop) ||
                 iteration[lane] >= max_iterations) {
                 const int64_t f = frame[lane];
@@ -476,6 +519,5 @@ int repro_decode_min_sum(const double *llrs, int64_t frames, int64_t bits,
             fill_lane(&lanes, lane, frame[lane] < 0 ? NULL : llrs + frame[lane] * bits, &g);
         }
     }
-    free(buffer);
     return 0;
 }

@@ -3,31 +3,40 @@
 The decoding loop of :class:`~repro.decode.base.MessagePassingDecoder`
 hands a whole batch of every decoder that states streaming parameters
 (``min-sum``, ``nms``, ``offset``, ``quantized`` and ``layered``) to one C
-function, ``repro_decode_min_sum`` (:meth:`NativeKernels.decode_min_sum`),
-whenever :func:`kernels` returns it.  The loop, over the numpy methods of
+function (:meth:`NativeKernels.decode_min_sum`) whenever :func:`kernels`
+returns it.  The loop, over the numpy methods of
 :class:`~repro.decode.graph.TannerGraph`, is the reference: the C code
 implements the orders ``graph.py`` documents, operation for operation.
 
-Build.  On the first decode of a process, never at import, the source
-is compiled with ``cc -O3 -ffp-contract=off -fPIC -shared``: no ``-march``,
-no fast-math, so no operation is fused or reordered and each rounds as
-numpy's does.  The library is cached under a name hashed from the source and
-the flags, in the package's own ``__pycache__`` when that directory belongs
-to this user and no one else may write to it, else in a private temporary
-directory that is removed once the library is loaded.  A library is only
-ever loaded from such a directory.  The compiler writes a temporary file
-that is then renamed into place, so processes that build at once (pool and
-fabric workers) never load a partial file.  After a build into
-``__pycache__``, the libraries built there from older sources are deleted.
+Build.  On the first decode of a process, never at import, one
+``cc -O3 -ffp-contract=off -fPIC -shared`` command compiles both sources
+into one library: ``native.c``, exporting ``repro_decode_min_sum``, and
+``native_avx2.c``, which compiles ``native.c`` again for AVX2 as
+``repro_decode_min_sum_avx2`` and exports the CPU query
+``repro_cpu_supports_avx2`` (both absent where the compiler cannot target
+AVX2).  There is no ``-march`` and no fast-math, so no operation is fused
+or reordered and each rounds as numpy's does, at either vector width.  The
+library is cached under a name hashed from the sources and the flags, in
+the package's own ``__pycache__`` when that directory belongs to this user
+and no one else may write to it, else in a private temporary directory that
+is removed once the library is loaded.  A library is only ever loaded from
+such a directory.  The compiler writes a temporary file that is then renamed
+into place, so processes that build at once (pool and fabric workers) never
+load a partial file.  After a build into ``__pycache__``, the libraries
+built there from older sources are deleted.
 
-Acceptance.  The library is used only after a one-time probe on a tiny graph
-(ties, signed zeros, empty and degree-1 checks, bits of degree 0 to 4)
+Entry.  The loader binds the AVX2 entry exactly when the library's own CPU
+query says this CPU runs it, and the baseline entry otherwise, so one cached
+library serves every x86-64 host that shares it.
+
+Acceptance.  The bound entry is used only after a one-time probe on a tiny
+graph (ties, signed zeros, empty and degree-1 checks, bits of degree 0 to 4)
 reproduces the loop bit for bit for each streamed kind: both stopping
 rules, a quantizer whose channel grid is finer than its message grid, and
 two layers.  When the compiler is missing, the build fails, the cache
 cannot be written or the probe disagrees, the process warns once and
 decodes on the loop.  Nothing else (no option, parameter or environment
-variable) picks the backend.
+variable) picks the backend or the entry.
 """
 
 from __future__ import annotations
@@ -56,8 +65,15 @@ if TYPE_CHECKING:
 
 __all__ = ["NativeKernels", "kernels"]
 
-#: The kernels' C source, shipped beside this module.
-SOURCE = Path(__file__).with_name("native.c")
+#: The kernels' C sources, shipped beside this module and compiled together:
+#: the decode, and the unit that builds it again for AVX2.
+SOURCES = (Path(__file__).with_name("native.c"), Path(__file__).with_name("native_avx2.c"))
+#: The decode entry that every library exports.
+BASELINE_ENTRY = "repro_decode_min_sum"
+#: The same decode built for AVX2, bound where :data:`CPU_QUERY` allows it.
+WIDE_ENTRY = "repro_decode_min_sum_avx2"
+#: The library's own test of whether the CPU (and its OS) runs AVX2.
+CPU_QUERY = "repro_cpu_supports_avx2"
 #: The compiler, looked up on ``PATH``.
 COMPILER = "cc"
 #: Optimize, but fuse and reorder nothing: every operation rounds as numpy's.
@@ -79,11 +95,15 @@ class _Unavailable(Exception):
 
 
 class NativeKernels:
-    """The typed entry point of a loaded kernel library: :meth:`decode_min_sum`."""
+    """The typed entry point of a loaded kernel library: :meth:`decode_min_sum`.
 
-    def __init__(self, library: ctypes.CDLL) -> None:
+    ``entry`` names the library's decode function that it calls.
+    """
+
+    def __init__(self, library: ctypes.CDLL, entry: str) -> None:
         self._library = library
-        self._decode_min_sum = library.repro_decode_min_sum
+        self.entry = entry
+        self._decode_min_sum = getattr(library, entry)
         self._decode_min_sum.argtypes = [
             _DOUBLES, _SIZE, _SIZE, _INDEX, _INDEX, _SIZE, _SIZE, _INDEX, _INDEX,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double, _INDEX, _SIZE,
@@ -143,8 +163,10 @@ class NativeKernels:
 # Build and cache
 # ---------------------------------------------------------------------- #
 def _library_name() -> str:
-    """Cache file name, keyed by the source, the compiler and its flags."""
-    digest = hashlib.sha256(SOURCE.read_bytes())
+    """Cache file name, keyed by the sources, the compiler and its flags."""
+    digest = hashlib.sha256()
+    for source in SOURCES:
+        digest.update(hashlib.sha256(source.read_bytes()).digest())
     digest.update("\0".join((COMPILER, *FLAGS)).encode())
     return f"native-{digest.hexdigest()[:16]}.so"
 
@@ -164,7 +186,7 @@ def _cache_directory() -> tuple[Path, bool]:
     The package's ``__pycache__`` when it is private to this user, else a
     new private temporary directory.
     """
-    pycache = SOURCE.parent / "__pycache__"
+    pycache = Path(__file__).with_name("__pycache__")
     try:
         pycache.mkdir(exist_ok=True)
         if _private(pycache):
@@ -175,7 +197,7 @@ def _cache_directory() -> tuple[Path, bool]:
 
 
 def _build(target: Path) -> None:
-    """Compile :data:`SOURCE` into ``target`` through a renamed temporary file."""
+    """Compile :data:`SOURCES` into ``target`` through a renamed temporary file."""
     handle, partial = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=target.parent)
     os.close(handle)
     try:
@@ -184,7 +206,7 @@ def _build(target: Path) -> None:
             raise _Unavailable(f"no C compiler {COMPILER!r} on PATH")
         try:
             build = subprocess.run(
-                [compiler, *FLAGS, "-o", partial, str(SOURCE)],
+                [compiler, *FLAGS, "-o", partial, *map(str, SOURCES)],
                 capture_output=True, text=True, timeout=BUILD_TIMEOUT_S, check=False,
             )
         except subprocess.TimeoutExpired as error:
@@ -211,8 +233,22 @@ def _remove_stale(target: Path) -> None:
                     path.unlink()
 
 
+def _runs_avx2(library: ctypes.CDLL) -> bool:
+    """Whether the library's :data:`CPU_QUERY` says this CPU runs its AVX2 entry.
+
+    A library built where the compiler cannot target AVX2 has no query.
+    """
+    try:
+        query = getattr(library, CPU_QUERY)
+    except AttributeError:
+        return False
+    query.argtypes = []
+    query.restype = ctypes.c_int
+    return bool(query())
+
+
 def _load() -> NativeKernels:
-    """Build or reuse the cached library, load it and probe it against numpy."""
+    """Build or reuse the cached library, bind the entry this CPU runs and probe it."""
     try:
         directory, temporary = _cache_directory()
         try:
@@ -227,8 +263,9 @@ def _load() -> NativeKernels:
                 shutil.rmtree(directory, ignore_errors=True)
     except OSError as error:
         raise _Unavailable(f"cannot build or load the library: {error}") from error
+    entry = WIDE_ENTRY if _runs_avx2(library) else BASELINE_ENTRY
     try:
-        native = NativeKernels(library)
+        native = NativeKernels(library, entry)
     except AttributeError as error:
         raise _Unavailable(f"the library lacks a kernel: {error}") from error
     try:
@@ -236,7 +273,7 @@ def _load() -> NativeKernels:
     except (ctypes.ArgumentError, MemoryError, TypeError, ValueError) as error:
         raise _Unavailable(f"the probe raised {error!r}") from error
     if mismatch:
-        raise _Unavailable(f"the library disagrees with numpy on {mismatch}")
+        raise _Unavailable(f"{entry} disagrees with numpy on {mismatch}")
     return native
 
 

@@ -27,6 +27,10 @@ __all__ = [
     "gf2_inverse",
 ]
 
+#: Rows that one XOR of :func:`gf2_row_reduce` gathers: a block of 64 rows of
+#: C2's H is 0.5 MB, where all the rows holding a pivot column reach 5.7 MB.
+_XOR_BLOCK_ROWS = 64
+
 
 def is_binary_matrix(matrix) -> bool:
     """Return ``True`` when every entry of ``matrix`` is 0 or 1."""
@@ -74,10 +78,10 @@ def gf2_row_reduce(matrix) -> tuple[np.ndarray, list[int]]:
         ``pivot_columns`` the list of pivot column indices, whose length is
         the GF(2) rank.
     """
+    # A new array, which the reduction may overwrite: the input stays as it is.
     work = _as_gf2("matrix", matrix)
     if work.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    work = work.copy()
     rows, cols = work.shape
     pivot_cols: list[int] = []
     pivot_row = 0
@@ -91,12 +95,13 @@ def gf2_row_reduce(matrix) -> tuple[np.ndarray, list[int]]:
         swap = pivot_row + int(candidates[0])
         if swap != pivot_row:
             work[[pivot_row, swap]] = work[[swap, pivot_row]]
-        # Eliminate every other 1 in this column with a vectorized XOR.
+        # Eliminate every other 1 in this column with a vectorized XOR, a
+        # block of rows at a time so that the gathered rows stay small.
         column = work[:, col].copy()
         column[pivot_row] = 0
         targets = np.nonzero(column)[0]
-        if targets.size:
-            work[targets] ^= work[pivot_row]
+        for start in range(0, targets.size, _XOR_BLOCK_ROWS):
+            work[targets[start : start + _XOR_BLOCK_ROWS]] ^= work[pivot_row]
         pivot_cols.append(col)
         pivot_row += 1
     return work, pivot_cols

@@ -82,7 +82,7 @@ def check_one_of(name: str, value: _T, allowed: Iterable[_T]) -> _T:
 def check_binary_array(name: str, array: npt.ArrayLike) -> npt.NDArray[np.uint8]:
     """Validate that ``array`` contains only 0/1 entries.
 
-    Returns the array converted to ``np.uint8``.
+    Returns a new ``np.uint8`` array, never a view of ``array``.
     """
     arr = np.asarray(array)
     if arr.dtype.kind in "biu":

@@ -1,9 +1,12 @@
-"""The native min-sum backend: its fallback, its cache, its dispatch and its agreement with numpy."""
+"""The native min-sum backend: its fallback, its cache, its entries, its dispatch and its agreement with numpy."""
 
+import fnmatch
 import os
+import runpy
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -74,7 +77,7 @@ class TestFallback:
     def test_failed_compile(self, monkeypatch, tmp_path, small_decoder):
         broken = tmp_path / "native.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(native, "SOURCE", broken)
+        monkeypatch.setattr(native, "SOURCES", (broken,))
         self.assert_on_numpy(small_decoder, "exited with code")
 
     @pytest.mark.usefixtures("fresh_backend")
@@ -143,6 +146,36 @@ class TestBuild:
             [native._library_name(), "notes.txt"]
         )
 
+    def test_editing_only_the_avx2_unit_renames_the_library(self, monkeypatch, tmp_path):
+        """The name hashes each source's bytes, the unit that includes ``native.c`` too."""
+        name = native._library_name()
+        copies = []
+        for source in native.SOURCES:
+            copies.append(tmp_path / source.name)
+            copies[-1].write_bytes(source.read_bytes())
+        monkeypatch.setattr(native, "SOURCES", tuple(copies))
+        assert native._library_name() == name
+        wrapper = tmp_path / "native_avx2.c"
+        wrapper.write_text(wrapper.read_text() + "/* edited */\n")
+        assert native._library_name() != name
+
+    def test_setup_ships_every_c_file_beside_the_loader(self, monkeypatch):
+        """``package_data`` names every C source, read from a run of setup.py."""
+        root = Path(native.__file__).parents[3]
+        if not (root / "setup.py").exists():
+            pytest.skip("not a source checkout")
+        captured = {}
+        setuptools = types.ModuleType("setuptools")
+        setuptools.find_packages = lambda **kwargs: []
+        setuptools.setup = lambda **kwargs: captured.update(kwargs)
+        monkeypatch.setitem(sys.modules, "setuptools", setuptools)
+        runpy.run_path(str(root / "setup.py"))
+        patterns = captured["package_data"]["repro.decode"]
+        sources = sorted(path.name for path in Path(native.__file__).parent.glob("*.c"))
+        assert sorted(source.name for source in native.SOURCES) == sources
+        for name in sources:
+            assert any(fnmatch.fnmatch(name, pattern) for pattern in patterns), name
+
     def test_only_a_private_directory_is_trusted(self, tmp_path):
         directory = tmp_path / "cache"
         directory.mkdir()
@@ -150,6 +183,45 @@ class TestBuild:
         assert native._private(directory)
         directory.chmod(0o775)
         assert not native._private(directory)
+
+
+def cpu_lists_avx2():
+    """Whether ``/proc/cpuinfo`` lists the ``avx2`` flag (False where there is none)."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            return any(
+                line.startswith("flags") and "avx2" in line.split() for line in cpuinfo
+            )
+    except OSError:
+        return False
+
+
+class TestEntry:
+    """The loader binds the AVX2 entry exactly where the library's CPU query allows it."""
+
+    def test_the_avx2_entry_is_bound_exactly_when_the_cpu_query_says_so(self, native_backend):
+        library = native_backend._library
+        runs_avx2 = native._runs_avx2(library)
+        assert native_backend.entry == (native.WIDE_ENTRY if runs_avx2 else native.BASELINE_ENTRY)
+        if hasattr(library, native.CPU_QUERY) and cpu_lists_avx2():
+            assert runs_avx2
+
+    @pytest.mark.usefixtures("fresh_backend", "native_backend")
+    def test_without_avx2_the_baseline_entry_is_bound_and_probed(self, monkeypatch):
+        probed = []
+        probe = native._probe
+
+        def recording(kernels):
+            probed.append(kernels.entry)
+            return probe(kernels)
+
+        monkeypatch.setattr(native, "_runs_avx2", lambda library: False)
+        monkeypatch.setattr(native, "_probe", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels = native.kernels()
+        assert kernels is not None and kernels.entry == native.BASELINE_ENTRY
+        assert probed == [native.BASELINE_ENTRY]
 
 
 @pytest.mark.usefixtures("native_backend")

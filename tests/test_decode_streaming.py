@@ -10,7 +10,9 @@ bits of degree 0, LLRs with ties and signed zeros, every correction, the
 quantizer on a channel grid equal to or finer than its message grid, one
 to five layers (some holding only empty checks), both stopping rules
 (batches where every frame runs ``max_iterations`` included), batches from
-0 to 300 frames, the scaled C2 twins and the full C2 code.
+0 to 300 frames, the scaled C2 twins and the full C2 code, each on both of
+the library's decode entries: the baseline build and the AVX2 build, which
+skips where the CPU or the compiler has no AVX2.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.channel.quantize import FixedPointFormat
 from repro.codes import build_scaled_ccsds_code
 from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode import DecodeResult, FixedIterations, SyndromeStopping
+from repro.decode import DecodeResult, FixedIterations, SyndromeStopping, native
 from repro.registry import get_component
 
 #: The kinds that stream.
@@ -119,11 +121,16 @@ def streaming_cases(draw):
 
 
 class TestStreamingMatchesTheLoop:
-    """Native decodes on the kernels; the reference decodes take the loop."""
+    """Native decodes on each decode entry; the reference decodes take the loop."""
 
-    @pytest.fixture(autouse=True, scope="class")
-    def kernels(self, native_backend, numpy_backend):
-        return native_backend
+    @pytest.fixture(autouse=True, scope="class", params=["baseline", "avx2"])
+    def kernels(self, request, native_backend, numpy_backend):
+        library = native_backend._library
+        if request.param == "baseline":
+            return native.NativeKernels(library, native.BASELINE_ENTRY)
+        if not native._runs_avx2(library):
+            pytest.skip("this CPU or compiler has no AVX2 entry")
+        return native.NativeKernels(library, native.WIDE_ENTRY)
 
     @seed(20261018)
     @settings(max_examples=250, deadline=3000)

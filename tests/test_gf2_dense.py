@@ -1,8 +1,11 @@
 """Unit tests for repro.gf2.dense."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.codes import build_scaled_ccsds_code
 from repro.gf2.dense import (
     gf2_inverse,
     gf2_matmul,
@@ -58,6 +61,27 @@ class TestRowReduceAndRank:
         m = rng.integers(0, 2, size=(8, 12), dtype=np.uint8)
         perm = rng.permutation(8)
         assert gf2_rank(m) == gf2_rank(m[perm])
+
+    def test_reducing_a_parity_check_matrix_holds_one_copy(self):
+        """The reduction works in one copy of H and XORs rows in bounded blocks.
+
+        The scaled C2 twin's H has 254 rows, so its pivot columns reach
+        more rows than one block; the input must come back unchanged.
+        """
+        h = build_scaled_ccsds_code(127).parity_check_matrix().to_dense()
+        before = h.copy()
+        tracemalloc.start()
+        try:
+            rref, pivots = gf2_row_reduce(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h.nbytes, f"peak {peak / h.nbytes:.2f} x the matrix"
+        assert np.array_equal(h, before)
+        for row, col in enumerate(pivots):
+            assert rref[row, col] == 1 and rref[:, col].sum() == 1
+        assert not rref[len(pivots):].any()
+        assert gf2_rank(np.concatenate([h, rref[: len(pivots)]])) == len(pivots)
 
 
 class TestNullSpace:
