@@ -59,13 +59,6 @@ OVERHEAD_FRAMES = 128
 #: once with the probe: the median of their ratios is the measured overhead.
 OVERHEAD_ROUNDS = 61
 
-#: Channel parameters exercised per kind (defaults otherwise); block fading
-#: uses one fade per circulant block to stress the repeat/reshape path.
-CHANNEL_PARAMS = {
-    "rayleigh": lambda circulant: {"block_length": circulant},
-}
-
-
 def _fixed_schedule_config(frames: int, batch: int) -> SimulationConfig:
     """A config whose shard schedule cannot stop early or adapt."""
     return SimulationConfig(
@@ -164,15 +157,13 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
         code = build_scaled_ccsds_code(DEFAULT_SCALED_CIRCULANT)
         frames, batch = 400, 50
     config = _fixed_schedule_config(frames, batch)
-    circulant = code.circulant_size
     decoder_spec = DecoderSpec("nms", 10)
 
     rows = []
     results = {}
     channel_rates: dict[str, dict[str, float]] = {}
     for kind in component_names("channel"):
-        params = CHANNEL_PARAMS.get(kind, lambda c: {})(circulant)
-        pipeline = ChannelSpec(kind=kind, params=params).build()
+        pipeline = ChannelSpec(kind=kind).build()
 
         # Channel-only rate: modulate + impair + LLR, no decoding.
         bits = np.zeros((batch, code.block_length), dtype=np.uint8)
@@ -231,8 +222,8 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
 
     text += (
         "\n\nSame seeds and shard schedule for every channel; BER differences "
-        "are the channels' (soft AWGN best, hard-decision BSC ~2 dB worse, "
-        "block fading worst), not noise in the harness."
+        "are the channels' (soft AWGN best, hard-decision BSC ~2 dB worse), "
+        "not noise in the harness."
         f"\n\nTelemetry stage probe (C2 ({probe['block_length']} bits), "
         f"{OVERHEAD_DECODER.kind} alpha {OVERHEAD_DECODER.params['alpha']:g} "
         f"it{OVERHEAD_DECODER.iterations}, random data, {OVERHEAD_FRAMES} frames in "

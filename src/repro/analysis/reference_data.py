@@ -64,8 +64,8 @@ class ReferenceCrossing:
     except the channel: a reference without a ``channel_key`` applies only
     to experiments on the default soft-AWGN link, because that is the
     channel every recorded operating point (the paper's included) was
-    measured on.  In a campaign gridded over channels a BSC or fading
-    variant of the same code/decoder sits dB away from the AWGN value by
+    measured on.  In a campaign gridded over channels a BSC variant of
+    the same code/decoder sits dB away from the AWGN value by
     physics, not by drift, and must not fail the verify gate against an
     AWGN reference; record a reference with an explicit ``channel_key``
     (the :attr:`~repro.sim.campaign.spec.ChannelSpec.key`) to target a

@@ -6,8 +6,8 @@ the channel, and converted back to log-likelihood ratios that feed the
 message-passing decoders.  The channel itself is pluggable: a
 :class:`~repro.channel.pipeline.ChannelPipeline` pairs a registered
 modulator with a registered channel model (:mod:`repro.channel.models` —
-soft AWGN, hard-decision BSC, Rayleigh block fading, or any third-party
-model registered via :func:`repro.registry.register_channel`).  The
+soft AWGN, hard-decision BSC, or any third-party model registered via
+:func:`repro.registry.register_channel`).  The
 quantizer models the fixed-point representation the hardware decoder uses
 for its messages.
 """
@@ -18,7 +18,6 @@ from repro.channel.models import (
     AWGNChannelModel,
     BSCChannelModel,
     ChannelModel,
-    RayleighBlockFadingChannelModel,
 )
 from repro.channel.modulation import BPSKModulator
 from repro.channel.pipeline import ChannelPipeline, default_pipeline
@@ -30,7 +29,6 @@ __all__ = [
     "ChannelModel",
     "AWGNChannelModel",
     "BSCChannelModel",
-    "RayleighBlockFadingChannelModel",
     "ChannelPipeline",
     "default_pipeline",
     "ebn0_to_sigma",

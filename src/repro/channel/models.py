@@ -16,8 +16,8 @@ identical counts for any worker count.  :class:`AWGNChannelModel` draws
 exactly the noise array the pre-registry simulator drew, which keeps AWGN
 campaigns byte-identical to historical seeds.
 
-The built-ins register themselves under ``"awgn"``, ``"bsc"`` and
-``"rayleigh"``; third-party models use the same
+The built-ins register themselves under ``"awgn"`` and ``"bsc"``;
+third-party models use the same
 :func:`repro.registry.register_channel` decorator (see
 ``docs/components.md``).
 """
@@ -36,7 +36,6 @@ __all__ = [
     "ChannelModel",
     "AWGNChannelModel",
     "BSCChannelModel",
-    "RayleighBlockFadingChannelModel",
 ]
 
 #: Crossover probabilities are clipped to this floor before the LLR
@@ -155,60 +154,3 @@ class BSCChannelModel(ChannelModel):
         llrs: npt.NDArray[np.float64] = np.where(flipped, -magnitude, magnitude)
         return llrs
 
-
-@register_channel(
-    "rayleigh",
-    params=[
-        Param(
-            "block_length",
-            "int",
-            doc="symbols per constant-fade block; omitted fades the whole "
-            "frame with one coefficient",
-        ),
-    ],
-    summary="Rayleigh block fading + AWGN, perfect CSI at the receiver",
-)
-@dataclass(frozen=True)
-class RayleighBlockFadingChannelModel(ChannelModel):
-    """``y = h * x + n`` with block-constant Rayleigh fades, perfect CSI.
-
-    Fade magnitudes ``h`` are drawn per block of ``block_length`` symbols
-    (``None`` = one fade per frame) with ``E[h^2] = 1`` so the average
-    received energy matches the AWGN case, and the receiver scales LLRs by
-    the known fade: ``LLR = 2*A*h*y / sigma^2``.  Block fading is the
-    standard burst-error stress test for an interleaver-free LDPC link —
-    a deeply faded block erases a run of *consecutive* bits, exactly the
-    pattern quasi-cyclic structure is sensitive to.
-
-    Draw order per batch: the fade array first, then the noise array.
-    """
-
-    block_length: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.block_length is not None:
-            block_length = int(self.block_length)
-            if block_length < 1:
-                raise ValueError("block_length must be positive")
-            object.__setattr__(self, "block_length", block_length)
-
-    def llrs(
-        self,
-        symbols: npt.ArrayLike,
-        sigma: float,
-        rng: np.random.Generator,
-        *,
-        amplitude: float = 1.0,
-    ) -> npt.NDArray[np.float64]:
-        arr = np.asarray(symbols, dtype=np.float64)
-        shape = arr.shape
-        flat = np.atleast_2d(arr)
-        batch, length = flat.shape
-        block = self.block_length or length
-        blocks = -(-length // block)  # ceil division
-        # E[h^2] = 2 * scale^2 = 1: unit average received symbol energy.
-        fades = rng.rayleigh(scale=math.sqrt(0.5), size=(batch, blocks))
-        gains = np.repeat(fades, block, axis=1)[:, :length]
-        received = gains * flat + rng.normal(0.0, sigma, size=flat.shape)
-        llrs: npt.NDArray[np.float64] = (2.0 * amplitude / sigma**2) * gains * received
-        return llrs.reshape(shape)

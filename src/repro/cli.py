@@ -4,8 +4,8 @@
 writing any Python:
 
 * ``info``        — code and architecture summary;
-* ``build-code``  — construct the CCSDS C2 (or a scaled / deep-space) code and
-  export it as an alist file and/or a circulant-table JSON;
+* ``build-code``  — construct the CCSDS C2 (or a scaled) code and export
+  it as an alist file and/or a circulant-table JSON;
 * ``throughput``  — Table 1 style throughput report;
 * ``resources``   — Table 2/3 style implementation report for a device;
 * ``simulate``    — a BER/PER Eb/N0 sweep with a chosen decoder (resumable
@@ -39,8 +39,6 @@ import argparse
 import sys
 from pathlib import Path
 
-
-from repro.codes.deepspace import AR4JA_RATES
 from repro.devtools.cli import add_lint_arguments, run_lint
 from repro.core import (
     CYCLONE_II_EP2C50F,
@@ -75,22 +73,18 @@ __all__ = ["main", "build_parser"]
 
 
 def _code_spec(args) -> "CodeSpec":
-    """The code the common --circulant/--deepspace options select.
+    """The code the common --circulant option selects.
 
     One spec serves both :func:`_build_code` and the identity key stamped
     into saved curves, so the two can never drift apart.
     """
     from repro.sim.campaign import CodeSpec
 
-    if getattr(args, "deepspace", None):
-        return CodeSpec(
-            family="deepspace", rate=args.deepspace, circulant=args.circulant
-        )
     return CodeSpec(family="ccsds-c2", circulant=args.circulant or None)
 
 
 def _build_code(args):
-    """Construct the code selected by the common --circulant/--deepspace options."""
+    """Construct the code selected by the common --circulant option."""
     return _code_spec(args).build()
 
 
@@ -100,12 +94,6 @@ def _add_code_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="circulant size (default: 511, the full CCSDS code)",
-    )
-    parser.add_argument(
-        "--deepspace",
-        choices=AR4JA_RATES,
-        default=None,
-        help="build an AR4JA-style deep-space code of this rate instead",
     )
 
 

@@ -24,18 +24,9 @@ from repro.codes.ccsds_c2 import (
 )
 from repro.codes.construction import (
     build_ccsds_like_spec,
-    build_protograph_spec,
     build_random_regular_spec,
 )
-from repro.codes.deepspace import (
-    AR4JA_RATES,
-    ar4ja_like_protograph,
-    build_deepspace_code,
-    deepspace_architecture,
-)
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.codes.protograph import Protograph
-from repro.codes.puncturing import PuncturedCode
 from repro.codes.qc import CirculantSpec, QCLDPCCode
 from repro.codes.shortening import ShortenedCode
 from repro.codes.tanner import TannerGraph
@@ -45,19 +36,12 @@ __all__ = [
     "TannerGraph",
     "CirculantSpec",
     "QCLDPCCode",
-    "Protograph",
     "ShortenedCode",
-    "PuncturedCode",
     "build_ccsds_c2_code",
     "build_ccsds_c2_spec",
     "build_scaled_ccsds_code",
     "build_ccsds_like_spec",
-    "build_protograph_spec",
     "build_random_regular_spec",
-    "AR4JA_RATES",
-    "ar4ja_like_protograph",
-    "build_deepspace_code",
-    "deepspace_architecture",
     "CCSDS_C2_CIRCULANT_SIZE",
     "CCSDS_C2_ROW_BLOCKS",
     "CCSDS_C2_COLUMN_BLOCKS",

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from repro.codes.qc import CirculantSpec
 from repro.utils.rng import ensure_rng
 
 __all__ = [
     "build_ccsds_like_spec",
-    "build_protograph_spec",
     "build_random_regular_spec",
     "spec_has_four_cycle",
     "count_four_cycles",
@@ -220,76 +217,6 @@ def build_ccsds_like_spec(
             )
         placed.append(best_candidate)
 
-    block_rows = tuple(
-        tuple(placed[k][j] for k in range(col_blocks)) for j in range(row_blocks)
-    )
-    return CirculantSpec(circulant_size, block_rows)
-
-
-def build_protograph_spec(
-    base_matrix,
-    circulant_size: int,
-    *,
-    rng=None,
-    max_attempts_per_column: int = 500,
-    require_girth_6: bool = False,
-) -> CirculantSpec:
-    """Girth-aware lifting of an arbitrary protograph (base matrix).
-
-    Generalizes :func:`build_ccsds_like_spec` to protographs whose entries
-    (edge multiplicities) vary from block to block — e.g. the AR4JA-style
-    deep-space protographs the paper names as future work.  Columns are
-    placed greedily, keeping the candidate with the fewest introduced
-    4-cycles.
-
-    Parameters
-    ----------
-    base_matrix:
-        2-D array of non-negative edge multiplicities, shape
-        ``(row_blocks, col_blocks)``.
-    circulant_size:
-        Lifting factor.
-    rng, max_attempts_per_column, require_girth_6:
-        As in :func:`build_ccsds_like_spec`.
-    """
-    base = np.asarray(base_matrix, dtype=np.int64)
-    if base.ndim != 2 or (base < 0).any():
-        raise ValueError("base_matrix must be 2-D with non-negative entries")
-    if int(base.max(initial=0)) > circulant_size:
-        raise ValueError("circulant_size too small for the largest base-matrix entry")
-    rng = ensure_rng(rng)
-    row_blocks, col_blocks = base.shape
-    placed: list[list[tuple[int, ...]]] = []
-    for column_index in range(col_blocks):
-        weights = base[:, column_index]
-        best_candidate = None
-        best_violations = None
-        for _ in range(max_attempts_per_column):
-            candidate = []
-            for j in range(row_blocks):
-                weight = int(weights[j])
-                if weight == 0:
-                    candidate.append(())
-                else:
-                    candidate.append(
-                        tuple(
-                            sorted(
-                                int(p)
-                                for p in rng.choice(circulant_size, size=weight, replace=False)
-                            )
-                        )
-                    )
-            violations = _column_violations(candidate, placed, circulant_size)
-            if best_violations is None or violations < best_violations:
-                best_candidate = candidate
-                best_violations = violations
-            if violations == 0:
-                break
-        if best_violations and require_girth_6:
-            raise RuntimeError(
-                f"could not place block column {column_index} without 4-cycles"
-            )
-        placed.append(best_candidate)
     block_rows = tuple(
         tuple(placed[k][j] for k in range(col_blocks)) for j in range(row_blocks)
     )

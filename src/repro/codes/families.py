@@ -8,9 +8,7 @@ the ``components`` CLI) can build and document it symbolically:
   override builds the scaled structural twin instead (the spec's ``key``
   reflects that, so stored curves never claim the full code's results);
 * ``scaled`` — the smaller structural twin directly (``circulant`` is
-  required);
-* ``deepspace`` — an AR4JA-style deep-space code (``rate`` required,
-  ``circulant`` defaults to 64).
+  required).
 
 Third-party families register through the same decorator
 (:func:`repro.registry.register_code`); any parameter their builder accepts
@@ -25,7 +23,6 @@ from repro.codes.ccsds_c2 import (
     build_ccsds_c2_code,
     build_scaled_ccsds_code,
 )
-from repro.codes.deepspace import AR4JA_RATES, build_deepspace_code
 from repro.registry import Param, register_code
 
 __all__ = []  # nothing to export: importing this module registers the families
@@ -64,21 +61,3 @@ def _build_ccsds_c2_family(circulant: int | None = None):
 def _build_scaled_family(circulant: int):
     return build_scaled_ccsds_code(circulant)
 
-
-@register_code(
-    "deepspace",
-    params=[
-        Param(
-            "rate",
-            "str",
-            required=True,
-            choices=tuple(AR4JA_RATES),
-            doc="AR4JA code rate",
-        ),
-        Param("circulant", "int", default=64, doc="protograph lifting factor"),
-    ],
-    summary="AR4JA-style deep-space code (punctured protograph LDPC)",
-)
-def _build_deepspace_family(rate: str, circulant: int = 64):
-    code, _ = build_deepspace_code(rate, circulant)
-    return code

@@ -5,9 +5,9 @@ CCSDS C2 code juxtaposes a 2 x 16 array of 511 x 511 circulants, each of
 row/column weight 2, to form the 1022 x 8176 parity-check matrix
 (paper Section 2.2).  :class:`CirculantSpec` captures that block array and
 :class:`QCLDPCCode` expands it (lazily) into a
-:class:`~repro.codes.parity_check.ParityCheckMatrix`, exposes the structure
-the hardware exploits (which block column / offset every edge belongs to),
-and provides the circulant-level algebra needed by the encoder.
+:class:`~repro.codes.parity_check.ParityCheckMatrix` and exposes the
+structure the hardware exploits (which block column / offset every edge
+belongs to).
 """
 
 from __future__ import annotations

@@ -15,11 +15,8 @@ high-speed architecture's concurrent frames), and return a
 * :class:`~repro.decode.layered.LayeredMinSumDecoder` — row-layered schedule.
 * :class:`~repro.decode.fixed_point.QuantizedMinSumDecoder` — normalized
   min-sum with fixed-point messages, modelling the FPGA datapath.
-* :class:`~repro.decode.hard_decision.GallagerBDecoder` and
-  :class:`~repro.decode.hard_decision.WeightedBitFlippingDecoder` —
-  hard-decision baselines.
 
-Every soft decoder above shares the cached
+Every decoder above shares the cached
 :class:`~repro.decode.graph.TannerGraph` of its matrix and the decoding loop
 of :class:`~repro.decode.base.MessagePassingDecoder`, which drops frames
 from its working set as they finish.  The min-sum kinds (``min-sum``,
@@ -38,10 +35,9 @@ The simulator's hot path dispatches through
 else falls back to a per-frame loop.
 """
 
-from repro.decode.base import FrameBatchDecoder, MessagePassingDecoder, decode_frames
+from repro.decode.base import MessagePassingDecoder, decode_frames
 from repro.decode.fixed_point import QuantizedMinSumDecoder
 from repro.decode.graph import TannerGraph, tanner_graph
-from repro.decode.hard_decision import GallagerBDecoder, WeightedBitFlippingDecoder
 from repro.decode.layered import LayeredMinSumDecoder
 from repro.decode.min_sum import (
     MinSumDecoder,
@@ -57,7 +53,6 @@ __all__ = [
     "TannerGraph",
     "tanner_graph",
     "DecodeResult",
-    "FrameBatchDecoder",
     "MessagePassingDecoder",
     "decode_frames",
     "SumProductDecoder",
@@ -66,8 +61,6 @@ __all__ = [
     "OffsetMinSumDecoder",
     "LayeredMinSumDecoder",
     "QuantizedMinSumDecoder",
-    "GallagerBDecoder",
-    "WeightedBitFlippingDecoder",
     "StoppingCriterion",
     "SyndromeStopping",
     "FixedIterations",

@@ -23,15 +23,12 @@ is probed and tested against, the fallback of a process without native
 kernels, and the path of ``sum-product``, of any subclass that does not
 restate the parameters and of every other stopping rule.
 
-Two protocols are defined here for the simulator's hot path:
-
-* :class:`FrameBatchDecoder` — the shared ``decode()`` / ``decode_batch()``
-  plumbing over a 2-D decoding core, giving every built-in decoder a native
-  batched entry point;
-* :func:`decode_frames` — the dispatch the Monte-Carlo engine uses: it
-  calls ``decode_batch`` when the decoder provides one and otherwise falls
-  back to a per-frame loop, stacking the single-frame results into the
-  same batch shape.
+Every decoder here has two entry points: ``decode()`` takes one frame or
+a batch, and ``decode_batch()`` strictly a ``(batch, n)`` array.
+:func:`decode_frames` is the dispatch the Monte-Carlo engine uses: it calls
+``decode_batch`` when the decoder provides one and otherwise falls back to
+a per-frame loop, stacking the single-frame results into the same batch
+shape.
 
 Iteration accounting convention: ``iterations`` counts the message-passing
 iterations actually *executed*.  The syndrome of the channel hard decisions
@@ -62,7 +59,6 @@ if TYPE_CHECKING:
     from repro.decode.native import NativeKernels
 
 __all__ = [
-    "FrameBatchDecoder",
     "MessagePassingDecoder",
     "StreamingParameters",
     "decode_frames",
@@ -112,82 +108,13 @@ class StreamingParameters:
             raise ValueError("the layered schedule keeps its messages exact")
 
 
-class FrameBatchDecoder:
-    """Shared single-frame / batched entry points over a 2-D decoding core.
-
-    Subclasses implement ``block_length`` and ``_decode_array(llrs)`` on a
-    ``(batch, n)`` float64 array and get consistent ``decode`` (1-D or 2-D
-    input, squeezed output for a single frame) and ``decode_batch``
-    (strictly ``(batch, n)`` in, batch result out) for free.
-    ``decode_batch`` is the protocol the simulator's :func:`decode_frames`
-    dispatch looks for.
-    """
-
-    @property
-    def block_length(self) -> int:
-        """Codeword length ``n`` (implemented by subclasses)."""
-        raise NotImplementedError
-
-    def _coerce_llrs(self, channel_llrs: npt.ArrayLike) -> np.ndarray:
-        llrs = np.asarray(channel_llrs, dtype=np.float64)
-        if llrs.ndim != 2 or llrs.shape[1] != self.block_length:
-            raise ValueError(
-                f"expected LLRs with trailing dimension {self.block_length}, "
-                f"got shape {llrs.shape}"
-            )
-        return llrs
-
-    def _decode_array(self, llrs: np.ndarray) -> DecodeResult:
-        """Decode a validated ``(batch, n)`` array (implemented by subclasses)."""
-        raise NotImplementedError
-
-    def decode(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
-        """Decode a frame or a batch of frames of channel LLRs.
-
-        Parameters
-        ----------
-        channel_llrs:
-            Array of shape ``(n,)`` or ``(batch, n)``; positive values mean
-            bit 0 is more likely.
-
-        Returns
-        -------
-        DecodeResult
-            Hard decisions, posterior LLRs, convergence flags and iteration
-            counts (squeezed back to 1-D when a single frame was passed).
-        """
-        llrs = np.asarray(channel_llrs, dtype=np.float64)
-        single = llrs.ndim == 1
-        if single:
-            llrs = llrs[None, :]
-        result = self._decode_array(self._coerce_llrs(llrs))
-        if single:
-            return DecodeResult(
-                bits=result.bits[0],
-                posterior_llrs=result.posterior_llrs[0],
-                converged=result.converged[0],
-                iterations=result.iterations[0],
-            )
-        return result
-
-    def decode_batch(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
-        """Decode a strict ``(batch, n)`` array of channel LLRs.
-
-        The batched entry point of the simulator hot path: always returns
-        batch-shaped arrays, even for ``batch == 1``.  Bit-identical to
-        calling :meth:`decode` on each row separately.
-        """
-        return self._decode_array(self._coerce_llrs(channel_llrs))
-
-
 def decode_frames(decoder: Any, channel_llrs: npt.ArrayLike) -> DecodeResult:
     """Decode a ``(batch, n)`` array through ``decoder``, batched if possible.
 
     The Monte-Carlo engine's dispatch point: decoders exposing a
-    ``decode_batch`` method (every built-in decoder, and anything deriving
-    from :class:`FrameBatchDecoder`) receive the whole batch in one call;
-    anything else — e.g. a third-party decoder registered with only a
-    ``decode(llrs)`` method — falls back to a per-frame loop whose
+    ``decode_batch`` method (every built-in decoder) receive the whole batch
+    in one call; anything else — e.g. a third-party decoder registered with
+    only a ``decode(llrs)`` method — falls back to a per-frame loop whose
     single-frame results are stacked into the same batch shape.  For
     frame-independent decoders the two paths produce identical counts.
     """
@@ -202,7 +129,7 @@ def decode_frames(decoder: Any, channel_llrs: npt.ArrayLike) -> DecodeResult:
     )
 
 
-class MessagePassingDecoder(FrameBatchDecoder):
+class MessagePassingDecoder:
     """Base class of the message-passing decoders (flooding schedule by default).
 
     Parameters
@@ -331,17 +258,60 @@ class MessagePassingDecoder(FrameBatchDecoder):
         return [self._condition_messages(bit_to_check)], posterior
 
     # ------------------------------------------------------------------ #
-    # Decoding loop
+    # Entry points
     # ------------------------------------------------------------------ #
-    def _decode_array(self, llrs: np.ndarray) -> DecodeResult:
-        llrs = self._condition_channel(llrs)
-        bits, posterior, converged, iterations = self._run_message_passing(llrs)
+    def decode(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
+        """Decode a frame or a batch of frames of channel LLRs.
+
+        Parameters
+        ----------
+        channel_llrs:
+            Array of shape ``(n,)`` or ``(batch, n)``; positive values mean
+            bit 0 is more likely.
+
+        Returns
+        -------
+        DecodeResult
+            Hard decisions, posterior LLRs, convergence flags and iteration
+            counts (squeezed back to 1-D when a single frame was passed).
+        """
+        llrs = np.asarray(channel_llrs, dtype=np.float64)
+        if llrs.ndim != 1:
+            return self.decode_batch(llrs)
+        result = self.decode_batch(llrs[None, :])
+        return DecodeResult(
+            bits=result.bits[0],
+            posterior_llrs=result.posterior_llrs[0],
+            converged=result.converged[0],
+            iterations=result.iterations[0],
+        )
+
+    def decode_batch(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
+        """Decode a strict ``(batch, n)`` array of channel LLRs.
+
+        The batched entry point of the simulator hot path: always returns
+        batch-shaped arrays, even for ``batch == 1``.  Bit-identical to
+        calling :meth:`decode` on each row separately.
+        """
+        llrs = np.asarray(channel_llrs, dtype=np.float64)
+        if llrs.ndim != 2 or llrs.shape[1] != self.block_length:
+            raise ValueError(
+                f"expected LLRs with trailing dimension {self.block_length}, "
+                f"got shape {llrs.shape}"
+            )
+        bits, posterior, converged, iterations = self._run_message_passing(
+            self._condition_channel(llrs)
+        )
         return DecodeResult(
             bits=bits,
             posterior_llrs=posterior,
             converged=converged,
             iterations=iterations,
         )
+
+    # ------------------------------------------------------------------ #
+    # Decoding loop
+    # ------------------------------------------------------------------ #
 
     def _run_message_passing(
         self, llrs: np.ndarray

@@ -24,9 +24,10 @@ The check-node kernels see them as a ``(num_checks, max_check_degree,
 batch)`` array: slot ``s`` of check ``c`` holds the check's ``s``-th edge.
 For a check-regular graph (the C2 code, its scaled twins and each block row
 of the layered decoder) that array is a reshape of the transposed edge
-array, so nothing is copied in or out; an irregular graph (the AR4JA codes,
-check degrees 4 to 17) reaches it by one row gather, with the missing slots
-filled with a sentinel.  On that view the min-sum check node computes the
+array, so nothing is copied in or out; an irregular graph (any
+:class:`~repro.codes.parity_check.ParityCheckMatrix` whose checks differ in
+degree) reaches it by one row gather, with the missing slots filled with a
+sentinel.  On that view the min-sum check node computes the
 paper's compressed check word for every check and frame: the smallest and
 second smallest magnitude, which messages hold the smallest, and the sign
 parity (``core/memory.py::compressed_check_word_bits`` sizes it), and
@@ -53,7 +54,7 @@ with ``reduceat`` still hold.  From ``d = 9`` on, numpy's pairwise sum
 switches to an 8-way unrolled tree and the two can differ in the last ulp;
 :meth:`~TannerGraph.sum_per_bit` keeps the documented order.  No
 registered code has such a bit: the C2 code and its scaled twins have bit
-degree 4, the AR4JA codes 2, 3 and 6.
+degree 4.
 
 These methods run on numpy, and they are the reference.  One other
 implementation runs their orders: the native decode that the decoding loop
@@ -300,14 +301,6 @@ class TannerGraph:
         )
         totals[:, self.check_ids] = reduced
         return totals
-
-    def min_per_check(self, edge_values: np.ndarray) -> np.ndarray:
-        """Minimum of edge values over each check (shape ``(batch, num_checks)``).
-
-        A check without edges gets ``inf``.
-        """
-        by_check = self._by_check(edge_values, np.inf)
-        return np.minimum.reduce(by_check, axis=1, initial=np.inf).T
 
     def gather_bits(self, per_bit_values: np.ndarray) -> np.ndarray:
         """Expand per-bit values onto the edges (check-sorted order)."""

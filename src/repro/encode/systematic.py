@@ -17,8 +17,7 @@ of four information bits, the XOR of the packed parity-map columns for each
 of the group's 16 values; per frame it XORs the one table row its four bits
 select, group by group.  The product is exact for any dimension.
 
-This is the reference encoder used by the Monte-Carlo simulations; the
-hardware-style circulant encoder lives in :mod:`repro.encode.qc_encoder`.
+This is the encoder the Monte-Carlo simulations use.
 """
 
 from __future__ import annotations

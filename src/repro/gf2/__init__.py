@@ -1,13 +1,12 @@
 """GF(2) linear algebra substrate.
 
 Dense binary matrix operations (:mod:`repro.gf2.dense`), a light sparse
-coordinate representation (:mod:`repro.gf2.sparse`), circulant matrices
-(:mod:`repro.gf2.circulant`) and polynomial arithmetic modulo ``x^b - 1``
-(:mod:`repro.gf2.polynomial`).  These are the building blocks used to
+coordinate representation (:mod:`repro.gf2.sparse`) and circulant blocks
+(:mod:`repro.gf2.circulant`).  These are the building blocks used to
 construct, validate, and encode the CCSDS Quasi-Cyclic LDPC code.
 """
 
-from repro.gf2.circulant import Circulant, circulant_from_polynomial, identity_circulant
+from repro.gf2.circulant import Circulant
 from repro.gf2.dense import (
     gf2_matmul,
     gf2_matvec,
@@ -17,20 +16,10 @@ from repro.gf2.dense import (
     gf2_solve,
     is_binary_matrix,
 )
-from repro.gf2.polynomial import (
-    poly_add,
-    poly_degree,
-    poly_gcd,
-    poly_mod,
-    poly_mul,
-    poly_mul_mod_xn1,
-)
 from repro.gf2.sparse import SparseBinaryMatrix
 
 __all__ = [
     "Circulant",
-    "circulant_from_polynomial",
-    "identity_circulant",
     "gf2_matmul",
     "gf2_matvec",
     "gf2_null_space",
@@ -38,11 +27,5 @@ __all__ = [
     "gf2_row_reduce",
     "gf2_solve",
     "is_binary_matrix",
-    "poly_add",
-    "poly_degree",
-    "poly_gcd",
-    "poly_mod",
-    "poly_mul",
-    "poly_mul_mod_xn1",
     "SparseBinaryMatrix",
 ]

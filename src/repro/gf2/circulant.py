@@ -3,8 +3,8 @@
 A ``b x b`` circulant is fully specified by its first row; every subsequent
 row is the previous row cyclically shifted one position to the right.  The
 CCSDS C2 parity-check matrix is a 2 x 16 array of 511 x 511 circulants of
-row weight 2, so circulants are the central structural object of the code
-construction, the encoder, and the hardware address generation.
+row weight 2; :class:`~repro.codes.qc.QCLDPCCode` expands each block of
+its array through :class:`Circulant`.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gf2.polynomial import (
-    poly_inverse_mod_xn1,
-    poly_mul_mod_xn1,
-    poly_trim,
-)
-
-__all__ = ["Circulant", "identity_circulant", "circulant_from_polynomial"]
+__all__ = ["Circulant"]
 
 
 @dataclass(frozen=True)
@@ -47,23 +41,8 @@ class Circulant:
         object.__setattr__(self, "positions", normalized)
 
     # ------------------------------------------------------------------ #
-    # Constructors and simple properties
+    # Properties and conversions
     # ------------------------------------------------------------------ #
-    @classmethod
-    def zero(cls, size: int) -> "Circulant":
-        """The all-zero block of the given size."""
-        return cls(size, ())
-
-    @classmethod
-    def identity(cls, size: int) -> "Circulant":
-        """The identity circulant (single 1 at position 0)."""
-        return cls(size, (0,))
-
-    @classmethod
-    def shift(cls, size: int, offset: int) -> "Circulant":
-        """A cyclic-shift permutation circulant with a single 1 at ``offset``."""
-        return cls(size, (offset % size,))
-
     @property
     def weight(self) -> int:
         """Row (= column) weight of the circulant."""
@@ -73,23 +52,6 @@ class Circulant:
     def is_zero(self) -> bool:
         """``True`` when the circulant is the all-zero block."""
         return not self.positions
-
-    # ------------------------------------------------------------------ #
-    # Conversions
-    # ------------------------------------------------------------------ #
-    def first_row(self) -> np.ndarray:
-        """First row as a dense 0/1 vector of length ``size``."""
-        row = np.zeros(self.size, dtype=np.uint8)
-        for p in self.positions:
-            row[p] = 1
-        return row
-
-    def first_column(self) -> np.ndarray:
-        """First column as a dense 0/1 vector (row positions of the ones)."""
-        col = np.zeros(self.size, dtype=np.uint8)
-        for p in self.positions:
-            col[(-p) % self.size] = 1
-        return col
 
     def to_dense(self) -> np.ndarray:
         """Expand to the full ``size x size`` dense matrix.
@@ -119,76 +81,6 @@ class Circulant:
         )
         return rows, cols
 
-    # ------------------------------------------------------------------ #
-    # Ring arithmetic (isomorphic to GF(2)[x]/(x^b - 1))
-    # ------------------------------------------------------------------ #
-    def __add__(self, other: "Circulant") -> "Circulant":
-        self._check_compatible(other)
-        symmetric_difference = set(self.positions) ^ set(other.positions)
-        return Circulant(self.size, tuple(sorted(symmetric_difference)))
-
-    def __matmul__(self, other: "Circulant") -> "Circulant":
-        self._check_compatible(other)
-        product = poly_mul_mod_xn1(self.first_row(), other.first_row(), self.size)
-        return Circulant(self.size, tuple(int(i) for i in np.nonzero(product)[0]))
-
-    def transpose(self) -> "Circulant":
-        """Transpose: first-row positions are negated modulo the size."""
-        return Circulant(self.size, tuple((-p) % self.size for p in self.positions))
-
-    def inverse(self) -> "Circulant":
-        """Multiplicative inverse in the circulant ring.
-
-        Raises
-        ------
-        ValueError
-            If the circulant is not invertible (its first-row polynomial is
-            not coprime to ``x^b - 1``).
-        """
-        inverse_poly = poly_inverse_mod_xn1(self.first_row(), self.size)
-        if inverse_poly is None:
-            raise ValueError("circulant is not invertible over GF(2)")
-        return Circulant(self.size, tuple(int(i) for i in np.nonzero(inverse_poly)[0]))
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """Multiply this circulant by a length-``size`` column vector over GF(2).
-
-        ``y[i] = sum_j C[i, j] * x[j] = sum_p x[(i + p) mod b]`` which is a
-        correlation of the input with the first-row support — exactly the
-        shift-register view the hardware encoder uses.
-        """
-        vec = np.asarray(vector, dtype=np.uint8)
-        if vec.shape[-1] != self.size:
-            raise ValueError(
-                f"vector length {vec.shape[-1]} does not match circulant size {self.size}"
-            )
-        result = np.zeros_like(vec)
-        indices = np.arange(self.size)
-        for p in self.positions:
-            result ^= vec[..., (indices + p) % self.size]
-        return result
-
-    def _check_compatible(self, other: "Circulant") -> None:
-        if not isinstance(other, Circulant):
-            raise TypeError(f"expected a Circulant, got {type(other).__name__}")
-        if other.size != self.size:
-            raise ValueError(
-                f"circulant size mismatch: {self.size} vs {other.size}"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Circulant(size={self.size}, positions={self.positions})"
 
-
-def identity_circulant(size: int) -> Circulant:
-    """Convenience wrapper for :meth:`Circulant.identity`."""
-    return Circulant.identity(size)
-
-
-def circulant_from_polynomial(poly, size: int) -> Circulant:
-    """Build a circulant from a first-row polynomial (ascending coefficients)."""
-    trimmed = poly_trim(poly)
-    if trimmed.size > size and np.any(trimmed[size:]):
-        raise ValueError("polynomial degree exceeds circulant size")
-    positions = tuple(int(i) for i in np.nonzero(trimmed[:size])[0])
-    return Circulant(size, positions)

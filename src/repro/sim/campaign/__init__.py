@@ -20,10 +20,9 @@ and any interruption/resume pattern.
 
 A campaign is how this repository reproduces the paper's measured
 artifacts at full grid width: Figure 4's BER/PER waterfalls are one
-campaign over decoder configurations, the Section 5 quantization and
+campaign over decoder configurations, and the Section 5 quantization and
 correction-factor ablations are grids over ``message_format`` /
-``alpha``, and the deep-space extension sweeps the AR4JA code family.
-The companion analysis layer (:mod:`repro.analysis.campaign`, CLI
+``alpha``.  The companion analysis layer (:mod:`repro.analysis.campaign`, CLI
 ``campaign report``) turns a finished store back into those tables.
 See ``docs/campaigns.md`` for the end-to-end walkthrough.
 """

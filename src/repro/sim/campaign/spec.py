@@ -93,11 +93,11 @@ class CodeSpec:
     ``family`` selects a registered code family (``python -m repro
     components list`` shows them): ``"ccsds-c2"`` (the paper's full
     8176-bit code), ``"scaled"`` (its smaller structural twin, requires
-    ``circulant``), ``"deepspace"`` (an AR4JA-style code, requires
-    ``rate``; ``circulant`` defaults to 64) — or any family registered via
-    :func:`repro.registry.register_code`.  ``params`` carries extra builder
-    keywords of third-party families beyond the classic
-    ``circulant``/``rate`` pair.
+    ``circulant``) — or any family registered via
+    :func:`repro.registry.register_code`.  ``rate`` is passed to a family
+    that declares it; stored specs may carry it for one that does not.
+    ``params`` carries extra builder keywords of third-party families
+    beyond the classic ``circulant``/``rate`` pair.
     """
 
     family: str = "scaled"
@@ -154,9 +154,6 @@ class CodeSpec:
             return f"ccsds-c2-c{self.circulant}"
         if self.family == "scaled":
             return f"scaled{self.circulant}"
-        if self.family == "deepspace":
-            rate = str(self.rate).replace("/", "-")
-            return f"ar4ja-r{rate}-c{self.circulant or 64}"
         parts = [self.family]
         kwargs = self._builder_kwargs()
         for name in sorted(kwargs):
@@ -269,8 +266,8 @@ class ChannelSpec:
     """Symbolic description of a modulator + channel pipeline.
 
     ``kind`` names a registered channel model
-    (:func:`repro.registry.register_channel` — built-ins: ``"awgn"``,
-    ``"bsc"``, ``"rayleigh"``) and ``params`` its constructor keywords;
+    (:func:`repro.registry.register_channel` — built-ins: ``"awgn"`` and
+    ``"bsc"``) and ``params`` its constructor keywords;
     ``modulator`` / ``modulator_params`` select the registered modulator
     (default: unit-amplitude ``"bpsk"``).  The default spec reproduces the
     historical hardcoded link exactly, which is why existing AWGN campaigns

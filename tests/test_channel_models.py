@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.channel.llr import channel_llrs
-from repro.channel.models import (
-    AWGNChannelModel,
-    BSCChannelModel,
-    RayleighBlockFadingChannelModel,
-)
+from repro.channel.models import AWGNChannelModel, BSCChannelModel
 from repro.channel.modulation import BPSKModulator
 from repro.channel.pipeline import ChannelPipeline, default_pipeline
 from repro.sim import EbN0Sweep, MonteCarloSimulator, SimulationConfig
@@ -88,43 +84,6 @@ class TestBSCModel:
         assert np.array_equal(a, b)
 
 
-class TestRayleighModel:
-    def test_block_structure_of_fades(self):
-        """Within one fading block the gain is constant; across blocks it varies."""
-        model = RayleighBlockFadingChannelModel(block_length=4)
-        symbols = np.ones((1, 12))
-        sigma = 1e-9  # essentially noiseless: llrs ∝ h^2
-        llrs = model.llrs(symbols, sigma, np.random.default_rng(11))
-        gains = np.sqrt(llrs * sigma**2 / 2.0)
-        blocks = gains.reshape(3, 4)
-        for block in blocks:
-            assert np.allclose(block, block[0])
-        assert len({round(b[0], 9) for b in blocks}) == 3
-
-    def test_whole_frame_fade_by_default(self):
-        model = RayleighBlockFadingChannelModel()
-        llrs = model.llrs(np.ones((2, 9)), 1e-9, np.random.default_rng(2))
-        for row in llrs:
-            assert np.allclose(row, row[0])
-        assert not np.isclose(llrs[0, 0], llrs[1, 0])
-
-    def test_unit_average_energy(self):
-        model = RayleighBlockFadingChannelModel(block_length=1)
-        fades = np.random.default_rng(0).rayleigh(
-            scale=math.sqrt(0.5), size=(1, 200000)
-        )
-        assert np.mean(fades**2) == pytest.approx(1.0, rel=1e-2)
-
-    def test_block_length_validation(self):
-        with pytest.raises(ValueError, match="block_length"):
-            RayleighBlockFadingChannelModel(block_length=0)
-
-    def test_shape_preserved_for_single_frame(self):
-        model = RayleighBlockFadingChannelModel(block_length=3)
-        out = model.llrs(np.ones(10), 0.5, np.random.default_rng(1))
-        assert out.shape == (10,)
-
-
 class TestPipelineInjection:
     def test_simulator_accepts_pipeline(self, scaled_code):
         from repro.decode import NormalizedMinSumDecoder
@@ -151,7 +110,6 @@ class TestPipelineInjection:
 
     @pytest.mark.parametrize("kind,params", [
         ("bsc", {}),
-        ("rayleigh", {"block_length": 16}),
     ])
     def test_sweep_serial_matches_parallel_per_channel(
         self, scaled_code, kind, params
@@ -176,7 +134,7 @@ class TestPipelineInjection:
     def test_pipeline_is_picklable(self):
         import pickle
 
-        for kind in ("awgn", "bsc", "rayleigh"):
+        for kind in ("awgn", "bsc"):
             pipeline = ChannelSpec(kind=kind).build()
             rebuilt = pickle.loads(pickle.dumps(pipeline))
             assert type(rebuilt.channel) is type(pipeline.channel)

@@ -16,11 +16,6 @@ class TestInfo:
         assert "(496," in out            # scaled code length 16 * 31
         assert "Table 1" in out
 
-    def test_deepspace_summary(self, capsys):
-        assert main(["info", "--deepspace", "1/2", "--circulant", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "(160," in out
-
 
 class TestBuildCode:
     def test_writes_alist_and_spec(self, tmp_path, capsys):

@@ -5,9 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from repro.codes import build_deepspace_code, build_scaled_ccsds_code
+from repro.codes import build_scaled_ccsds_code
 from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.decode import MinSumDecoder, NormalizedMinSumDecoder
@@ -154,11 +154,6 @@ class TestSumProductKernel:
         assert np.array_equal(np.sign(ms[nonzero]), np.sign(bp[nonzero]))
 
 
-#: The backend subclasses below rerun these ``@given`` tests on another
-#: instance; both runs share the seed and the example database, so an example
-#: that fails on one backend is replayed on the other.
-BOTH_BACKENDS = [HealthCheck.differing_executors]
-
 #: Message values that make ties and signed zeros common.
 TIED_VALUES = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0])
 
@@ -225,14 +220,9 @@ class TestBitNodeSumOrder:
     signed zeros included, with the explicit order; it is the contract the
     native decode's bit node must match.  ``reduceat``, whose order it is,
     is compared by value only: numpy does not promise how its reductions
-    treat signed zeros.  These run with the native kernels loaded; the
-    subclass below runs them with the process on the loop alone.  The
-    methods must hold the order either way.
+    treat signed zeros.  The methods are numpy only, whether or not the
+    process has the native decode.
     """
-
-    @pytest.fixture(autouse=True, scope="class")
-    def backend(self, native_backend):
-        return native_backend
 
     @staticmethod
     def assert_documented_order(graph, pcm, values, llrs, *, like_reduceat=True):
@@ -250,7 +240,7 @@ class TestBitNodeSumOrder:
             assert np.array_equal(got_extrinsic.view(np.int64), extrinsic.view(np.int64))
 
     @seed(20260417)
-    @settings(max_examples=60, deadline=2000, suppress_health_check=BOTH_BACKENDS)
+    @settings(max_examples=60, deadline=2000)
     @given(bit_node_cases())
     def test_random_graphs_sum_in_the_documented_order(self, case):
         pcm, values = case
@@ -288,14 +278,6 @@ class TestBitNodeSumOrder:
         assert np.array_equal(posterior.view(np.int64), (llrs + 0.0).view(np.int64))
 
 
-class TestBitNodeSumOrderOnNumpy(TestBitNodeSumOrder):
-    """The documented order, with the process decoding on the loop alone."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def backend(self, numpy_backend):
-        return numpy_backend
-
-
 @st.composite
 def check_node_cases(draw):
     """A random graph, a batch of tied messages and a batch of hard decisions.
@@ -325,15 +307,9 @@ class TestCheckNodeReference:
     """``min_sum_extrinsic`` and ``syndrome_ok`` against edge-by-edge references.
 
     Messages are compared bit for bit, signed zeros included, with scale and
-    with offset, for check-sorted messages in C and F layouts.  These run
-    with the native kernels loaded; the subclass below runs them with the
-    process on the loop alone.  The methods must agree with the references
-    either way.
+    with offset, for check-sorted messages in C and F layouts.  The methods
+    are numpy only, whether or not the process has the native decode.
     """
-
-    @pytest.fixture(autouse=True, scope="class")
-    def backend(self, native_backend):
-        return native_backend
 
     @staticmethod
     def assert_matches_references(graph, pcm, values, bits):
@@ -349,7 +325,7 @@ class TestCheckNodeReference:
             )
 
     @seed(20261017)
-    @settings(max_examples=80, deadline=3000, suppress_health_check=BOTH_BACKENDS)
+    @settings(max_examples=80, deadline=3000)
     @given(check_node_cases())
     def test_random_graphs_match_the_references(self, case):
         pcm, values, bits = case
@@ -364,14 +340,6 @@ class TestCheckNodeReference:
         bits = (values[:, : pcm.block_length] <= 0).astype(np.uint8)
         bits[0] = 0
         self.assert_matches_references(tanner_graph(pcm), pcm, values, bits)
-
-
-class TestCheckNodeReferenceOnNumpy(TestCheckNodeReference):
-    """The references, with the process decoding on the loop alone."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def backend(self, numpy_backend):
-        return numpy_backend
 
 
 class TestBitNodeUpdate:
@@ -399,8 +367,12 @@ class TestGraphCache:
         """Decoders on one matrix hold the one cached graph, and with it the
         padded check-node index the graph builds up front for an irregular
         code, before any decoding."""
-        code, _ = build_deepspace_code("1/2", 16)
-        graph = tanner_graph(code.parity_check_matrix())
+        h = np.zeros((24, 48), dtype=np.uint8)
+        for check, degree in enumerate(rng.integers(3, 9, size=24)):
+            h[check, rng.choice(48, size=degree, replace=False)] = 1
+        code = ParityCheckMatrix(h)
+        graph = tanner_graph(code)
+        assert graph.num_edges < graph.num_checks * graph.max_check_degree
         index = graph._check_slots
         assert index is not None
         assert index.shape == (graph.num_checks, graph.max_check_degree)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gf2.circulant import Circulant, circulant_from_polynomial, identity_circulant
-from repro.gf2.dense import gf2_matmul, gf2_matvec
+from repro.gf2.circulant import Circulant
 
 
 class TestConstruction:
@@ -17,24 +16,16 @@ class TestConstruction:
             Circulant(5, (1, 6))  # 6 mod 5 == 1
 
     def test_zero_and_identity(self):
-        assert Circulant.zero(4).is_zero
-        assert identity_circulant(4).positions == (0,)
+        assert Circulant(4, ()).is_zero
+        assert not Circulant(4, (0,)).is_zero
+        assert np.array_equal(Circulant(4, (0,)).to_dense(), np.eye(4, dtype=np.uint8))
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Circulant(0, ())
 
-    def test_from_polynomial(self):
-        c = circulant_from_polynomial([1, 0, 1], 5)
-        assert c.positions == (0, 2)
-
 
 class TestDenseConsistency:
-    def test_first_row_matches_dense(self):
-        c = Circulant(7, (1, 4))
-        dense = c.to_dense()
-        assert np.array_equal(dense[0], c.first_row())
-
     def test_rows_are_right_shifts(self):
         c = Circulant(6, (0, 2))
         dense = c.to_dense()
@@ -47,67 +38,9 @@ class TestDenseConsistency:
         assert (dense.sum(axis=0) == 3).all()
         assert (dense.sum(axis=1) == 3).all()
 
-    def test_first_column_matches_dense(self):
-        c = Circulant(8, (3, 6))
-        assert np.array_equal(c.to_dense()[:, 0], c.first_column())
-
     def test_nonzero_coordinates_match_dense(self):
         c = Circulant(11, (1, 4, 9))
         rows, cols = c.nonzero_coordinates()
         dense = np.zeros((11, 11), dtype=np.uint8)
         dense[rows, cols] = 1
         assert np.array_equal(dense, c.to_dense())
-
-
-class TestAlgebra:
-    def test_addition_matches_dense(self):
-        a, b = Circulant(7, (1, 3)), Circulant(7, (3, 5))
-        expected = (a.to_dense() ^ b.to_dense())
-        assert np.array_equal((a + b).to_dense(), expected)
-
-    def test_product_matches_dense(self):
-        a, b = Circulant(9, (0, 2)), Circulant(9, (1, 5))
-        expected = gf2_matmul(a.to_dense(), b.to_dense())
-        assert np.array_equal((a @ b).to_dense(), expected)
-
-    def test_product_commutes(self):
-        a, b = Circulant(9, (2, 4)), Circulant(9, (0, 7))
-        assert (a @ b).positions == (b @ a).positions
-
-    def test_transpose_matches_dense(self):
-        c = Circulant(8, (1, 6))
-        assert np.array_equal(c.transpose().to_dense(), c.to_dense().T)
-
-    def test_inverse_roundtrip(self):
-        # 1 + x + x^2 is coprime to x^7 - 1 (its roots have order 3, not 7).
-        c = Circulant(7, (0, 1, 2))
-        inv = c.inverse()
-        assert (c @ inv).positions == (0,)
-
-    def test_even_weight_never_invertible(self):
-        # Any even-weight first row has x = 1 as a root, so it shares the
-        # factor (x + 1) with x^b - 1 and cannot be inverted.
-        with pytest.raises(ValueError):
-            Circulant(7, (0, 3)).inverse()
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            Circulant(4, (0,)) + Circulant(5, (0,))
-
-
-class TestMatvec:
-    def test_matches_dense_matvec(self, rng):
-        c = Circulant(13, (2, 7, 11))
-        vec = rng.integers(0, 2, size=13, dtype=np.uint8)
-        assert np.array_equal(c.matvec(vec), gf2_matvec(c.to_dense(), vec))
-
-    def test_batch_matvec(self, rng):
-        c = Circulant(10, (1, 3))
-        batch = rng.integers(0, 2, size=(4, 10), dtype=np.uint8)
-        out = c.matvec(batch)
-        for i in range(4):
-            assert np.array_equal(out[i], gf2_matvec(c.to_dense(), batch[i]))
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            Circulant(5, (0,)).matvec(np.zeros(4, dtype=np.uint8))

@@ -10,8 +10,7 @@ from repro.codes.qc import CirculantSpec, QCLDPCCode
 from repro.decode import DecodeResult, MinSumDecoder
 from repro.decode.graph import tanner_graph
 from repro.gf2.circulant import Circulant
-from repro.gf2.dense import gf2_matmul, gf2_matvec, gf2_null_space, gf2_rank
-from repro.gf2.polynomial import poly_add, poly_degree, poly_divmod, poly_mul, poly_trim
+from repro.gf2.dense import gf2_matvec, gf2_null_space, gf2_rank
 from repro.gf2.sparse import SparseBinaryMatrix
 
 SETTINGS = settings(
@@ -31,11 +30,6 @@ binary_matrices = st.integers(2, 8).flatmap(
         ).map(lambda data: np.array(data, dtype=np.uint8))
     )
 )
-
-polynomials = st.lists(st.integers(0, 1), min_size=1, max_size=12).map(
-    lambda coeffs: np.array(coeffs, dtype=np.uint8)
-)
-
 
 def circulants(max_size: int = 16):
     return st.integers(2, max_size).flatmap(
@@ -73,37 +67,6 @@ class TestGF2Properties:
             assert not gf2_matvec(matrix, row).any()
 
 
-class TestPolynomialProperties:
-    @SETTINGS
-    @given(polynomials, polynomials)
-    def test_addition_commutes(self, a, b):
-        assert np.array_equal(poly_add(a, b), poly_add(b, a))
-
-    @SETTINGS
-    @given(polynomials, polynomials)
-    def test_multiplication_commutes(self, a, b):
-        assert np.array_equal(poly_mul(a, b), poly_mul(b, a))
-
-    @SETTINGS
-    @given(polynomials, polynomials)
-    def test_degree_of_product(self, a, b):
-        da, db = poly_degree(a), poly_degree(b)
-        dp = poly_degree(poly_mul(a, b))
-        if da < 0 or db < 0:
-            assert dp < 0
-        else:
-            assert dp == da + db
-
-    @SETTINGS
-    @given(polynomials, polynomials)
-    def test_division_identity(self, a, b):
-        if poly_degree(b) < 0:
-            return
-        quotient, remainder = poly_divmod(a, b)
-        reconstructed = poly_add(poly_mul(quotient, b), remainder)
-        assert np.array_equal(poly_trim(reconstructed), poly_trim(a))
-
-
 class TestCirculantProperties:
     @SETTINGS
     @given(circulants())
@@ -111,22 +74,6 @@ class TestCirculantProperties:
         dense = circulant.to_dense()
         for i in range(1, circulant.size):
             assert np.array_equal(dense[i], np.roll(dense[i - 1], 1))
-
-    @SETTINGS
-    @given(circulants(12), st.data())
-    def test_product_matches_dense(self, a, data):
-        b = data.draw(
-            st.lists(
-                st.integers(0, a.size - 1), min_size=0, max_size=min(3, a.size), unique=True
-            ).map(lambda positions: Circulant(a.size, tuple(positions)))
-        )
-        expected = gf2_matmul(a.to_dense(), b.to_dense())
-        assert np.array_equal((a @ b).to_dense(), expected)
-
-    @SETTINGS
-    @given(circulants(12))
-    def test_transpose_involution(self, circulant):
-        assert circulant.transpose().transpose() == circulant
 
     @SETTINGS
     @given(circulants(12))

@@ -1,9 +1,9 @@
-"""Property-based tests for encoders, shortening, puncturing and throughput.
+"""Property-based tests for encoders, shortening and throughput.
 
 Complements ``test_property_based.py`` with invariants of the higher-level
-code machinery: every encoder output is a codeword, shortening/puncturing
-index conversions are lossless, and the throughput model behaves
-monotonically in its inputs.
+code machinery: every encoder output is a codeword, shortening index
+conversions are lossless, and the throughput model behaves monotonically
+in its inputs.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.codes.puncturing import PuncturedCode
 from repro.codes.shortening import ShortenedCode
 from repro.core.configs import low_cost_architecture
 from repro.core.throughput import ThroughputModel
@@ -87,25 +86,6 @@ class TestFramingProperties:
         # LLR mapping marks exactly the shortened positions as known.
         llrs = shortened.base_llrs_from_frame_llrs(rng.normal(size=shortened.frame_length))
         assert np.count_nonzero(llrs == 1e3) == shortened.num_shortened
-
-    @SETTINGS
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-    def test_puncturing_partition(self, seed, punctured_count):
-        rng = np.random.default_rng(seed)
-        pcm = _random_pcm(rng)
-        punctured_count = min(punctured_count, pcm.block_length - 1)
-        positions = rng.choice(pcm.block_length, size=punctured_count, replace=False)
-        punctured = PuncturedCode(pcm, positions)
-        # Transmitted and punctured positions partition the codeword.
-        merged = np.sort(
-            np.concatenate([punctured.transmitted_positions(), punctured.punctured_positions()])
-        )
-        assert np.array_equal(merged, np.arange(pcm.block_length))
-        # Erasure insertion puts zeros exactly at the punctured positions.
-        llrs = punctured.base_llrs_from_transmitted_llrs(
-            np.full(punctured.transmitted_length, 2.5)
-        )
-        assert np.count_nonzero(llrs == 0.0) == punctured.num_punctured
 
 
 class TestThroughputProperties:

@@ -288,7 +288,7 @@ class TestVerifyCLI:
 
 class TestChannelAwareMatching:
     """References are channel-scoped: AWGN-recorded values must not gate
-    hard-decision or fading variants of the same code/decoder."""
+    hard-decision variants of the same code/decoder."""
 
     def two_channel_store(self, tmp_path):
         code = CodeSpec(family="scaled", circulant=31)

@@ -581,6 +581,29 @@ class TestCampaignCLI:
         assert main(["campaign", "run", str(bad_spec)]) == 2
         assert "cannot load campaign spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["status", "resume"])
+    @pytest.mark.parametrize(
+        "axis, entry",
+        [
+            ("code", {"family": "deepspace", "rate": "1/2"}),
+            ("channel", {"kind": "rayleigh", "params": {"block_length": 31}}),
+        ],
+        ids=["deepspace", "rayleigh"],
+    )
+    def test_store_naming_a_deleted_kind_exits_2(self, tmp_path, capsys, command, axis, entry):
+        """A store whose manifest names a kind that is no longer registered
+        (the AR4JA family, the Rayleigh channel) is a usage error that lists
+        the registered names, not a traceback."""
+        store = ResultStore.create(tmp_path / "old", tiny_spec())
+        manifest = store.directory / "campaign.json"
+        data = json.loads(manifest.read_text())
+        data["spec"]["experiments"][0][axis] = entry
+        manifest.write_text(json.dumps(data))
+        assert main(["campaign", command, str(store.directory)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot open campaign directory {store.directory}: ")
+        assert err.rstrip().endswith(f"choose from {component_names(axis)}")
+
 
 class TestChannelSpec:
     def test_default_is_awgn_and_omitted_from_dicts(self):
@@ -597,16 +620,16 @@ class TestChannelSpec:
 
     def test_round_trip_with_params_and_modulator(self):
         spec = ChannelSpec(
-            kind="rayleigh",
-            params={"block_length": 16},
+            kind="bsc",
+            params={"crossover": 0.05},
             modulator="bpsk",
             modulator_params={"amplitude": 2.0},
         )
         restored = ChannelSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
         assert restored == spec
         assert restored.as_dict() == {
-            "kind": "rayleigh",
-            "params": {"block_length": 16},
+            "kind": "bsc",
+            "params": {"crossover": 0.05},
             "modulator_params": {"amplitude": 2.0},
         }
 
@@ -614,8 +637,8 @@ class TestChannelSpec:
         assert ChannelSpec().key == "awgn"
         assert ChannelSpec(kind="bsc").key == "bsc"
         assert (
-            ChannelSpec(kind="rayleigh", params={"block_length": 8}).key
-            == "rayleigh-block-length8"
+            ChannelSpec(kind="bsc", params={"crossover": 0.05}).key
+            == "bsc-crossover0.05"
         )
         assert "amplitude2.0" in ChannelSpec(
             kind="awgn", modulator_params={"amplitude": 2.0}
@@ -636,7 +659,7 @@ class TestChannelSpec:
 
     def test_unknown_param_rejected_at_spec_time(self):
         with pytest.raises(ValueError, match="valid parameters"):
-            ChannelSpec(kind="rayleigh", params={"blocklength": 8})
+            ChannelSpec(kind="bsc", params={"crossovr": 0.05})
 
 
 class TestDynamicErrorMessages:
@@ -697,7 +720,7 @@ class TestChannelAxisCampaigns:
                 "channels": [
                     {"kind": "awgn"},
                     {"kind": "bsc"},
-                    {"kind": "rayleigh", "params": {"block_length": 31}},
+                    {"kind": "bsc", "params": {"crossover": 0.05}},
                 ],
             },
         })
@@ -705,19 +728,19 @@ class TestChannelAxisCampaigns:
     def test_grid_expands_channel_axis_with_keys_in_labels(self):
         spec = self.three_channel_spec()
         assert [e.label for e in spec.experiments] == [
-            "nms-it8-awgn", "nms-it8-bsc", "nms-it8-rayleigh-block-length31",
+            "nms-it8-awgn", "nms-it8-bsc", "nms-it8-bsc-crossover0.05",
         ]
         assert [e.channel.kind for e in spec.experiments] == [
-            "awgn", "bsc", "rayleigh",
+            "awgn", "bsc", "bsc",
         ]
 
     def test_channel_params_can_be_grid_axes(self):
         experiments = expand_grid({
             "codes": [{"family": "scaled", "circulant": 31}],
             "decoders": [{"kind": "nms", "iterations": 8}],
-            "channels": [{"kind": "rayleigh", "params": {"block_length": [8, 31]}}],
+            "channels": [{"kind": "bsc", "params": {"crossover": [0.02, 0.05]}}],
         })
-        assert [e.channel.params["block_length"] for e in experiments] == [8, 31]
+        assert [e.channel.params["crossover"] for e in experiments] == [0.02, 0.05]
         assert len({e.label for e in experiments}) == 2
 
     def test_modulator_params_can_be_grid_axes_too(self):
@@ -763,15 +786,16 @@ class TestChannelAxisCampaigns:
         from repro.analysis.campaign import CampaignReport, CurveSet
 
         curves = CurveSet.from_store(ResultStore.open(tmp_path / "partial"))
-        assert curves.filter(channel__kind="bsc").labels == ["nms-it8-bsc"]
-        assert set(curves.group_by("channel.kind")) == {
-            ("awgn",), ("bsc",), ("rayleigh",),
-        }
+        assert curves.filter(channel__kind="bsc").labels == [
+            "nms-it8-bsc", "nms-it8-bsc-crossover0.05",
+        ]
+        assert set(curves.group_by("channel.kind")) == {("awgn",), ("bsc",)}
         report = CampaignReport.from_store(
             tmp_path / "partial", target_ber=1e-1, include_rates=False
         )
         by_label = {e.label: e for e in report.experiments}
         assert by_label["nms-it8-bsc"].channel_key == "bsc"
+        assert by_label["nms-it8-bsc-crossover0.05"].channel_key == "bsc-crossover0.05"
         text = report.to_text()
         assert "channel bsc" in text  # per-(code, channel) comparison tables
         assert "Channel" in text      # summary column
