@@ -110,6 +110,7 @@ class TestPipelineInjection:
 
     @pytest.mark.parametrize("kind,params", [
         ("bsc", {}),
+        ("bsc", {"crossover": 0.05}),
     ])
     def test_sweep_serial_matches_parallel_per_channel(
         self, scaled_code, kind, params

@@ -36,6 +36,27 @@ class TestBuildCode:
         assert main(["build-code", "--circulant", "31"]) == 2
 
 
+class TestDeletedComponents:
+    """The options and choices of deleted components are usage errors."""
+
+    @pytest.mark.parametrize("command", ["info", "build-code", "simulate"])
+    def test_deepspace_option_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--circulant", "31", "--deepspace", "1/2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --deepspace 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, name",
+        [("--decoder", "gallager-b"), ("--decoder", "wbf"), ("--channel", "rayleigh")],
+    )
+    def test_simulate_refuses_a_deleted_kind(self, capsys, option, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--circulant", "31", option, name])
+        assert excinfo.value.code == 2
+        assert f"argument {option}: invalid choice: '{name}'" in capsys.readouterr().err
+
+
 class TestThroughput:
     def test_default_table(self, capsys):
         assert main(["throughput"]) == 0

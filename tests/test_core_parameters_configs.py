@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ThroughputModel, estimate_resources
 from repro.core.configs import (
     high_speed_architecture,
     low_cost_architecture,
@@ -9,6 +10,27 @@ from repro.core.configs import (
 )
 from repro.core.memory import MessageStorage
 from repro.core.parameters import ArchitectureParameters
+
+
+def block_array_architecture(row_blocks, col_blocks, circulant_size=64, processing_blocks=1):
+    """The generic architecture for another array of weight-1 circulants.
+
+    As for C2: one bit-node unit per block column, one check-node unit per
+    block row and one processing block per frame decoded at once.
+    """
+    return ArchitectureParameters(
+        name=f"{row_blocks}x{col_blocks}",
+        circulant_size=circulant_size,
+        row_blocks=row_blocks,
+        col_blocks=col_blocks,
+        block_weight=1,
+        info_bits_per_frame=(col_blocks - row_blocks) * circulant_size,
+        bn_units_per_block=col_blocks,
+        cn_units_per_block=row_blocks,
+        processing_blocks=processing_blocks,
+        message_storage=MessageStorage.COMPRESSED_CHECK,
+        separate_input_staging=processing_blocks == 1,
+    )
 
 
 class TestArchitectureParameters:
@@ -84,3 +106,34 @@ class TestConfigs:
         params = scaled_architecture(63, base=high_speed_architecture())
         assert params.processing_blocks == 8
         assert params.circulant_size == 63
+
+
+class TestOtherBlockArrays:
+    """The architecture is generic in its block array, not tied to C2's 2 x 16."""
+
+    def test_parameters_follow_the_block_array(self):
+        params = block_array_architecture(3, 5)
+        assert params.block_length == 5 * 64
+        assert params.num_checks == 3 * 64
+        assert (params.check_degree, params.bit_degree) == (5, 3)
+        assert params.num_edges == 15 * 64
+        assert params.info_bits_per_frame == 2 * 64
+
+    def test_throughput_and_resources_grow_with_the_rate(self):
+        low_rate = block_array_architecture(3, 5)
+        high_rate = block_array_architecture(3, 11)
+        # A higher-rate array carries more information bits per frame time.
+        assert (
+            ThroughputModel(high_rate).point(18).throughput_bps
+            > ThroughputModel(low_rate).point(18).throughput_bps
+        )
+        assert estimate_resources(high_rate).aluts > estimate_resources(low_rate).aluts
+
+    def test_throughput_is_linear_in_processing_blocks(self):
+        single = block_array_architecture(3, 7, processing_blocks=1)
+        multi = block_array_architecture(3, 7, processing_blocks=4)
+        ratio = (
+            ThroughputModel(multi).point(18).throughput_bps
+            / ThroughputModel(single).point(18).throughput_bps
+        )
+        assert ratio == pytest.approx(4.0)

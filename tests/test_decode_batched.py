@@ -29,6 +29,7 @@ from repro.decode import (
     NormalizedMinSumDecoder,
     SyndromeStopping,
     decode_frames,
+    native,
 )
 from repro.registry import get_component
 from repro.sim.campaign import ExperimentSpec, expand_grid
@@ -48,6 +49,14 @@ KINDS = ["layered", "min-sum", "nms", "offset", "quantized", "sum-product"]
 
 #: Base kinds whose ``<kind>-batched`` name is kept as a registry alias.
 ALIASED_KINDS = ["layered", "min-sum", "nms", "offset", "sum-product"]
+
+
+#: Each base kind on each path its batches can take: the native kernel,
+#: which decodes the min-sum kinds where the library builds, and the loop.
+PATHS = [(kind, "native") for kind in KINDS if kind != "sum-product"] + [
+    (kind, "loop") for kind in KINDS
+]
+PATH_IDS = [f"{kind}-{path}" for kind, path in PATHS]
 
 
 def batched_id(kind: str) -> str:
@@ -278,6 +287,91 @@ class TestBatchedAliases:
         again = ExperimentSpec.from_dict(experiment.as_dict())
         assert (again.decoder.kind, again.label) == ("nms-batched", "nms-batched-it8")
         assert again.as_dict() == experiment.as_dict()
+
+
+@pytest.fixture
+def path_decoder(request, monkeypatch, scaled_code):
+    """An 8-iteration decoder of the case's kind whose batches take the case's path."""
+    kind, path = request.param
+    if path == "native":
+        request.getfixturevalue("native_backend")
+    else:
+        monkeypatch.setattr(native, "kernels", lambda: None)
+    return build(kind, scaled_code, 8)
+
+
+class TestEntryPoints:
+    """``decode`` and ``decode_batch``, which every decoder shares, on either path."""
+
+    @pytest.mark.parametrize("path_decoder", PATHS, ids=PATH_IDS, indirect=True)
+    def test_one_frame_decodes_as_a_batch_of_one(self, path_decoder, scaled_encoder, rng):
+        _, llrs = noisy_llrs(scaled_encoder, 1, 3.0, rng)
+        single = path_decoder.decode(llrs[0])
+        n = path_decoder.block_length
+        assert single.bits.shape == single.posterior_llrs.shape == (n,)
+        assert np.ndim(single.converged) == np.ndim(single.iterations) == 0
+        assert_results_identical(DecodeResult.stack([single]), path_decoder.decode_batch(llrs))
+
+    @pytest.mark.parametrize("path_decoder", PATHS, ids=PATH_IDS, indirect=True)
+    def test_decode_of_a_batch_is_decode_batch(self, path_decoder, scaled_encoder, rng):
+        _, llrs = noisy_llrs(scaled_encoder, 5, 3.0, rng)
+        assert_results_identical(path_decoder.decode(llrs), path_decoder.decode_batch(llrs))
+
+    @pytest.mark.parametrize("path_decoder", PATHS, ids=PATH_IDS, indirect=True)
+    def test_an_empty_batch_gives_empty_fields(self, path_decoder, scaled_encoder, rng):
+        n = path_decoder.block_length
+        empty = path_decoder.decode_batch(np.empty((0, n)))
+        assert empty.bits.shape == empty.posterior_llrs.shape == (0, n)
+        assert empty.converged.shape == empty.iterations.shape == (0,)
+        _, llrs = noisy_llrs(scaled_encoder, 2, 3.0, rng)
+        full = path_decoder.decode_batch(llrs)
+        for field in ("bits", "posterior_llrs", "converged", "iterations"):
+            assert getattr(empty, field).dtype == getattr(full, field).dtype, field
+
+    @pytest.mark.parametrize("path_decoder", PATHS, ids=PATH_IDS, indirect=True)
+    def test_the_input_is_left_as_it_was(self, path_decoder, scaled_encoder, rng):
+        _, llrs = noisy_llrs(scaled_encoder, 6, 3.0, rng)
+        llrs[0, :3] = [0.0, -0.0, 1e-300]
+        before = llrs.copy()
+        path_decoder.decode_batch(llrs)
+        path_decoder.decode(llrs[1])
+        assert np.array_equal(llrs.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("path_decoder", PATHS, ids=PATH_IDS, indirect=True)
+    def test_array_likes_decode_as_their_float64_array(self, path_decoder, scaled_encoder, rng):
+        """Lists, integers, float32 and strided or Fortran-ordered views."""
+        _, llrs = noisy_llrs(scaled_encoder, 4, 3.0, rng)
+        want = path_decoder.decode_batch(llrs)
+        wide = np.zeros((4, 2 * llrs.shape[1]))
+        wide[:, ::2] = llrs
+        for same in (llrs.tolist(), wide[:, ::2], np.asfortranarray(llrs)):
+            assert_results_identical(path_decoder.decode_batch(same), want)
+        whole = np.round(4.0 * llrs).astype(np.int32)
+        assert_results_identical(
+            path_decoder.decode_batch(whole), path_decoder.decode_batch(whole.astype(np.float64))
+        )
+        narrow = llrs.astype(np.float32)
+        assert_results_identical(
+            path_decoder.decode_batch(narrow), path_decoder.decode_batch(narrow.astype(np.float64))
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_misshapen_llrs_are_refused(self, scaled_code, kind):
+        decoder = build(kind, scaled_code, 8)
+        n = decoder.block_length
+        for shape in [(n + 1,), (n - 1,), (1, 1, n), ()]:
+            with pytest.raises(ValueError, match=f"trailing dimension {n}"):
+                decoder.decode(np.zeros(shape))
+        for shape in [(n,), (2, n + 1), (2, n - 1), (1, 1, n), (0,)]:
+            with pytest.raises(ValueError, match=f"trailing dimension {n}"):
+                decoder.decode_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fewer_than_one_iteration_is_refused(self, scaled_code, kind):
+        for max_iterations in (0, -1):
+            with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+                build(kind, scaled_code, max_iterations)
+        assert build(kind, scaled_code, 1).max_iterations == 1
 
 
 class TestDecodeResultStack:

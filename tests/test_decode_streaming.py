@@ -10,12 +10,15 @@ bits of degree 0, LLRs with ties and signed zeros, every correction, the
 quantizer on a channel grid equal to or finer than its message grid, one
 to five layers (some holding only empty checks), both stopping rules
 (batches where every frame runs ``max_iterations`` included), batches from
-0 to 300 frames, the scaled C2 twins and the full C2 code.  Each case is
-decoded once on the loop, and that reference is compared with every decode
-entry of the library: the baseline build and, where the CPU and the
-compiler have AVX2, the AVX2 build.  ``test_the_avx2_entry_is_compared``
-skips where it is absent.
+0 to 300 frames, the scaled C2 twins and the full C2 code, each on both of
+the library's decode entries: the baseline build and the AVX2 build, which
+skips where the CPU or the compiler has no AVX2.  The loop decodes each
+case once: the entry that meets a case first compares with the loop's
+decode and records its digest, and the other entry compares with that
+digest.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -76,24 +79,64 @@ def tied_llrs(rng, frames, num_bits, mean):
     return np.where(rng.random((frames, num_bits)) < 0.5, tied, normal)
 
 
-def assert_streams_like_the_loop(entries, decoder, llrs):
-    """Every entry's native decode of ``llrs`` is the loop's, field for field and bit for bit.
+#: The digest of the loop's decode of each case, by the digest of the case.
+LOOP_DIGESTS: dict[bytes, bytes] = {}
 
-    The loop decodes once; each kernel, like the loop, decodes the LLRs that
-    the decoder's channel conditioning gives.
+
+def digest(*arrays):
+    """SHA-256 over the dtype, shape and bytes of each array, signed zeros included."""
+    sha = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        sha.update(f"{array.dtype.str}{array.shape}".encode())
+        sha.update(array.tobytes())
+    return sha.digest()
+
+
+def result_digest(result):
+    """The digest of every ``DecodeResult`` field."""
+    return digest(
+        result.bits.astype(np.uint8),
+        result.posterior_llrs.astype(np.float64),
+        result.converged.astype(bool),
+        result.iterations.astype(np.int64),
+    )
+
+
+def case_digest(decoder, arguments, llrs, conditioned):
+    """Everything the loop's decode of ``llrs`` depends on."""
+    stopping = decoder.stopping
+    identity = repr(
+        (type(decoder).__qualname__, arguments, type(stopping).__qualname__, vars(stopping))
+    )
+    return digest(
+        np.frombuffer(identity.encode(), dtype=np.uint8),
+        *decoder.parity_check.edges(),
+        np.asarray(llrs, dtype=np.float64),
+        conditioned,
+    )
+
+
+def assert_streams_like_the_loop(kernels, decoder, llrs):
+    """The native decode of ``llrs`` is the loop's, field for field and bit for bit.
+
+    The kernel, like the loop, decodes the LLRs that the decoder's channel
+    conditioning gives.  A case the loop has decoded before compares by
+    digest; a difference decodes it on the loop again to show the field.
     """
     arguments = decoder._streaming_arguments()
     assert arguments is not None
     conditioned = decoder._condition_channel(llrs)
+    got = DecodeResult(*kernels.decode_min_sum(decoder.edge_structure, conditioned, *arguments))
+    case = case_digest(decoder, arguments, llrs, conditioned)
+    if LOOP_DIGESTS.get(case) == result_digest(got):
+        return got
     want = decoder.decode_batch(llrs)
-    for kernels in entries:
-        got = DecodeResult(*kernels.decode_min_sum(decoder.edge_structure, conditioned, *arguments))
-        assert np.array_equal(got.bits, want.bits), kernels.entry
-        assert np.array_equal(
-            got.posterior_llrs.view(np.int64), want.posterior_llrs.view(np.int64)
-        ), kernels.entry
-        assert np.array_equal(got.converged, want.converged), kernels.entry
-        assert np.array_equal(got.iterations, want.iterations), kernels.entry
+    assert np.array_equal(got.bits, want.bits)
+    assert np.array_equal(got.posterior_llrs.view(np.int64), want.posterior_llrs.view(np.int64))
+    assert np.array_equal(got.converged, want.converged)
+    assert np.array_equal(got.iterations, want.iterations)
+    LOOP_DIGESTS[case] = result_digest(want)
     return want
 
 
@@ -126,42 +169,37 @@ def streaming_cases(draw):
 
 
 class TestStreamingMatchesTheLoop:
-    """Native decodes on every decode entry; the one reference decode takes the loop."""
+    """Native decodes on each decode entry; the reference decodes take the loop."""
 
-    @pytest.fixture(autouse=True, scope="class")
-    def entries(self, native_backend, numpy_backend):
+    @pytest.fixture(autouse=True, scope="class", params=["baseline", "avx2"])
+    def kernels(self, request, native_backend, numpy_backend):
         library = native_backend._library
-        entries = [native.NativeKernels(library, native.BASELINE_ENTRY)]
-        if native._runs_avx2(library):
-            entries.append(native.NativeKernels(library, native.WIDE_ENTRY))
-        return entries
-
-    def test_the_avx2_entry_is_compared(self, entries):
-        """A visible skip where every case runs on the baseline entry alone."""
-        if len(entries) == 1:
+        if request.param == "baseline":
+            return native.NativeKernels(library, native.BASELINE_ENTRY)
+        if not native._runs_avx2(library):
             pytest.skip("this CPU or compiler has no AVX2 entry")
-        assert entries[1].entry == native.WIDE_ENTRY
+        return native.NativeKernels(library, native.WIDE_ENTRY)
 
     @seed(20261018)
     @settings(max_examples=250, deadline=3000)
     @given(streaming_cases())
-    def test_random_graphs(self, entries, case):
+    def test_random_graphs(self, kernels, case):
         decoder, llrs = case
-        assert_streams_like_the_loop(entries, decoder, llrs)
+        assert_streams_like_the_loop(kernels, decoder, llrs)
 
     @pytest.mark.parametrize("stopping", STOPPING_RULES, ids=STOPPING_IDS)
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("frames", [131, 300])
-    def test_many_frames_on_a_random_graph(self, entries, frames, kind, stopping):
+    def test_many_frames_on_a_random_graph(self, kernels, frames, kind, stopping):
         rng = np.random.default_rng(frames)
         pcm = random_graph(rng, 16, [0, 1, 2, 3, 4, 6, 8, 8])
         decoder = get_component("decoder", kind).build(pcm, max_iterations=8, stopping=stopping)
-        assert_streams_like_the_loop(entries, decoder, tied_llrs(rng, frames, 16, 1.0))
+        assert_streams_like_the_loop(kernels, decoder, tied_llrs(rng, frames, 16, 1.0))
 
     @pytest.mark.parametrize("stopping", STOPPING_RULES, ids=STOPPING_IDS)
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("circulant", [31, 63])
-    def test_scaled_twins(self, entries, circulant, kind, stopping):
+    def test_scaled_twins(self, kernels, circulant, kind, stopping):
         """Batches of 1, 3, 33 and 131 at three SNRs, with ties and signed zeros."""
         code = build_scaled_ccsds_code(circulant)
         decoder = get_component("decoder", kind).build(code, max_iterations=12, stopping=stopping)
@@ -172,21 +210,21 @@ class TestStreamingMatchesTheLoop:
                 llrs = mean + 4.0 * rng.normal(size=(frames, n))
                 tied = rng.random((frames, n)) < 0.05
                 llrs[tied] = TIED_VALUES[rng.integers(0, TIED_VALUES.size, size=tied.sum())]
-                assert_streams_like_the_loop(entries, decoder, llrs)
+                assert_streams_like_the_loop(kernels, decoder, llrs)
 
     @pytest.mark.parametrize("ebn0, frames", C2_CASES)
-    def test_full_c2_code(self, entries, ebn0, frames):
+    def test_full_c2_code(self, kernels, ebn0, frames):
         """The paper's decoder: nms, alpha 1.25, 18 iterations, all-zero codewords."""
-        assert_decodes_c2_like_the_loop(entries, "nms", ebn0, frames)
+        assert_decodes_c2_like_the_loop(kernels, "nms", ebn0, frames)
 
     @pytest.mark.parametrize("ebn0, frames", C2_CASES)
     @pytest.mark.parametrize("kind", ["quantized", "layered"])
-    def test_full_c2_code_of_the_other_kinds(self, entries, kind, ebn0, frames):
+    def test_full_c2_code_of_the_other_kinds(self, kernels, kind, ebn0, frames):
         """The 6-bit datapath (Q4.2) and the two block-row layers, as the paper's decoder."""
-        assert_decodes_c2_like_the_loop(entries, kind, ebn0, frames)
+        assert_decodes_c2_like_the_loop(kernels, kind, ebn0, frames)
 
 
-def assert_decodes_c2_like_the_loop(entries, kind, ebn0, frames):
+def assert_decodes_c2_like_the_loop(kernels, kind, ebn0, frames):
     """``kind`` at alpha 1.25 and 18 iterations on all-zero C2 codewords, with signed zeros."""
     code = build_ccsds_c2_code()
     decoder = get_component("decoder", kind).build(code, max_iterations=18)
@@ -194,7 +232,7 @@ def assert_decodes_c2_like_the_loop(entries, kind, ebn0, frames):
     rng = np.random.default_rng(frames)
     llrs = 2.0 * (1.0 + sigma * rng.normal(size=(frames, code.block_length))) / sigma**2
     llrs[0, :4] = [0.0, -0.0, -0.0, 0.0]
-    want = assert_streams_like_the_loop(entries, decoder, llrs)
+    want = assert_streams_like_the_loop(kernels, decoder, llrs)
     if ebn0 == 3.0:
         assert (want.iterations == 18).all()
     else:

@@ -26,6 +26,14 @@ class TestConstruction:
 
 
 class TestDenseConsistency:
+    def test_first_row_matches_dense(self):
+        c = Circulant(7, (1, 4))
+        assert np.flatnonzero(c.to_dense()[0]).tolist() == [1, 4]
+
+    def test_first_column_matches_dense(self):
+        c = Circulant(8, (3, 6))
+        assert np.flatnonzero(c.to_dense()[:, 0]).tolist() == [2, 5]
+
     def test_rows_are_right_shifts(self):
         c = Circulant(6, (0, 2))
         dense = c.to_dense()

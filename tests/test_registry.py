@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.sim.campaign import ChannelSpec, CodeSpec, DecoderSpec
 from repro.registry import (
     KINDS,
     REGISTRY,
@@ -19,6 +20,26 @@ from repro.registry import (
 )
 
 
+#: Every name the package registers, by component kind.
+BUILTIN_NAMES = {
+    "code": {"ccsds-c2", "scaled"},
+    "decoder": {
+        "layered", "min-sum", "nms", "offset", "quantized", "sum-product",
+        "layered-batched", "min-sum-batched", "nms-batched", "offset-batched",
+        "sum-product-batched",
+    },
+    "channel": {"awgn", "bsc"},
+    "modulator": {"bpsk"},
+}
+
+#: Names that earlier versions registered: the AR4JA code family, the two
+#: hard-decision decoders and the Rayleigh channel.
+DELETED_NAMES = [
+    ("code", "deepspace"), ("decoder", "gallager-b"), ("decoder", "wbf"), ("channel", "rayleigh"),
+]
+DELETED_IDS = [name for _, name in DELETED_NAMES]
+
+
 class TestRegistryCore:
     def test_builtin_names_are_registered(self):
         assert set(component_names("code")) >= {"ccsds-c2", "scaled"}
@@ -27,6 +48,27 @@ class TestRegistryCore:
         }
         assert set(component_names("channel")) >= {"awgn", "bsc"}
         assert "bpsk" in component_names("modulator")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_builtin_names_are_exactly_these(self, kind):
+        assert set(component_names(kind)) == BUILTIN_NAMES[kind]
+
+    @pytest.mark.parametrize("kind, name", DELETED_NAMES, ids=DELETED_IDS)
+    def test_deleted_name_is_unknown(self, kind, name):
+        with pytest.raises(UnknownComponentError) as excinfo:
+            get_component(kind, name)
+        assert str(excinfo.value).endswith(f"choose from {component_names(kind)}")
+
+    @pytest.mark.parametrize("kind, name", DELETED_NAMES, ids=DELETED_IDS)
+    def test_spec_naming_a_deleted_name_is_refused(self, kind, name):
+        """Specs check their names when they are made, not when they build."""
+        make = {
+            "code": lambda: CodeSpec(family=name, circulant=31),
+            "decoder": lambda: DecoderSpec(name, 8),
+            "channel": lambda: ChannelSpec(kind=name),
+        }[kind]
+        with pytest.raises(ValueError, match=f"unknown {kind} .*'{name}'; choose from"):
+            make()
 
     def test_unknown_name_lists_valid_choices(self):
         with pytest.raises(UnknownComponentError) as excinfo:

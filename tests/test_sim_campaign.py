@@ -28,6 +28,18 @@ TINY_CONFIG = SimulationConfig(
 )
 
 
+#: Experiment entries naming a kind that earlier versions registered: the
+#: AR4JA code family, the Rayleigh channel and the two hard-decision
+#: decoders.
+DELETED_KINDS = [
+    ("code", {"family": "deepspace", "rate": "1/2"}),
+    ("channel", {"kind": "rayleigh", "params": {"block_length": 31}}),
+    ("decoder", {"kind": "gallager-b", "iterations": 8}),
+    ("decoder", {"kind": "wbf", "iterations": 8}),
+]
+DELETED_KIND_IDS = ["deepspace", "rayleigh", "gallager-b", "wbf"]
+
+
 def tiny_spec(name="test-campaign", seed=7, ebn0=(2.0, 4.0)) -> CampaignSpec:
     """Two decoder configurations on the scaled code — fast but non-trivial."""
     code = CodeSpec(family="scaled", circulant=31)
@@ -139,6 +151,27 @@ class TestSpecs:
         scaled_twin = CodeSpec(family="ccsds-c2", circulant=31)
         assert scaled_twin.key == "ccsds-c2-c31"
         assert scaled_twin.key != CodeSpec(family="ccsds-c2").key
+
+    def test_a_family_that_declares_rate_is_built_with_it(self):
+        """No built-in family takes ``rate`` any more; one that declares it
+        gets it from the spec, and its key names it."""
+        from repro.codes import build_scaled_ccsds_code
+        from repro.registry import Param, temporary_component
+
+        rates = []
+
+        def build(circulant, rate):
+            rates.append(rate)
+            return build_scaled_ccsds_code(circulant)
+
+        params = [Param("circulant", "int", required=True), Param("rate", "str", required=True)]
+        with temporary_component("code", "rated-twin", build, params=params):
+            spec = CodeSpec(family="rated-twin", circulant=31, rate="1/2")
+            assert spec.key == "rated-twin-circulant31-rate1/2"
+            assert spec.build().block_length == 496
+            assert rates == ["1/2"]
+            with pytest.raises(ValueError, match="rate"):
+                CodeSpec(family="rated-twin", circulant=31)
 
     def test_slugify(self):
         assert slugify("nms/alpha=1.25") == "nms-alpha-1.25"
@@ -581,28 +614,41 @@ class TestCampaignCLI:
         assert main(["campaign", "run", str(bad_spec)]) == 2
         assert "cannot load campaign spec" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["status", "resume"])
     @pytest.mark.parametrize(
-        "axis, entry",
-        [
-            ("code", {"family": "deepspace", "rate": "1/2"}),
-            ("channel", {"kind": "rayleigh", "params": {"block_length": 31}}),
-        ],
-        ids=["deepspace", "rayleigh"],
+        "command",
+        [["status"], ["status", "--watch"], ["resume"], ["report"], ["verify"]],
+        ids=["status", "watch", "resume", "report", "verify"],
     )
+    @pytest.mark.parametrize("axis, entry", DELETED_KINDS, ids=DELETED_KIND_IDS)
     def test_store_naming_a_deleted_kind_exits_2(self, tmp_path, capsys, command, axis, entry):
         """A store whose manifest names a kind that is no longer registered
-        (the AR4JA family, the Rayleigh channel) is a usage error that lists
-        the registered names, not a traceback."""
+        (the AR4JA family, the Rayleigh channel, the hard-decision decoders)
+        is a usage error of every command that opens it, listing the
+        registered names, not a traceback; ``status --watch`` stops at its
+        first tick."""
         store = ResultStore.create(tmp_path / "old", tiny_spec())
         manifest = store.directory / "campaign.json"
         data = json.loads(manifest.read_text())
         data["spec"]["experiments"][0][axis] = entry
         manifest.write_text(json.dumps(data))
-        assert main(["campaign", command, str(store.directory)]) == 2
+        assert main(["campaign", *command, str(store.directory)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cannot open campaign directory {store.directory}: ")
         assert err.rstrip().endswith(f"choose from {component_names(axis)}")
+
+    @pytest.mark.parametrize("axis, entry", DELETED_KINDS, ids=DELETED_KIND_IDS)
+    def test_spec_naming_a_deleted_kind_exits_2(self, tmp_path, capsys, axis, entry):
+        """``campaign run`` refuses such a spec before it creates a store."""
+        data = tiny_spec().as_dict()
+        data["experiments"][0][axis] = entry
+        spec_file = tmp_path / "old.json"
+        spec_file.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["campaign", "run", str(spec_file), "--dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load campaign spec {spec_file}: ")
+        assert err.rstrip().endswith(f"choose from {component_names(axis)}")
+        assert not out_dir.exists()
 
 
 class TestChannelSpec:
