@@ -29,14 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.channel.llr import channel_llrs
+from repro.channel.llr import channel_llrs, llr_scale_factor
 from repro.registry import Param, register_channel
+from repro.utils.validation import check_binary_array
 
 __all__ = [
     "ChannelModel",
     "AWGNChannelModel",
     "BSCChannelModel",
 ]
+
+#: Bytes of the BPSK symbols that :meth:`AWGNChannelModel.bpsk_llrs_into`
+#: forms at once: a few C2 frames, which stay in L2 while they are added.
+_SYMBOL_BLOCK_BYTES = 1 << 18
 
 #: Crossover probabilities are clipped to this floor before the LLR
 #: magnitude ``log((1-p)/p)`` is formed, capping it near 27.6 — far above
@@ -94,6 +99,55 @@ class AWGNChannelModel(ChannelModel):
         arr = np.asarray(symbols, dtype=np.float64)
         received = arr + rng.normal(0.0, sigma, size=arr.shape)
         return channel_llrs(received, sigma, amplitude=amplitude)
+
+    def bpsk_llrs_into(
+        self,
+        bits: npt.ArrayLike,
+        sigma: float,
+        rng: np.random.Generator,
+        out: npt.NDArray[np.float64],
+        *,
+        amplitude: float = 1.0,
+    ) -> npt.NDArray[np.float64]:
+        """LLRs of BPSK-modulated ``bits``, written into ``out`` and returned.
+
+        Bit for bit ``self.llrs(BPSKModulator(amplitude).modulate(bits),
+        sigma, rng, amplitude=amplitude)``, from the same draws, with no
+        float64 array of ``out``'s size besides ``out``:
+
+        * ``rng.standard_normal(out=out)`` draws the stream that
+          ``rng.normal(0.0, sigma)`` draws, and ``out *= sigma`` gives its
+          ``0.0 + sigma * z`` except where that is ``-0.0``, which adding a
+          symbol ``±A != 0`` absorbs;
+        * the symbols ``A * (1.0 - 2.0 * bits)``, as the modulator forms
+          them, are added a block of rows at a time;
+        * ``out`` is scaled by :func:`~repro.channel.llr.llr_scale_factor`.
+
+        ``out`` is a C-contiguous float64 array of the shape of ``bits``.
+        """
+        arr = check_binary_array("bits", bits, copy=False)
+        if out.shape != arr.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {arr.shape}"
+            )
+        factor = llr_scale_factor(sigma, amplitude=amplitude)
+        rng.standard_normal(out=out)
+        out *= sigma
+        width = arr.shape[-1] if arr.ndim else 1
+        bit_rows = arr.reshape(-1, width)
+        llr_rows = out.reshape(-1, width)
+        rows = max(1, _SYMBOL_BLOCK_BYTES // max(1, 8 * width))
+        symbols = np.empty((min(rows, bit_rows.shape[0]), width))
+        for start in range(0, bit_rows.shape[0], rows):
+            bits_block = bit_rows[start : start + rows]
+            llr_block = llr_rows[start : start + rows]
+            block = symbols[: bits_block.shape[0]]
+            np.multiply(bits_block, 2.0, out=block)
+            np.subtract(1.0, block, out=block)
+            np.multiply(amplitude, block, out=block)
+            np.add(block, llr_block, out=llr_block)
+        out *= factor
+        return out
 
 
 @register_channel(

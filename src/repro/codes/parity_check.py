@@ -63,11 +63,12 @@ class ParityCheckMatrix:
         """Pivot columns, information columns and parity map of H.
 
         Derived on the first call and kept: read from the on-disk encoder
-        cache, or computed by one row reduction that is then stored there
-        (see :func:`~repro.codes.systematic_form.derive_systematic_form`).
+        cache, keyed by H's coordinates, or computed by one row reduction of
+        dense H that is then stored there (see
+        :func:`~repro.codes.systematic_form.derive_systematic_form`).
         """
         if self._form is None:
-            self._form = derive_systematic_form(self._sparse.to_dense())
+            self._form = derive_systematic_form(self._sparse)
         return self._form
 
     @property
@@ -76,7 +77,7 @@ class ParityCheckMatrix:
 
         The first read on a matrix reads the on-disk encoder cache, or
         row-reduces H and fills the cache with its whole systematic form
-        (about 7 MB for C2), even if the code is never encoded.  With
+        (about 1 MB for C2), even if the code is never encoded.  With
         ``REPRO_ENCODER_CACHE=off`` it row-reduces H once per matrix and
         writes nothing.
         """

@@ -1,4 +1,4 @@
-"""The native min-sum decode: ``native.c`` built with the system compiler, loaded with ctypes.
+"""The native min-sum decode and M4RI encode, built with the system compiler, loaded with ctypes.
 
 The decoding loop of :class:`~repro.decode.base.MessagePassingDecoder`
 hands a whole batch of every decoder that states streaming parameters
@@ -7,36 +7,44 @@ function (:meth:`NativeKernels.decode_min_sum`) whenever :func:`kernels`
 returns it.  The loop, over the numpy methods of
 :class:`~repro.decode.graph.TannerGraph`, is the reference: the C code
 implements the orders ``graph.py`` documents, operation for operation.
+:meth:`~repro.encode.systematic.SystematicEncoder.encode` likewise hands
+each batch to :meth:`NativeKernels.encode_m4ri`, whose reference is the
+numpy :func:`~repro.encode.systematic.m4ri_encode`.
 
-Build.  On the first decode of a process, never at import, one
-``cc -O3 -ffp-contract=off -fPIC -shared`` command compiles both sources
-into one library: ``native.c``, exporting ``repro_decode_min_sum``, and
-``native_avx2.c``, which compiles ``native.c`` again for AVX2 as
-``repro_decode_min_sum_avx2`` and exports the CPU query
-``repro_cpu_supports_avx2`` (both absent where the compiler cannot target
-AVX2).  There is no ``-march`` and no fast-math, so no operation is fused
-or reordered and each rounds as numpy's does, at either vector width.  The
-library is cached under a name hashed from the sources and the flags, in
-the package's own ``__pycache__`` when that directory belongs to this user
-and no one else may write to it, else in a private temporary directory that
-is removed once the library is loaded.  A library is only ever loaded from
-such a directory.  The compiler writes a temporary file that is then renamed
-into place, so processes that build at once (pool and fabric workers) never
-load a partial file.  After a build into ``__pycache__``, the libraries
-built there from older sources are deleted.
+Build.  On the first encode or decode of a process, never at import or when
+an encoder or decoder is built, one ``cc -O3 -ffp-contract=off -fPIC
+-shared`` command compiles the three sources into one library:
+``native.c``, exporting ``repro_decode_min_sum``; ``native_avx2.c``, which
+compiles ``native.c`` again for AVX2 as ``repro_decode_min_sum_avx2`` and
+exports the CPU query ``repro_cpu_supports_avx2`` (both absent where the
+compiler cannot target AVX2); and ``native_encode.c``, exporting
+``repro_encode_m4ri``.  There is no ``-march`` and no fast-math, so no
+operation is fused or reordered and each rounds as numpy's does, at either
+vector width.  The library is cached under a name hashed from the sources
+and the flags, in the package's own ``__pycache__`` when that directory
+belongs to this user and no one else may write to it, else in a private
+temporary directory that is removed once the library is loaded.  A
+library is only ever loaded from such a directory.  The compiler writes a
+temporary file that is then renamed into place, so processes that build at
+once (pool and fabric workers) never load a partial file.  After a build
+into ``__pycache__``, the libraries built there from older sources are
+deleted.
 
-Entry.  The loader binds the AVX2 entry exactly when the library's own CPU
-query says this CPU runs it, and the baseline entry otherwise, so one cached
-library serves every x86-64 host that shares it.
+Entry.  The loader binds the AVX2 decode entry exactly when the library's
+own CPU query says this CPU runs it, and the baseline entry otherwise, so
+one cached library serves every x86-64 host that shares it.  The encode has
+one entry, :data:`ENCODE_ENTRY`.
 
-Acceptance.  The bound entry is used only after a one-time probe on a tiny
-graph (ties, signed zeros, empty and degree-1 checks, bits of degree 0 to 4)
-reproduces the loop bit for bit for each streamed kind: both stopping
-rules, a quantizer whose channel grid is finer than its message grid, and
-two layers.  When the compiler is missing, the build fails, the cache
-cannot be written or the probe disagrees, the process warns once and
-decodes on the loop.  Nothing else (no option, parameter or environment
-variable) picks the backend or the entry.
+Acceptance.  The bound entries are used only after a one-time probe.  On a
+tiny graph (ties, signed zeros, empty and degree-1 checks, bits of degree 0
+to 4), the decode must reproduce the loop bit for bit for each streamed
+kind: both stopping rules, a quantizer whose channel grid is finer than its
+message grid, and two layers.  On a random parity map of 70 parity bits
+and 11 information bits in scattered positions, the encode must reproduce
+:func:`~repro.encode.systematic.m4ri_encode`.  When the compiler is missing,
+the build fails, the cache cannot be written or the probe disagrees, the
+process warns once and encodes and decodes in numpy.  Nothing else (no
+option, parameter or environment variable) picks the backend or the entry.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.channel.quantize import FixedPointFormat
+from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:
     from repro.decode.base import StreamingParameters
@@ -66,12 +75,16 @@ if TYPE_CHECKING:
 __all__ = ["NativeKernels", "kernels"]
 
 #: The kernels' C sources, shipped beside this module and compiled together:
-#: the decode, and the unit that builds it again for AVX2.
-SOURCES = (Path(__file__).with_name("native.c"), Path(__file__).with_name("native_avx2.c"))
+#: the decode, the unit that builds it again for AVX2, and the encode.
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("native.c", "native_avx2.c", "native_encode.c")
+)
 #: The decode entry that every library exports.
 BASELINE_ENTRY = "repro_decode_min_sum"
 #: The same decode built for AVX2, bound where :data:`CPU_QUERY` allows it.
 WIDE_ENTRY = "repro_decode_min_sum_avx2"
+#: The encode entry that every library exports.
+ENCODE_ENTRY = "repro_encode_m4ri"
 #: The library's own test of whether the CPU (and its OS) runs AVX2.
 CPU_QUERY = "repro_cpu_supports_avx2"
 #: The compiler, looked up on ``PATH``.
@@ -86,6 +99,7 @@ LIBRARY_NAME = re.compile(r"native-[0-9a-f]{16}\.so")
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "ALIGNED"))
 _INDEX = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "ALIGNED"))
 _BYTES = np.ctypeslib.ndpointer(np.uint8, ndim=2, flags="C_CONTIGUOUS")
+_WORDS = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags=("C_CONTIGUOUS", "ALIGNED"))
 _BOOLS = np.ctypeslib.ndpointer(np.bool_, ndim=1, flags="C_CONTIGUOUS")
 _SIZE = ctypes.c_int64
 
@@ -95,14 +109,21 @@ class _Unavailable(Exception):
 
 
 class NativeKernels:
-    """The typed entry point of a loaded kernel library: :meth:`decode_min_sum`.
+    """The typed entry points of a loaded library: :meth:`decode_min_sum` and :meth:`encode_m4ri`.
 
-    ``entry`` names the library's decode function that it calls.
+    ``entry`` names the library's decode function that it calls, and
+    ``encode_entry`` its encode function.
     """
 
     def __init__(self, library: ctypes.CDLL, entry: str) -> None:
         self._library = library
         self.entry = entry
+        self.encode_entry = ENCODE_ENTRY
+        self._encode_m4ri = getattr(library, ENCODE_ENTRY)
+        self._encode_m4ri.argtypes = [
+            _BYTES, _SIZE, _SIZE, _WORDS, _SIZE, _INDEX, _INDEX, _SIZE, _SIZE, _BYTES,
+        ]
+        self._encode_m4ri.restype = ctypes.c_int
         self._decode_min_sum = getattr(library, entry)
         self._decode_min_sum.argtypes = [
             _DOUBLES, _SIZE, _SIZE, _INDEX, _INDEX, _SIZE, _SIZE, _INDEX, _INDEX,
@@ -157,6 +178,40 @@ class NativeKernels:
         if status != 0:
             raise MemoryError("cannot allocate the decoding lanes")
         return bits, posterior, converged, iterations
+
+    def encode_m4ri(
+        self,
+        info: np.ndarray,
+        tables: np.ndarray,
+        info_cols: np.ndarray,
+        pivot_cols: np.ndarray,
+        block_length: int,
+    ) -> np.ndarray:
+        """Codewords ``(batch, n)`` of a ``(batch, k)`` 0/1 information batch, in one call.
+
+        ``tables`` are :func:`~repro.encode.systematic.xor_tables` of the
+        systematic form, whose positions are ``info_cols`` and
+        ``pivot_cols``; the codewords are
+        :func:`~repro.encode.systematic.m4ri_encode`'s, bit for bit.
+        """
+        info = np.ascontiguousarray(info, dtype=np.uint8)
+        if info.ndim != 2 or info.shape[1] != info_cols.size:
+            raise ValueError(
+                f"expected a (batch, {info_cols.size}) array, got shape {info.shape}"
+            )
+        if tables.shape[0] != -(-info_cols.size // 4) << 4 or tables.shape[1] * 64 < pivot_cols.size:
+            raise ValueError(f"tables of shape {tables.shape} do not fit the positions")
+        for positions in (info_cols, pivot_cols):
+            if positions.size and not 0 <= positions.min() <= positions.max() < block_length:
+                raise ValueError(f"positions outside a codeword of {block_length} bits")
+        codewords = np.empty((info.shape[0], block_length), dtype=np.uint8)
+        status = self._encode_m4ri(
+            info, info.shape[0], info.shape[1], tables, tables.shape[1], info_cols, pivot_cols,
+            pivot_cols.size, block_length, codewords,
+        )
+        if status != 0:
+            raise MemoryError("cannot allocate the parity words")
+        return codewords
 
 
 # ---------------------------------------------------------------------- #
@@ -316,11 +371,41 @@ PROBE_DECODERS: tuple[tuple[str, dict[str, object], str, int, int], ...] = (
 )
 
 
+#: The encode probe's parity bits (two words, the second one partial),
+#: information bits (a partial last group) and frames.  Its map, positions
+#: and frames are drawn from a fixed seed.
+PROBE_PARITY_BITS = 70
+PROBE_INFO_BITS = 11
+PROBE_FRAMES = 6
+PROBE_SEED = 20261020
+
+
+def _probe_encode(native: NativeKernels) -> bool:
+    """Whether the native encode gives :func:`~repro.encode.systematic.m4ri_encode`'s bits.
+
+    The codewords need not satisfy any H: both sides map the same tables and
+    positions to bits.  The frames include all zeros and all ones.
+    """
+    from repro.encode.systematic import m4ri_encode, xor_tables
+
+    rng = ensure_rng(PROBE_SEED)
+    n = PROBE_PARITY_BITS + PROBE_INFO_BITS
+    positions = rng.permutation(n).astype(np.int64)
+    info_cols, pivot_cols = positions[:PROBE_INFO_BITS], positions[PROBE_INFO_BITS:]
+    parity_map = rng.integers(0, 2, size=(PROBE_INFO_BITS, PROBE_PARITY_BITS), dtype=np.uint8)
+    tables = xor_tables(np.packbits(parity_map, axis=1, bitorder="little"), PROBE_PARITY_BITS)
+    info = rng.integers(0, 2, size=(PROBE_FRAMES, PROBE_INFO_BITS), dtype=np.uint8)
+    info[0], info[1] = 0, 1
+    want = m4ri_encode(info, tables, info_cols, pivot_cols, n)
+    return np.array_equal(native.encode_m4ri(info, tables, info_cols, pivot_cols, n), want)
+
+
 def _probe(native: NativeKernels) -> str:
     """The first decoder whose native decode differs from the loop's bits, or ``""``.
 
-    The reference decodes run the loop: :func:`kernels` returns ``None`` to
-    the thread that is settling the backend.
+    Then the encode: ``"encode_m4ri"`` when it differs from numpy's.  The
+    reference decodes run the loop: :func:`kernels` returns ``None`` to the
+    thread that is settling the backend.
     """
     from repro.decode.stopping import FixedIterations, SyndromeStopping
     from repro.registry import get_component
@@ -352,7 +437,7 @@ def _probe(native: NativeKernels) -> str:
         )
         if not all(same(g, w) for g, w in zip(got_result, want_fields)):
             return f"decode_min_sum({kind}, {rule}({min_iterations or ''}))"
-    return ""
+    return "" if _probe_encode(native) else "encode_m4ri"
 
 
 # ---------------------------------------------------------------------- #
@@ -380,12 +465,12 @@ class _Backend:
                     try:
                         self._kernels = _load()
                     except _Unavailable as reason:
-                        # Attributed to the decoding loop, through
-                        # base.native_kernels, whose first decode settled
-                        # the backend.
+                        # Attributed to the decoding loop or the encoder,
+                        # through base.native_kernels or the encoder's own
+                        # helper, whose first call settled the backend.
                         warnings.warn(
                             f"native min-sum kernels unavailable ({reason}); "
-                            "decoding with the numpy kernels",
+                            "encoding and decoding with the numpy kernels",
                             RuntimeWarning,
                             stacklevel=4,
                         )

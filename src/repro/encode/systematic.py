@@ -3,19 +3,27 @@
 The encoder reads H's systematic form
 (:meth:`~repro.codes.parity_check.ParityCheckMatrix.systematic_form`): the
 parity positions (the pivot columns of the row-reduced matrix), the
-information positions (the free columns) and the dense map from information
-bits to parity bits.  The form is derived at most once per matrix and cached
-on disk, so a process with a warm cache never row-reduces H (see
-:mod:`repro.codes.systematic_form`, which also documents the
-``REPRO_ENCODER_CACHE`` variable).
+information positions (the free columns) and the map from information bits
+to parity bits, bit-packed by information column.  The form is derived at
+most once per matrix and cached on disk, so a process with a warm cache
+never densifies or row-reduces H (see :mod:`repro.codes.systematic_form`,
+which also documents the ``REPRO_ENCODER_CACHE`` variable).
 
 Encoding a batch of frames is one GF(2) product with the parity map, done
 with the table method of "the Method of Four Russians" (M4RI: Albrecht, Bard
 and Hart, "Algorithm 898: Efficient multiplication of dense matrices over
 GF(2)", ACM TOMS 2010).  At construction the encoder builds, for every group
 of four information bits, the XOR of the packed parity-map columns for each
-of the group's 16 values; per frame it XORs the one table row its four bits
-select, group by group.  The product is exact for any dimension.
+of the group's 16 values, straight from the form's packed columns; per frame
+it XORs the one table row its four bits select, group by group.  The product
+is exact for any dimension.
+
+The XOR runs in the native library of :mod:`repro.decode.native`
+(``repro_encode_m4ri``), which writes each frame's bits and parity straight
+into its codeword row.  :func:`m4ri_encode`, in numpy, is its reference and
+the fallback where the library cannot be built.  Building an encoder loads
+nothing native: the library is settled at a process's first encode or
+decode.
 
 This is the encoder the Monte-Carlo simulations use.
 """
@@ -52,23 +60,24 @@ def as_parity_check_matrix(code) -> ParityCheckMatrix:
     return ParityCheckMatrix(np.asarray(code))
 
 
-def _xor_tables(parity_map: np.ndarray) -> np.ndarray:
+def xor_tables(parity_columns: np.ndarray, parity_bits: int) -> np.ndarray:
     """One 16-entry XOR table per group of four information bits.
 
-    Row ``16 * g + v`` of the result is the XOR of the parity-map columns of
-    information bits ``4g + j`` over the set bits ``j`` of ``v``, with each
-    column's ``m`` parity bits packed little-endian into ``ceil(m / 64)``
-    uint64 words.  Missing columns of the last group are zero.
+    ``parity_columns`` is the systematic form's packed map: one row of
+    ``ceil(parity_bits / 8)`` bytes per information bit.  Row ``16 * g + v``
+    of the result is the XOR of the columns of information bits ``4g + j``
+    over the set bits ``j`` of ``v``, each padded to ``ceil(parity_bits /
+    64)`` little-endian uint64 words.  Missing columns of the last group are
+    zero.  Where no padding is needed, as for C2, the columns are read in
+    place.
     """
-    parity_bits, info_bits = parity_map.shape
+    info_bits, column_bytes = parity_columns.shape
     groups = -(-info_bits // _GROUP_BITS)
     words = -(-parity_bits // 64)
-    # Maps derived or loaded from the cache are column-major, so the
-    # transpose is free and the packing reads contiguous memory.
-    columns = np.zeros((groups * _GROUP_BITS, words * 8), dtype=np.uint8)
-    columns[:info_bits, : -(-parity_bits // 8)] = np.packbits(
-        np.ascontiguousarray(parity_map.T), axis=1, bitorder="little"
-    )
+    columns = parity_columns
+    if columns.shape != (groups * _GROUP_BITS, words * 8):
+        columns = np.zeros((groups * _GROUP_BITS, words * 8), dtype=np.uint8)
+        columns[:info_bits, :column_bytes] = parity_columns
     packed = columns.view(np.uint64).reshape(groups, _GROUP_BITS, words)
     tables = np.zeros((groups, 1 << _GROUP_BITS, words), dtype=np.uint64)
     for value in range(1, 1 << _GROUP_BITS):
@@ -77,6 +86,51 @@ def _xor_tables(parity_map: np.ndarray) -> np.ndarray:
             tables[:, value & (value - 1)], packed[:, lowest], out=tables[:, value]
         )
     return tables.reshape(groups << _GROUP_BITS, words)
+
+
+def m4ri_encode(
+    info: np.ndarray,
+    tables: np.ndarray,
+    info_cols: np.ndarray,
+    pivot_cols: np.ndarray,
+    block_length: int,
+) -> np.ndarray:
+    """Codewords ``(batch, n)`` of a ``(batch, k)`` 0/1 information batch, in numpy.
+
+    The reference of the native encode: the frames are encoded in chunks
+    whose gather of ``(groups, chunk, words)`` table rows stays below
+    :data:`_CHUNK_BYTES`, then unpacked into the parity positions.
+    """
+    frames = info.shape[0]
+    groups, words = tables.shape[0] >> _GROUP_BITS, tables.shape[1]
+    offsets = np.arange(groups, dtype=np.intp) << _GROUP_BITS
+    chunk_frames = max(1, _CHUNK_BYTES // max(1, groups * words * 8))
+    packed = np.empty((frames, words), dtype=np.uint64)
+    for start in range(0, frames, chunk_frames):
+        chunk = info[start : start + chunk_frames]
+        # Two groups per byte: the low nibble holds bits 4g .. 4g + 3.
+        octets = np.packbits(chunk, axis=1, bitorder="little")
+        nibbles = np.empty((octets.shape[0], 2 * octets.shape[1]), dtype=np.intp)
+        nibbles[:, 0::2] = octets & 0x0F
+        nibbles[:, 1::2] = octets >> 4
+        rows = nibbles[:, :groups].T + offsets[:, None]
+        np.bitwise_xor.reduce(
+            np.take(tables, rows, axis=0),
+            axis=0,
+            out=packed[start : start + chunk_frames],
+        )
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+    codewords = np.empty((frames, block_length), dtype=np.uint8)
+    codewords[:, info_cols] = info
+    codewords[:, pivot_cols] = bits[:, : pivot_cols.size]
+    return codewords
+
+
+def _native_kernels():
+    """The process's native kernels, or ``None``: imported on the first encode."""
+    from repro.decode import native
+
+    return native.kernels()
 
 
 class SystematicEncoder:
@@ -96,11 +150,7 @@ class SystematicEncoder:
         self._pcm = pcm
         self._pivot_cols = form.pivot_cols
         self._info_cols = form.info_cols
-        self._parity_bits = form.rank
-        self._tables = _xor_tables(form.parity_map)
-        groups = self._tables.shape[0] >> _GROUP_BITS
-        self._table_offsets = np.arange(groups, dtype=np.intp) << _GROUP_BITS
-        self._chunk_frames = max(1, _CHUNK_BYTES // max(1, self._tables.nbytes >> _GROUP_BITS))
+        self._tables = xor_tables(form.parity_columns, form.rank)
 
     # ------------------------------------------------------------------ #
     @property
@@ -143,7 +193,7 @@ class SystematicEncoder:
             Codewords of shape ``(n,)`` or ``(batch, n)`` satisfying every
             parity check of H.
         """
-        info = check_binary_array("information_bits", information_bits)
+        info = check_binary_array("information_bits", information_bits, copy=False)
         single = info.ndim == 1
         if single:
             info = info[None, :]
@@ -152,31 +202,13 @@ class SystematicEncoder:
                 f"expected {self.dimension} information bits per frame, "
                 f"got {info.shape[1]}"
             )
-        codewords = np.empty((info.shape[0], self.block_length), dtype=np.uint8)
-        codewords[:, self._info_cols] = info
-        codewords[:, self._pivot_cols] = self._parity(info)
+        info = np.ascontiguousarray(info)
+        kernels = _native_kernels()
+        encode = m4ri_encode if kernels is None else kernels.encode_m4ri
+        codewords = encode(
+            info, self._tables, self._info_cols, self._pivot_cols, self.block_length
+        )
         return codewords[0] if single else codewords
-
-    def _parity(self, info: np.ndarray) -> np.ndarray:
-        """Parity bits ``(batch, m)`` of a ``(batch, k)`` information batch."""
-        words = self._tables.shape[1]
-        packed = np.empty((info.shape[0], words), dtype=np.uint64)
-        groups = self._table_offsets.size
-        for start in range(0, info.shape[0], self._chunk_frames):
-            chunk = info[start : start + self._chunk_frames]
-            # Two groups per byte: the low nibble holds bits 4g .. 4g + 3.
-            octets = np.packbits(chunk, axis=1, bitorder="little")
-            nibbles = np.empty((octets.shape[0], 2 * octets.shape[1]), dtype=np.intp)
-            nibbles[:, 0::2] = octets & 0x0F
-            nibbles[:, 1::2] = octets >> 4
-            rows = nibbles[:, :groups].T + self._table_offsets[:, None]
-            np.bitwise_xor.reduce(
-                np.take(self._tables, rows, axis=0),
-                axis=0,
-                out=packed[start : start + self._chunk_frames],
-            )
-        bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self._parity_bits]
 
     def extract_information(self, codeword) -> np.ndarray:
         """Recover the information bits from a (decoded) codeword."""

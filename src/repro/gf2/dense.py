@@ -68,8 +68,13 @@ def gf2_matvec(matrix, vector) -> np.ndarray:
     raise ValueError("vector must be 1-D or 2-D")
 
 
-def gf2_row_reduce(matrix) -> tuple[np.ndarray, list[int]]:
+def gf2_row_reduce(matrix, *, overwrite: bool = False) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form of a binary matrix over GF(2).
+
+    The reduction works in a copy of ``matrix``, which stays as it is.  With
+    ``overwrite=True`` a ``uint8`` matrix is reduced in place and returned
+    as ``rref``: for callers whose matrix is a temporary, such as dense H
+    formed only to be reduced, which saves a whole copy of it.
 
     Returns
     -------
@@ -78,8 +83,7 @@ def gf2_row_reduce(matrix) -> tuple[np.ndarray, list[int]]:
         ``pivot_columns`` the list of pivot column indices, whose length is
         the GF(2) rank.
     """
-    # A new array, which the reduction may overwrite: the input stays as it is.
-    work = _as_gf2("matrix", matrix)
+    work = check_binary_array("matrix", matrix, copy=not overwrite)
     if work.ndim != 2:
         raise ValueError("matrix must be 2-D")
     rows, cols = work.shape

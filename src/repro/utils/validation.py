@@ -79,10 +79,13 @@ def check_one_of(name: str, value: _T, allowed: Iterable[_T]) -> _T:
     return value
 
 
-def check_binary_array(name: str, array: npt.ArrayLike) -> npt.NDArray[np.uint8]:
+def check_binary_array(
+    name: str, array: npt.ArrayLike, *, copy: bool = True
+) -> npt.NDArray[np.uint8]:
     """Validate that ``array`` contains only 0/1 entries.
 
-    Returns a new ``np.uint8`` array, never a view of ``array``.
+    Returns a new ``np.uint8`` array, never a view of ``array``; with
+    ``copy=False``, a ``uint8`` input is returned as it is.
     """
     arr = np.asarray(array)
     if arr.dtype.kind in "biu":
@@ -93,7 +96,7 @@ def check_binary_array(name: str, array: npt.ArrayLike) -> npt.NDArray[np.uint8]
         binary = bool(np.isin(arr, (0, 1)).all())
     if not binary:
         raise ValueError(f"{name} must contain only 0/1 entries")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=copy)
 
 
 def check_shape(

@@ -83,9 +83,9 @@ class TestColdCacheReducesOnce:
         calls = []
         reduce = dense.gf2_row_reduce
 
-        def counting(matrix):
+        def counting(matrix, **kwargs):
             calls.append(matrix.shape)
-            return reduce(matrix)
+            return reduce(matrix, **kwargs)
 
         for module in (dense, systematic_form):
             monkeypatch.setattr(module, "gf2_row_reduce", counting)

@@ -113,15 +113,30 @@ class TestFallback:
         self.assert_on_numpy(small_decoder, "disagrees with numpy on decode_min_sum(min-sum")
 
 
+    @pytest.mark.usefixtures("fresh_backend")
+    def test_probe_mismatch_in_the_encode(self, monkeypatch, small_decoder, native_backend):
+        exact = native.NativeKernels.encode_m4ri
+
+        def one_bit_flipped(self, *args):
+            codewords = exact(self, *args)
+            codewords[-1, -1] ^= 1
+            return codewords
+
+        monkeypatch.setattr(native.NativeKernels, "encode_m4ri", one_bit_flipped)
+        self.assert_on_numpy(small_decoder, "disagrees with numpy on encode_m4ri")
+
+
 class TestBuild:
     def test_nothing_is_loaded_before_the_first_decode(self):
-        """Building a decoder neither imports, compiles nor loads the kernels."""
+        """Building a decoder or an encoder neither imports, compiles nor loads the kernels."""
         probe = (
             "import sys\n"
             "from repro.codes import build_scaled_ccsds_code\n"
+            "from repro.encode import SystematicEncoder\n"
             "from repro.registry import get_component\n"
             "code = build_scaled_ccsds_code(7)\n"
             "get_component('decoder', 'nms').build(code)\n"
+            "SystematicEncoder(code)\n"
             "assert 'repro.decode.native' not in sys.modules\n"
         )
         src = Path(native.__file__).parents[2]

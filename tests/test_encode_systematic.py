@@ -1,6 +1,9 @@
 """Unit tests for repro.encode.systematic."""
 
+import hashlib
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,14 @@ from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.codes.systematic_form import default_encoder_cache_dir, parity_check_fingerprint
 from repro.encode.systematic import SystematicEncoder, as_parity_check_matrix
-from repro.gf2.dense import gf2_matmul
+from repro.gf2.dense import gf2_matmul, gf2_row_reduce
+from repro.gf2.sparse import SparseBinaryMatrix
+
+#: The cache file the previous version wrote for the (7, 4) Hamming code,
+#: with its parity map one byte per bit.
+LEGACY_CACHE_FILE = (
+    Path(__file__).parent / "fixtures" / "encoder_cache" / "hamming-one-byte-map.npz"
+)
 
 
 @pytest.fixture
@@ -109,6 +119,49 @@ class TestFullC2Encoder:
         assert bool(np.all(c2_code.parity_check_matrix().is_codeword(codewords)))
         assert np.array_equal(encoder.extract_information(codewords), info)
 
+    def test_warm_build_reads_the_packed_form_without_dense_h(
+        self, c2_code, monkeypatch, forbid_row_reduction
+    ):
+        """A warm-cache build neither densifies nor reduces H, and peaks
+        below 6 MB: the 0.9 MB packed map and the 3.7 MB of tables.  It
+        peaked at 15.4 MB when it hashed dense H and read a byte per bit."""
+        warm = SystematicEncoder(c2_code)
+        fresh = build_ccsds_c2_code()
+        fresh.parity_check_matrix()
+
+        def densify(self):
+            raise AssertionError("a parity-check matrix was densified")
+
+        monkeypatch.setattr(SparseBinaryMatrix, "to_dense", densify)
+        forbid_row_reduction(monkeypatch)
+        tracemalloc.start()
+        try:
+            encoder = SystematicEncoder(fresh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+        assert np.array_equal(encoder.information_positions, warm.information_positions)
+        form = fresh.parity_check_matrix().systematic_form()
+        assert form.parity_columns.shape == (7156, 128)
+
+    def test_64_frame_encode_stays_below_a_megabyte(self, c2_code, native_backend):
+        """The native encode writes into the codewords (523 KB for 64
+        frames) and allocates nothing else of note; the numpy encode
+        gathers 3.7 to 4 MB of table rows per chunk."""
+        encoder = SystematicEncoder(c2_code)
+        info = np.random.default_rng(64).integers(
+            0, 2, size=(64, encoder.dimension), dtype=np.uint8
+        )
+        encoder.encode(info)
+        tracemalloc.start()
+        try:
+            encoder.encode(info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_encode_peak_memory_stays_below_a_float32_parity_map(self, c2_code):
         """A 256-frame encode allocates less than the 29 MB float32 copy of
         the parity map that a BLAS product would cast on every call."""
@@ -160,6 +213,83 @@ class TestPackedEncode:
         assert np.array_equal(single, codewords[0])
 
 
+def rank_deficient(rng, parity_bits, length):
+    """A random H whose last row is the XOR of two others, so its rank is short."""
+    h = rng.integers(0, 2, size=(parity_bits, length), dtype=np.uint8)
+    if parity_bits >= 3:
+        h[-1] = h[0] ^ h[1]
+    return h
+
+
+class TestNativeEncodeMatchesNumpy:
+    """The native M4RI encode against :func:`systematic.m4ri_encode`, its reference."""
+
+    @seed(20261020)
+    @settings(max_examples=50, deadline=5000)
+    @given(
+        parity_bits=st.integers(1, 140),
+        info_bits=st.integers(1, 90).filter(lambda k: k % 4),
+        batch=st.integers(1, 70),
+        deficient=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_codewords(self, native_backend, parity_bits, info_bits, batch, deficient, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        length = parity_bits + info_bits
+        if deficient:
+            h = rank_deficient(rng, parity_bits, length)
+        else:
+            h = rng.integers(0, 2, size=(parity_bits, length), dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_ENCODER_CACHE", "off")
+            encoder = SystematicEncoder(ParityCheckMatrix(h))
+        arguments = (
+            encoder._tables, encoder._info_cols, encoder._pivot_cols, encoder.block_length
+        )
+        for frames in (1, batch):
+            info = rng.integers(0, 2, size=(frames, encoder.dimension), dtype=np.uint8)
+            want = systematic.m4ri_encode(info, *arguments)
+            assert np.array_equal(native_backend.encode_m4ri(info, *arguments), want)
+            assert np.array_equal(encoder.encode(info), want)
+            assert not gf2_matmul(h, want.T).any()
+        assert np.array_equal(encoder.encode(info[0]), want[0])
+
+    def test_a_rank_deficient_h_has_fewer_parity_bits(self, native_backend):
+        h = rank_deficient(np.random.default_rng(3), 12, 31)
+        _, pivots = gf2_row_reduce(h)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_ENCODER_CACHE", "off")
+            encoder = SystematicEncoder(ParityCheckMatrix(h))
+        assert len(pivots) < 12 and encoder.dimension == 31 - len(pivots)
+        info = np.random.default_rng(4).integers(0, 2, size=(9, encoder.dimension), dtype=np.uint8)
+        codewords = encoder.encode(info)
+        assert not gf2_matmul(h, codewords.T).any()
+        assert np.array_equal(encoder.extract_information(codewords), info)
+
+    def test_without_the_library_the_numpy_encode_runs(self, scaled_encoder, monkeypatch):
+        from repro.decode import native
+
+        info = np.random.default_rng(9).integers(
+            0, 2, size=(5, scaled_encoder.dimension), dtype=np.uint8
+        )
+        codewords = scaled_encoder.encode(info)
+        calls = []
+        reference = systematic.m4ri_encode
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return reference(*args)
+
+        monkeypatch.setattr(native, "kernels", lambda: None)
+        monkeypatch.setattr(systematic, "m4ri_encode", counting)
+        assert np.array_equal(scaled_encoder.encode(info), codewords)
+        assert calls == [info.shape]
+
+    def test_an_empty_batch(self, native_backend, hamming_pcm):
+        encoder = SystematicEncoder(hamming_pcm)
+        assert encoder.encode(np.zeros((0, 4), dtype=np.uint8)).shape == (0, 7)
+
+
 class TestEncoderDiskCache:
     """The cache directory comes from ``REPRO_ENCODER_CACHE``.  A matrix
     keeps its form once derived, so each encoder gets a fresh matrix."""
@@ -181,15 +311,45 @@ class TestEncoderDiskCache:
         )
 
     def test_cache_keeps_its_file_format(self, fresh_hamming, tmp_path, monkeypatch):
-        """Caches written by earlier versions stay valid: same ``.npz`` keys."""
+        """The ``.npz`` keys, and the map packed by information column: one
+        byte holds the three parity bits of each of the four columns."""
         monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path))
         SystematicEncoder(fresh_hamming())
         (cache_file,) = tmp_path.glob("*.npz")
         assert cache_file.stem == parity_check_fingerprint(fresh_hamming())
         with np.load(cache_file) as data:
+            assert sorted(data.files) == ["info_cols", "parity_columns", "pivot_cols"]
+            assert data["parity_columns"].dtype == np.uint8
+            assert data["parity_columns"].shape == (4, 1)
+            assert data["pivot_cols"].tolist() == [0, 1, 3]
+            assert data["info_cols"].tolist() == [2, 4, 5, 6]
+            # Column j's parity bits, little-endian: the reduced H's column
+            # info_cols[j], read down the pivot rows.
+            assert data["parity_columns"].ravel().tolist() == [0b011, 0b111, 0b110, 0b101]
+
+    def test_a_cache_file_of_the_one_byte_map_is_read_and_rewritten_packed(
+        self, fresh_hamming, tmp_path, monkeypatch, forbid_row_reduction
+    ):
+        """A file the previous version wrote for the Hamming code holds
+        ``parity_map``, one byte per bit, under the name the current version
+        looks up: it is read without any row reduction, then rewritten in
+        the packed format."""
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", "off")
+        reference = SystematicEncoder(fresh_hamming())
+        with np.load(LEGACY_CACHE_FILE) as data:
             assert sorted(data.files) == ["info_cols", "parity_map", "pivot_cols"]
-            assert data["parity_map"].dtype == np.uint8
             assert data["parity_map"].shape == (3, 4)
+        cache_file = tmp_path / f"{parity_check_fingerprint(fresh_hamming())}.npz"
+        shutil.copyfile(LEGACY_CACHE_FILE, cache_file)
+        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path))
+        forbid_row_reduction(monkeypatch)
+        legacy = SystematicEncoder(fresh_hamming())
+        info = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
+        assert np.array_equal(legacy.encode(info), reference.encode(info))
+        assert np.array_equal(legacy.information_positions, reference.information_positions)
+        with np.load(cache_file) as data:
+            assert sorted(data.files) == ["info_cols", "parity_columns", "pivot_cols"]
+        assert np.array_equal(SystematicEncoder(fresh_hamming()).encode(info), legacy.encode(info))
 
     def test_distinct_matrices_get_distinct_entries(
         self, fresh_hamming, scaled_code, tmp_path, monkeypatch
@@ -233,3 +393,19 @@ class TestEncoderDiskCache:
         )
         assert parity_check_fingerprint(hamming_pcm) != parity_check_fingerprint(other)
         assert parity_check_fingerprint(hamming_pcm) == parity_check_fingerprint(hamming_pcm)
+
+    @seed(20261021)
+    @settings(max_examples=40, deadline=5000)
+    @given(rows=st.integers(1, 13), cols=st.integers(1, 29), data=st.data())
+    def test_fingerprint_is_the_hash_of_the_dense_packed_bits(self, rows, cols, data):
+        """The name cache files have always had: SHA-256 of the shape, as two
+        int64 values, and of ``np.packbits`` of dense H, whatever ``rows * cols``
+        is modulo 8."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        h = (rng.random((rows, cols)) < data.draw(st.sampled_from([0.0, 0.2, 0.7]))).astype(
+            np.uint8
+        )
+        digest = hashlib.sha256()
+        digest.update(np.asarray(h.shape, dtype=np.int64).tobytes())
+        digest.update(np.packbits(h, axis=None).tobytes())
+        assert parity_check_fingerprint(ParityCheckMatrix(h)) == digest.hexdigest()

@@ -84,6 +84,17 @@ class TestRowReduceAndRank:
         assert gf2_rank(np.concatenate([h, rref[: len(pivots)]])) == len(pivots)
 
 
+    def test_overwrite_reduces_the_matrix_itself(self, rng):
+        """``overwrite=True`` returns the input, reduced, with the pivots of a copy's reduction."""
+        m = rng.integers(0, 2, size=(9, 14), dtype=np.uint8)
+        want, want_pivots = gf2_row_reduce(m)
+        work = m.copy()
+        rref, pivots = gf2_row_reduce(work, overwrite=True)
+        assert rref is work
+        assert pivots == want_pivots
+        assert np.array_equal(rref, want)
+
+
 class TestNullSpace:
     def test_null_space_annihilated(self, rng):
         m = rng.integers(0, 2, size=(5, 12), dtype=np.uint8)
