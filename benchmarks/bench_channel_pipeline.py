@@ -12,11 +12,11 @@ The shard schedule is pinned (fixed frame budget, no early stopping, no
 adaptive batching) so the numbers measure the pipeline, not the stopping
 rule: every channel simulates exactly the same number of frames.  Each
 simulator runs one untimed batch before its timed point, so no row of the
-table pays a process's or a code's one-time set-up.  The channel-only rate
-writes into one kept array, as the simulator does, and like the headline
-``frames_per_second`` (the AWGN point end to end) it is the median of
-:data:`REPEATS` timed repeats: a single point of the scaled code takes
-about 50 ms, and one such timing spread by ±12 % between runs of one tree.
+table pays a process's or a code's one-time set-up.  The channel-only rate,
+like the headline ``frames_per_second`` (the AWGN point end to end), is the
+median of :data:`REPEATS` timed repeats: a single point of the scaled code
+takes about 50 ms, and one such timing spread by ±12 % between runs of one
+tree.
 
 The run also measures the cost of telemetry's stage probe on the paper's
 workload — identical full-C2 simulations at the shape of perfbench's
@@ -182,14 +182,11 @@ def test_channel_pipeline_throughput(benchmark, report_sink):
     for kind in component_names("channel"):
         pipeline = ChannelSpec(kind=kind).build()
 
-        # Channel-only rate: modulate + impair + LLR, no decoding, called as
-        # the simulator calls it: into one kept array where the pipeline
-        # works in place.
+        # Channel-only rate: modulate + impair + LLR, no decoding.
         bits = np.zeros((batch, code.block_length), dtype=np.uint8)
-        kept = {"out": np.empty(bits.shape)} if getattr(pipeline, "in_place", False) else {}
         rng = np.random.default_rng(0)
-        pipeline.llrs(bits, 0.5, rng, **kept)
-        channel_only = batch / _median_seconds(lambda: pipeline.llrs(bits, 0.5, rng, **kept))
+        pipeline.llrs(bits, 0.5, rng)
+        channel_only = batch / _median_seconds(lambda: pipeline.llrs(bits, 0.5, rng))
 
         simulator = MonteCarloSimulator(
             code, decoder_spec.build(code), config=config, rng=0, pipeline=pipeline

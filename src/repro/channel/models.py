@@ -39,7 +39,7 @@ __all__ = [
     "BSCChannelModel",
 ]
 
-#: Bytes of the BPSK symbols that :meth:`AWGNChannelModel.bpsk_llrs_into`
+#: Bytes of the BPSK symbols that :meth:`AWGNChannelModel.bpsk_llrs`
 #: forms at once: a few C2 frames, which stay in L2 while they are added.
 _SYMBOL_BLOCK_BYTES = 1 << 18
 
@@ -100,42 +100,36 @@ class AWGNChannelModel(ChannelModel):
         received = arr + rng.normal(0.0, sigma, size=arr.shape)
         return channel_llrs(received, sigma, amplitude=amplitude)
 
-    def bpsk_llrs_into(
+    def bpsk_llrs(
         self,
         bits: npt.ArrayLike,
         sigma: float,
         rng: np.random.Generator,
-        out: npt.NDArray[np.float64],
         *,
         amplitude: float = 1.0,
     ) -> npt.NDArray[np.float64]:
-        """LLRs of BPSK-modulated ``bits``, written into ``out`` and returned.
+        """LLRs of BPSK-modulated ``bits``, formed in place in one new array.
 
         Bit for bit ``self.llrs(BPSKModulator(amplitude).modulate(bits),
         sigma, rng, amplitude=amplitude)``, from the same draws, with no
-        float64 array of ``out``'s size besides ``out``:
+        float64 array of the batch's size besides the LLRs themselves:
 
-        * ``rng.standard_normal(out=out)`` draws the stream that
-          ``rng.normal(0.0, sigma)`` draws, and ``out *= sigma`` gives its
+        * ``rng.standard_normal(out=llrs)`` draws the stream that
+          ``rng.normal(0.0, sigma)`` draws, and ``llrs *= sigma`` gives its
           ``0.0 + sigma * z`` except where that is ``-0.0``, which adding a
           symbol ``±A != 0`` absorbs;
         * the symbols ``A * (1.0 - 2.0 * bits)``, as the modulator forms
           them, are added a block of rows at a time;
-        * ``out`` is scaled by :func:`~repro.channel.llr.llr_scale_factor`.
-
-        ``out`` is a C-contiguous float64 array of the shape of ``bits``.
+        * ``llrs`` is scaled by :func:`~repro.channel.llr.llr_scale_factor`.
         """
         arr = check_binary_array("bits", bits, copy=False)
-        if out.shape != arr.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(
-                f"out must be a C-contiguous float64 array of shape {arr.shape}"
-            )
         factor = llr_scale_factor(sigma, amplitude=amplitude)
-        rng.standard_normal(out=out)
-        out *= sigma
+        llrs = np.empty(arr.shape, dtype=np.float64)
+        rng.standard_normal(out=llrs)
+        llrs *= sigma
         width = arr.shape[-1] if arr.ndim else 1
         bit_rows = arr.reshape(-1, width)
-        llr_rows = out.reshape(-1, width)
+        llr_rows = llrs.reshape(-1, width)
         rows = max(1, _SYMBOL_BLOCK_BYTES // max(1, 8 * width))
         symbols = np.empty((min(rows, bit_rows.shape[0]), width))
         for start in range(0, bit_rows.shape[0], rows):
@@ -146,8 +140,8 @@ class AWGNChannelModel(ChannelModel):
             np.subtract(1.0, block, out=block)
             np.multiply(amplitude, block, out=block)
             np.add(block, llr_block, out=llr_block)
-        out *= factor
-        return out
+        llrs *= factor
+        return llrs
 
 
 @register_channel(

@@ -47,39 +47,24 @@ class ChannelPipeline:
         """The modulator's symbol amplitude (1.0 when it does not say)."""
         return float(getattr(self.modulator, "amplitude", 1.0))
 
-    @property
-    def in_place(self) -> bool:
-        """Whether :meth:`llrs` writes into its ``out`` array.
-
-        True for BPSK over AWGN exactly (no subclass of either), whose
-        LLRs :meth:`~repro.channel.models.AWGNChannelModel.bpsk_llrs_into`
-        forms in place, bit for bit as the generic path does.
-        """
-        from repro.channel.models import AWGNChannelModel
-        from repro.channel.modulation import BPSKModulator
-
-        return type(self.modulator) is BPSKModulator and type(self.channel) is AWGNChannelModel
-
     def llrs(
-        self,
-        bits: npt.ArrayLike,
-        sigma: float,
-        rng: np.random.Generator,
-        *,
-        out: npt.NDArray[np.float64] | None = None,
+        self, bits: npt.ArrayLike, sigma: float, rng: np.random.Generator
     ) -> npt.NDArray[np.float64]:
         """Modulate one batch of frame bits and push it through the channel.
 
         ``sigma`` is the AWGN-equivalent noise standard deviation of the
         operating point; all randomness comes from ``rng`` in the channel
         model's documented draw order, so counts stay deterministic per
-        shard.  When the pipeline is :attr:`in_place`, the LLRs are written
-        into ``out`` (a C-contiguous float64 array of the shape of
-        ``bits``), which is returned; otherwise ``out`` is ignored and a new
-        array returned.  Either way the LLRs are the same bits.
+        shard.  BPSK over AWGN exactly (no subclass of either) forms its
+        LLRs in place with
+        :meth:`~repro.channel.models.AWGNChannelModel.bpsk_llrs`, the same
+        bits as modulating and then calling the channel model.
         """
-        if out is not None and self.in_place:
-            return self.channel.bpsk_llrs_into(bits, sigma, rng, out, amplitude=self.amplitude)
+        from repro.channel.models import AWGNChannelModel
+        from repro.channel.modulation import BPSKModulator
+
+        if type(self.modulator) is BPSKModulator and type(self.channel) is AWGNChannelModel:
+            return self.channel.bpsk_llrs(bits, sigma, rng, amplitude=self.amplitude)
         symbols = self.modulator.modulate(bits)
         return np.asarray(
             self.channel.llrs(symbols, sigma, rng, amplitude=self.amplitude),

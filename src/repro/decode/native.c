@@ -17,10 +17,7 @@
  *
  * Exactness.  Built without fast-math and with -ffp-contract=off, every
  * addition, subtraction and multiplication below is one IEEE operation in
- * numpy's order; minima, maxima, selections and sign flips are exact.  The
- * check pass finds a check's two smallest magnitudes in another order than
- * the loop, over two interleaved running pairs, but those are order
- * statistics of non-negative doubles, the same bits in any order.  So
+ * numpy's order; minima, maxima, selections and sign flips are exact.  So
  * every result is bit-identical to the loop's for every input without NaN,
  * at either width.
  */
@@ -118,15 +115,6 @@ static inline void keep_two_smallest(f64v *min1, f64v *min2, f64v m)
 {
     *min2 = smaller(*min2, larger(*min1, m));
     *min1 = smaller(*min1, m);
-}
-
-/* The two smallest of the union of two sets, from each set's two smallest
- * (a1 <= a2 and b1 <= b2): the smaller first, and then the smaller of the
- * other first and the smaller second. */
-static inline void merge_two_smallest(f64v *a1, f64v *a2, f64v b1, f64v b2)
-{
-    *a2 = smaller(larger(*a1, b1), smaller(*a2, b2));
-    *a1 = smaller(*a1, b1);
 }
 
 /* The decoder's correction and message quantizer. */
@@ -260,43 +248,13 @@ static void fill_lane(struct lanes *lanes, int64_t lane, const double *values,
         lanes->c2b[e * LANES + lane] = 0.0;
 }
 
-/* The first sweep's work on edge e of a check: form x = post[bit] - c2b,
- * quantized when the decoder quantizes its messages, keep it in c2b
- * (flooding) or delta[] (layered), and fold it into the running pair of
- * smallest magnitudes, the parity of x < 0 and, flooding, the syndrome of
- * post <= 0. */
-INLINE void sweep_edge(struct lanes *lanes, const struct graph *g, int64_t e, int64_t base,
-                       const struct rule *rule, int quantized, int layered, f64v min1[PARTS],
-                       f64v min2[PARTS], i64v parity[PARTS], i64v syndrome[PARTS])
-{
-    const f64v zero = {0.0};
-    const double *post = lanes->post + g->edge_bit[e] * LANES;
-    double *c2b = lanes->c2b + e * LANES;
-    double *kept = layered ? lanes->delta + (e - base) * LANES : c2b;
-    for (int h = 0; h < PARTS; h++) {
-        const f64v p = load(post + WIDTH * h);
-        f64v x = p - load(c2b + WIDTH * h);
-        if (quantized)
-            x = quantize(x, rule);
-        store(kept + WIDTH * h, x);
-        keep_two_smallest(&min1[h], &min2[h], magnitude(x));
-        parity[h] ^= x < zero;
-        if (!layered)
-            syndrome[h] ^= p <= zero;
-    }
-}
-
 /*
  * Check pass over the non-empty checks [first, last), in posterior form.
  * Each slot's bit-to-check message is x = post[bit] - c2b, the bit node's
  * own subtraction, quantized when the decoder quantizes its messages.  The
- * first sweep forms x, keeps it for the second, and keeps the parity of
- * x < 0 and two running pairs of smallest magnitudes, one over the check's
- * even edges and one over its odd edges, so that consecutive edges do not
- * wait on each other's minima; the pairs are merged once per check.  The
- * two smallest of non-negative doubles without NaN are order statistics,
- * ties included, so the merged pair is the single pair's bit for bit.  The
- * second sweep gives each edge its message, as extrinsic() forms it.
+ * first sweep forms x, keeps it for the second, and keeps the running pair
+ * of smallest magnitudes and the parity of x < 0; the second gives each edge
+ * its message, as extrinsic() forms it.
  *
  * Flooding (`layered` 0): x is kept in c2b, whose old value no later
  * operation reads, and the second sweep overwrites it with the message.
@@ -312,35 +270,39 @@ INLINE void check_pass(struct lanes *lanes, const struct graph *g, int64_t first
                        int64_t last, const struct rule *rule, int quantized, int layered,
                        i64v failed[PARTS])
 {
+    const f64v zero = {0.0};
     const f64v inf = splat(__builtin_inf());
     const int64_t base = first_edge(g, first);
 
     for (int64_t c = first; c < last; c++) {
         const int64_t start = g->starts[c];
         const int64_t stop = first_edge(g, c + 1);
-        f64v min1[PARTS], min2[PARTS], odd1[PARTS], odd2[PARTS];
+        f64v min1[PARTS], min2[PARTS];
         i64v parity[PARTS], syndrome[PARTS];
         for (int h = 0; h < PARTS; h++) {
             min1[h] = inf;
             min2[h] = inf;
-            odd1[h] = inf;
-            odd2[h] = inf;
             parity[h] = (i64v){0};
             syndrome[h] = (i64v){0};
         }
-        int64_t even = start;
-        for (; even + 1 < stop; even += 2) {
-            sweep_edge(lanes, g, even, base, rule, quantized, layered, min1, min2, parity,
-                       syndrome);
-            sweep_edge(lanes, g, even + 1, base, rule, quantized, layered, odd1, odd2, parity,
-                       syndrome);
+        for (int64_t e = start; e < stop; e++) {
+            const double *post = lanes->post + g->edge_bit[e] * LANES;
+            double *c2b = lanes->c2b + e * LANES;
+            double *kept = layered ? lanes->delta + (e - base) * LANES : c2b;
+            for (int h = 0; h < PARTS; h++) {
+                const f64v p = load(post + WIDTH * h);
+                f64v x = p - load(c2b + WIDTH * h);
+                if (quantized)
+                    x = quantize(x, rule);
+                store(kept + WIDTH * h, x);
+                keep_two_smallest(&min1[h], &min2[h], magnitude(x));
+                parity[h] ^= x < zero;
+                if (!layered)
+                    syndrome[h] ^= p <= zero;
+            }
         }
-        if (even < stop)
-            sweep_edge(lanes, g, even, base, rule, quantized, layered, min1, min2, parity,
-                       syndrome);
         f64v fix1[PARTS], fix2[PARTS];
         for (int h = 0; h < PARTS; h++) {
-            merge_two_smallest(&min1[h], &min2[h], odd1[h], odd2[h]);
             fix1[h] = min1[h];
             fix2[h] = min2[h];
             correct(&fix1[h], &fix2[h], rule, quantized, stop - start);

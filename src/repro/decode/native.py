@@ -192,7 +192,9 @@ class NativeKernels:
         ``tables`` are :func:`~repro.encode.systematic.xor_tables` of the
         systematic form, whose positions are ``info_cols`` and
         ``pivot_cols``; the codewords are
-        :func:`~repro.encode.systematic.m4ri_encode`'s, bit for bit.
+        :func:`~repro.encode.systematic.m4ri_encode`'s, bit for bit.  Like
+        it, the encode reads any nonzero information byte as a 1 when it
+        selects table rows, so no input reads outside ``tables``.
         """
         info = np.ascontiguousarray(info, dtype=np.uint8)
         if info.ndim != 2 or info.shape[1] != info_cols.size:

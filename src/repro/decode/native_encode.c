@@ -23,10 +23,13 @@
 #define BLOCK_BYTES (1 << 14)
 
 /*
- * Encode `frames` rows of `k` information bits (one 0/1 byte each) into
- * rows of `n` codeword bits: bit j goes to position info_cols[j], and parity
- * bit r, bit r % 64 of word r / 64 of the XOR of the selected table rows, to
- * position pivot_cols[r].  Missing bits of the last group count as 0.
+ * Encode `frames` rows of `k` information bits (one byte each) into rows of
+ * `n` codeword bits: bit j goes to position info_cols[j], and parity bit r,
+ * bit r % 64 of word r / 64 of the XOR of the selected table rows, to
+ * position pivot_cols[r].  A byte selects a table row as 1 when it is
+ * nonzero, as np.packbits reads it in the numpy encode, so a row index
+ * never leaves its group's 16 rows.  Missing bits of the last group count
+ * as 0.
  *
  * Returns 0, or -1 when the block's parity words cannot be allocated.
  */
@@ -57,10 +60,11 @@ int repro_encode_m4ri(const uint8_t *info, int64_t frames, int64_t k, const uint
                 const uint8_t *bits = info + (first + f) * k + g * GROUP;
                 unsigned v = 0;
                 if (g < full) {
-                    v = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3;
+                    v = (bits[0] != 0) | (bits[1] != 0) << 1 | (bits[2] != 0) << 2 |
+                        (bits[3] != 0) << 3;
                 } else {
                     for (int64_t j = 0; j < k - g * GROUP; j++)
-                        v |= (unsigned)bits[j] << j;
+                        v |= (unsigned)(bits[j] != 0) << j;
                 }
                 const uint64_t *row = table + v * words;
                 uint64_t *word = parity + f * words;

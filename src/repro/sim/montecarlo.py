@@ -143,11 +143,7 @@ class MonteCarloSimulator:
         (:class:`~repro.channel.pipeline.ChannelPipeline`) between the
         encoder and the decoder.  ``None`` uses the historical default —
         unit-amplitude BPSK over soft-output AWGN — which reproduces
-        pre-pipeline seeds byte for byte.  A pipeline that works
-        :attr:`~repro.channel.pipeline.ChannelPipeline.in_place` (BPSK over
-        AWGN, the default) writes each batch's LLRs into one
-        ``(batch, n)`` array that the simulator keeps, grown to its largest
-        batch.
+        pre-pipeline seeds byte for byte.
     probe:
         Optional :class:`~repro.obs.probe.Probe` receiving per-batch stage
         timings (encode / channel / decode / count).  ``None`` — the
@@ -174,7 +170,6 @@ class MonteCarloSimulator:
         self.pipeline = pipeline if pipeline is not None else default_pipeline()
         self.probe = probe
         self._encoder: SystematicEncoder | None = None
-        self._llrs: np.ndarray | None = None
         self._forced_zero_info: np.ndarray | None = None
         if not self.config.all_zero_codeword:
             self._encoder = SystematicEncoder(self._base_code)
@@ -263,25 +258,11 @@ class MonteCarloSimulator:
     ) -> np.ndarray:
         """Run one batch through the channel pipeline; base-codeword LLRs out."""
         if self._shortened is None:
-            if getattr(self.pipeline, "in_place", False):
-                out = self._kept_llrs(codewords.shape)
-                return self.pipeline.llrs(codewords, sigma, rng, out=out)
             return self.pipeline.llrs(codewords, sigma, rng)
         transmitted = self._shortened.extract_transmitted(codewords)
         frame = self._shortened.build_frame(transmitted)
         frame_llrs = self.pipeline.llrs(frame, sigma, rng)
         return self._shortened.base_llrs_from_frame_llrs(frame_llrs)
-
-    def _kept_llrs(self, shape: tuple[int, int]) -> np.ndarray:
-        """The first ``shape[0]`` rows of the kept LLR array, grown to fit.
-
-        The decoder reads a batch's LLRs before the next batch is drawn, so
-        one array serves every batch.
-        """
-        if self._llrs is None or self._llrs.shape[0] < shape[0]:
-            self._llrs = None  # freed before its larger successor is allocated
-            self._llrs = np.empty(shape, dtype=np.float64)
-        return self._llrs[: shape[0]]
 
     # ------------------------------------------------------------------ #
     def run_batch(

@@ -1,4 +1,4 @@
-"""The in-place BPSK/AWGN channel: the same LLR bits as the generic path, in one kept array."""
+"""The in-place BPSK/AWGN channel: the same LLR bits as the generic path, in one array a batch."""
 
 import tracemalloc
 
@@ -10,6 +10,7 @@ from repro.channel.models import AWGNChannelModel, BSCChannelModel
 from repro.channel.modulation import BPSKModulator
 from repro.channel.pipeline import ChannelPipeline, default_pipeline
 from repro.codes import build_scaled_ccsds_code
+from repro.codes.shortening import ShortenedCode
 from repro.registry import get_component
 from repro.sim import MonteCarloSimulator, SimulationConfig
 
@@ -37,7 +38,6 @@ class TestSameBits:
         """
         if block_rows is not None:
             monkeypatch.setattr(models, "_SYMBOL_BLOCK_BYTES", 8 * WIDTH * block_rows)
-        pipeline = ChannelPipeline(BPSKModulator(amplitude), AWGNChannelModel())
         for seed in range(20):
             for batch in BATCHES:
                 bits = np.zeros((batch, WIDTH), dtype=np.uint8)
@@ -47,106 +47,119 @@ class TestSameBits:
                     )
                 for sigma in SIGMAS:
                     want = generic_llrs(bits, sigma, np.random.default_rng(seed), amplitude)
-                    out = np.full((batch, WIDTH), np.nan)
-                    got = pipeline.llrs(bits, sigma, np.random.default_rng(seed), out=out)
-                    assert got is out
+                    got = AWGNChannelModel().bpsk_llrs(
+                        bits, sigma, np.random.default_rng(seed), amplitude=amplitude
+                    )
                     assert got.tobytes() == want.tobytes(), (seed, batch, sigma)
 
     def test_draws_leave_the_generator_where_the_generic_path_does(self):
         bits = np.random.default_rng(5).integers(0, 2, size=(7, WIDTH), dtype=np.uint8)
         generic, in_place = np.random.default_rng(3), np.random.default_rng(3)
         generic_llrs(bits, 0.6, generic, 1.0)
-        default_pipeline().llrs(bits, 0.6, in_place, out=np.empty((7, WIDTH)))
+        AWGNChannelModel().bpsk_llrs(bits, 0.6, in_place)
         assert generic.standard_normal() == in_place.standard_normal()
 
     def test_one_frame_and_bool_bits(self):
         bits = np.random.default_rng(8).integers(0, 2, size=WIDTH).astype(bool)
         want = generic_llrs(bits, 0.5, np.random.default_rng(1), 1.0)
-        got = default_pipeline().llrs(bits, 0.5, np.random.default_rng(1), out=np.empty(WIDTH))
+        got = AWGNChannelModel().bpsk_llrs(bits, 0.5, np.random.default_rng(1))
         assert got.tobytes() == want.tobytes()
 
 
-class TestWhichPipelinesWriteInPlace:
-    def test_bpsk_over_awgn_does(self):
-        assert default_pipeline().in_place
-        assert ChannelPipeline(BPSKModulator(0.7), AWGNChannelModel()).in_place
+class TestWhichPipelinesFormLLRsInPlace:
+    @pytest.fixture
+    def in_place_calls(self, monkeypatch):
+        """The bit arrays that :meth:`AWGNChannelModel.bpsk_llrs` is called on."""
+        calls = []
+        reference = AWGNChannelModel.bpsk_llrs
 
-    def test_others_return_a_new_array_and_leave_out_alone(self):
+        def counting(self, bits, *args, **kwargs):
+            calls.append(np.shape(bits))
+            return reference(self, bits, *args, **kwargs)
+
+        monkeypatch.setattr(AWGNChannelModel, "bpsk_llrs", counting)
+        return calls
+
+    def test_bpsk_over_awgn_does(self, in_place_calls):
+        bits = np.random.default_rng(2).integers(0, 2, size=(3, WIDTH), dtype=np.uint8)
+        for amplitude, pipeline in (
+            (1.0, default_pipeline()),
+            (0.7, ChannelPipeline(BPSKModulator(0.7), AWGNChannelModel())),
+        ):
+            got = pipeline.llrs(bits, 0.6, np.random.default_rng(4))
+            want = generic_llrs(bits, 0.6, np.random.default_rng(4), amplitude)
+            assert got.tobytes() == want.tobytes()
+        assert in_place_calls == [bits.shape, bits.shape]
+
+    def test_others_take_the_generic_path(self, in_place_calls):
         class NoisierAWGN(AWGNChannelModel):
             def llrs(self, symbols, sigma, rng, *, amplitude=1.0):
                 return super().llrs(symbols, 2.0 * sigma, rng, amplitude=amplitude)
 
         bits = np.zeros((2, WIDTH), dtype=np.uint8)
-        for pipeline in (
-            ChannelPipeline(BPSKModulator(), BSCChannelModel()),
-            ChannelPipeline(BPSKModulator(), NoisierAWGN()),
-        ):
-            assert not pipeline.in_place
-            out = np.zeros((2, WIDTH))
-            got = pipeline.llrs(bits, 0.6, np.random.default_rng(0), out=out)
-            assert got is not out and not out.any()
-            want = pipeline.llrs(bits, 0.6, np.random.default_rng(0))
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty((2, WIDTH + 1)), np.empty((2, WIDTH), np.float32), np.empty((WIDTH, 2)).T],
-        ids=["shape", "dtype", "order"],
-    )
-    def test_a_wrong_out_is_rejected(self, out):
-        with pytest.raises(ValueError, match="out must be"):
-            default_pipeline().llrs(
-                np.zeros((2, WIDTH), np.uint8), 0.6, np.random.default_rng(0), out=out
-            )
+        got = ChannelPipeline(BPSKModulator(), NoisierAWGN()).llrs(
+            bits, 0.6, np.random.default_rng(0)
+        )
+        assert got.tobytes() == generic_llrs(bits, 1.2, np.random.default_rng(0), 1.0).tobytes()
+        got = ChannelPipeline(BPSKModulator(), BSCChannelModel()).llrs(
+            bits, 0.6, np.random.default_rng(0)
+        )
+        want = BSCChannelModel().llrs(
+            BPSKModulator().modulate(bits), 0.6, np.random.default_rng(0)
+        )
+        assert got.tobytes() == want.tobytes()
+        assert in_place_calls == []
 
 
-class TestTheSimulatorKeepsOneArray:
-    def test_counts_match_a_pipeline_that_allocates(self):
-        """Same counts as AWGN through a subclass, which takes the generic path."""
+class TestTheSimulatorCountsAsOnTheGenericPath:
+    """Same counts as AWGN through a subclass, which takes the generic path."""
 
-        class Generic(AWGNChannelModel):
-            pass
+    class Generic(AWGNChannelModel):
+        pass
 
-        code = build_scaled_ccsds_code(31)
-        config = SimulationConfig(max_frames=60, target_frame_errors=60, batch_frames=16)
+    def counts(self, code, decoder_code, config):
         points = []
-        for pipeline in (None, ChannelPipeline(BPSKModulator(), Generic())):
-            decoder = get_component("decoder", "nms").build(code, max_iterations=8)
+        for pipeline in (None, ChannelPipeline(BPSKModulator(), self.Generic())):
+            decoder = get_component("decoder", "nms").build(decoder_code, max_iterations=8)
             simulator = MonteCarloSimulator(
                 code, decoder, config=config, rng=12, pipeline=pipeline
             )
             points.append(simulator.run_point(2.5))
+        return points
+
+    def test_a_code(self):
+        code = build_scaled_ccsds_code(31)
+        config = SimulationConfig(max_frames=60, target_frame_errors=60, batch_frames=16)
+        points = self.counts(code, code, config)
         assert points[0] == points[1]
         assert 0 < points[0].frame_errors < points[0].frames
 
-    def test_batches_reuse_the_array_grown_to_the_largest(self):
+    def test_a_shortened_code(self):
         code = build_scaled_ccsds_code(31)
-        decoder = get_component("decoder", "nms").build(code, max_iterations=4)
-        simulator = MonteCarloSimulator(code, decoder, rng=1)
-        rng = np.random.default_rng(0)
-        simulator.run_batch(5, 0.8, rng)
-        kept = simulator._llrs
-        assert kept.shape == (5, code.block_length)
-        simulator.run_batch(3, 0.8, rng)
-        assert simulator._llrs is kept
-        simulator.run_batch(9, 0.8, rng)
-        assert simulator._llrs.shape == (9, code.block_length)
+        shortened = ShortenedCode(code, info_bits=code.dimension - 8)
+        config = SimulationConfig(
+            max_frames=60, target_frame_errors=60, batch_frames=16, all_zero_codeword=True
+        )
+        points = self.counts(shortened, code, config)
+        assert points[0] == points[1]
+        assert points[0].bits == points[0].frames * shortened.transmitted_code_bits
+        assert 0 < points[0].bit_errors
 
 
-def test_repeated_64_frame_llrs_into_the_kept_array_stay_below_a_megabyte():
+def test_a_64_frame_batch_allocates_its_llrs_and_under_a_megabyte_besides():
     """The generic path allocates about 12 MB for a 64-frame C2 batch: the
     symbols, the noise, the received values and the LLRs, each 4.2 MB, and
-    the modulator's temporaries.  In place, only one block of symbols."""
+    the modulator's temporaries.  In place, the LLRs, one block of symbols
+    and numpy's cast buffer."""
     bits = np.random.default_rng(64).integers(0, 2, size=(64, 8176), dtype=np.uint8)
-    out = np.empty(bits.shape)
     pipeline = default_pipeline()
     rng = np.random.default_rng(1)
-    pipeline.llrs(bits, 0.6, rng, out=out)
+    pipeline.llrs(bits, 0.6, rng)
     tracemalloc.start()
     try:
         for _ in range(3):
-            pipeline.llrs(bits, 0.6, rng, out=out)
+            pipeline.llrs(bits, 0.6, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < bits.size * 8 + (1 << 20)

@@ -181,7 +181,11 @@ class TestFullC2Encoder:
 
 class TestPackedEncode:
     """The table product against :func:`gf2_matmul`.  With ``H = [I | A]``
-    the reduction keeps H as it is, so the parity map is ``A`` itself."""
+    the reduction keeps H as it is, so the parity map is ``A`` itself.
+
+    The encoder runs on the process's backend; :func:`systematic.m4ri_encode`,
+    the numpy reference and fallback, is also called directly, with chunks
+    of one frame, of a few and of the whole batch."""
 
     @seed(20261018)
     @settings(max_examples=60, deadline=5000)
@@ -201,15 +205,18 @@ class TestPackedEncode:
             patch.setattr(systematic, "_CHUNK_BYTES", chunk_bytes)
             patch.setenv("REPRO_ENCODER_CACHE", "off")
             encoder = SystematicEncoder(pcm)
-        assert encoder.dimension == info_bits
-        for frames in (0, 1, batch):
-            info = rng.integers(0, 2, size=(frames, info_bits), dtype=np.uint8)
-            codewords = encoder.encode(info)
-            assert codewords.shape == (frames, h.shape[1])
-            assert np.array_equal(codewords[:, :parity_bits], gf2_matmul(info, a.T))
-            assert np.array_equal(codewords[:, parity_bits:], info)
-            assert not gf2_matmul(h, codewords.T).any()
-        single = encoder.encode(info[0])
+            assert encoder.dimension == info_bits
+            arguments = (
+                encoder._tables, encoder._info_cols, encoder._pivot_cols, encoder.block_length
+            )
+            for frames in (0, 1, batch):
+                info = rng.integers(0, 2, size=(frames, info_bits), dtype=np.uint8)
+                for codewords in (encoder.encode(info), systematic.m4ri_encode(info, *arguments)):
+                    assert codewords.shape == (frames, h.shape[1])
+                    assert np.array_equal(codewords[:, :parity_bits], gf2_matmul(info, a.T))
+                    assert np.array_equal(codewords[:, parity_bits:], info)
+                    assert not gf2_matmul(h, codewords.T).any()
+            single = encoder.encode(info[0])
         assert np.array_equal(single, codewords[0])
 
 
@@ -284,6 +291,23 @@ class TestNativeEncodeMatchesNumpy:
         monkeypatch.setattr(systematic, "m4ri_encode", counting)
         assert np.array_equal(scaled_encoder.encode(info), codewords)
         assert calls == [info.shape]
+
+    def test_nonzero_bytes_select_rows_as_numpy_reads_them(self, native_backend):
+        """Bytes above 1 reach the kernels only through direct calls; both
+        read them as 1 when they select table rows, and copy them as they are."""
+        rng = np.random.default_rng(21)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_ENCODER_CACHE", "off")
+            encoder = SystematicEncoder(ParityCheckMatrix(rng.integers(0, 2, size=(70, 81))))
+        arguments = (
+            encoder._tables, encoder._info_cols, encoder._pivot_cols, encoder.block_length
+        )
+        info = rng.integers(0, 256, size=(9, encoder.dimension), dtype=np.uint8)
+        info[0] = 255
+        want = systematic.m4ri_encode(info, *arguments)
+        assert np.array_equal(native_backend.encode_m4ri(info, *arguments), want)
+        binary = systematic.m4ri_encode((info != 0).view(np.uint8), *arguments)
+        assert np.array_equal(want[:, encoder._pivot_cols], binary[:, encoder._pivot_cols])
 
     def test_an_empty_batch(self, native_backend, hamming_pcm):
         encoder = SystematicEncoder(hamming_pcm)
