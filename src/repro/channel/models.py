@@ -107,12 +107,15 @@ class AWGNChannelModel(ChannelModel):
         rng: np.random.Generator,
         *,
         amplitude: float = 1.0,
+        out: npt.NDArray[np.float64] | None = None,
     ) -> npt.NDArray[np.float64]:
-        """LLRs of BPSK-modulated ``bits``, formed in place in one new array.
+        """LLRs of BPSK-modulated ``bits``, formed in place in ``out``.
 
-        Bit for bit ``self.llrs(BPSKModulator(amplitude).modulate(bits),
-        sigma, rng, amplitude=amplitude)``, from the same draws, with no
-        float64 array of the batch's size besides the LLRs themselves:
+        ``out`` is a C-contiguous float64 array of the shape of ``bits``;
+        ``None`` allocates one.  Bit for bit
+        ``self.llrs(BPSKModulator(amplitude).modulate(bits), sigma, rng,
+        amplitude=amplitude)``, from the same draws, with no float64 array
+        of the batch's size besides ``out``:
 
         * ``rng.standard_normal(out=llrs)`` draws the stream that
           ``rng.normal(0.0, sigma)`` draws, and ``llrs *= sigma`` gives its
@@ -123,8 +126,8 @@ class AWGNChannelModel(ChannelModel):
         * ``llrs`` is scaled by :func:`~repro.channel.llr.llr_scale_factor`.
         """
         arr = check_binary_array("bits", bits, copy=False)
+        llrs = check_llr_buffer(out, arr.shape)
         factor = llr_scale_factor(sigma, amplitude=amplitude)
-        llrs = np.empty(arr.shape, dtype=np.float64)
         rng.standard_normal(out=llrs)
         llrs *= sigma
         width = arr.shape[-1] if arr.ndim else 1
@@ -142,6 +145,17 @@ class AWGNChannelModel(ChannelModel):
             np.add(block, llr_block, out=llr_block)
         llrs *= factor
         return llrs
+
+
+def check_llr_buffer(
+    out: npt.NDArray[np.float64] | None, shape: tuple[int, ...]
+) -> npt.NDArray[np.float64]:
+    """``out`` if it is a C-contiguous float64 array of ``shape``; a new one for ``None``."""
+    if out is None:
+        return np.empty(shape, dtype=np.float64)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
 
 
 @register_channel(

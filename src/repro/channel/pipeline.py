@@ -48,28 +48,38 @@ class ChannelPipeline:
         return float(getattr(self.modulator, "amplitude", 1.0))
 
     def llrs(
-        self, bits: npt.ArrayLike, sigma: float, rng: np.random.Generator
+        self,
+        bits: npt.ArrayLike,
+        sigma: float,
+        rng: np.random.Generator,
+        *,
+        out: npt.NDArray[np.float64] | None = None,
     ) -> npt.NDArray[np.float64]:
         """Modulate one batch of frame bits and push it through the channel.
 
         ``sigma`` is the AWGN-equivalent noise standard deviation of the
         operating point; all randomness comes from ``rng`` in the channel
         model's documented draw order, so counts stay deterministic per
-        shard.  BPSK over AWGN exactly (no subclass of either) forms its
-        LLRs in place with
-        :meth:`~repro.channel.models.AWGNChannelModel.bpsk_llrs`, the same
-        bits as modulating and then calling the channel model.
+        shard.  The LLRs are written into ``out``, a C-contiguous float64
+        array of the shape of ``bits``, or into a new array for ``None``.
+        BPSK over AWGN exactly (no subclass of either) forms them there in
+        place with :meth:`~repro.channel.models.AWGNChannelModel.bpsk_llrs`,
+        the same bits as modulating and then calling the channel model.
         """
-        from repro.channel.models import AWGNChannelModel
+        from repro.channel.models import AWGNChannelModel, check_llr_buffer
         from repro.channel.modulation import BPSKModulator
 
         if type(self.modulator) is BPSKModulator and type(self.channel) is AWGNChannelModel:
-            return self.channel.bpsk_llrs(bits, sigma, rng, amplitude=self.amplitude)
+            return self.channel.bpsk_llrs(bits, sigma, rng, amplitude=self.amplitude, out=out)
         symbols = self.modulator.modulate(bits)
-        return np.asarray(
+        llrs = np.asarray(
             self.channel.llrs(symbols, sigma, rng, amplitude=self.amplitude),
             dtype=np.float64,
         )
+        if out is None:
+            return llrs
+        check_llr_buffer(out, llrs.shape)[...] = llrs
+        return out
 
 
 def default_pipeline() -> "ChannelPipeline":

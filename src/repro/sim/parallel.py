@@ -52,6 +52,7 @@ from repro.obs import clock
 from repro.obs.probe import StageAccumulator
 from repro.sim.montecarlo import (
     BatchResult,
+    LLRBuffer,
     MonteCarloSimulator,
     SimulationConfig,
     point_from_counter,
@@ -134,12 +135,14 @@ class ShardRunner:
     """The one shard body: simulators built lazily, one per entry key.
 
     ``entry_for`` resolves a key to its :class:`PoolEntry`; it is called
-    once per key, on the first shard of that key.
+    once per key, on the first shard of that key.  The simulators share one
+    :class:`LLRBuffer`, since the runner runs one shard at a time.
     """
 
     def __init__(self, entry_for: Callable[[Any], PoolEntry]) -> None:
         self._entry_for = entry_for
         self._simulators: dict[Any, MonteCarloSimulator] = {}
+        self._llr_buffer = LLRBuffer()
 
     def run(
         self, key: Any, ebn0_db: float, size: int, seed: np.random.SeedSequence
@@ -156,6 +159,7 @@ class ShardRunner:
         simulator = self._simulators.get(key)
         if simulator is None:
             simulator = self._simulators[key] = self._entry_for(key).build()
+            simulator.llr_buffer = self._llr_buffer
         sigma = simulator.sigma_for(ebn0_db)
         result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed))
         seconds = clock.monotonic() - started

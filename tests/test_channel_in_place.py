@@ -1,4 +1,4 @@
-"""The in-place BPSK/AWGN channel: the same LLR bits as the generic path, in one array a batch."""
+"""The in-place BPSK/AWGN channel: the same LLR bits as the generic path, in a reused array."""
 
 import tracemalloc
 
@@ -13,6 +13,8 @@ from repro.codes import build_scaled_ccsds_code
 from repro.codes.shortening import ShortenedCode
 from repro.registry import get_component
 from repro.sim import MonteCarloSimulator, SimulationConfig
+from repro.sim.montecarlo import LLRBuffer
+from repro.sim.parallel import PoolEntry, ShardRunner
 
 #: The scaled C2 twin's frame length.
 WIDTH = 496
@@ -31,13 +33,15 @@ class TestSameBits:
     @pytest.mark.parametrize("data", ["all-zero", "random"])
     @pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "blocks-of-3"])
     def test_llrs_are_the_generic_paths_bytes(self, amplitude, data, block_rows, monkeypatch):
-        """20 seeds x batches 1, 7 and 64 x four sigmas, compared as bytes.
+        """20 seeds x batches 1, 7 and 64 x four sigmas, compared as bytes,
+        into a new array and into a given one.
 
         Blocks of 3 rows split batches 7 and 64 into whole blocks and a
         partial one.
         """
         if block_rows is not None:
             monkeypatch.setattr(models, "_SYMBOL_BLOCK_BYTES", 8 * WIDTH * block_rows)
+        channel = AWGNChannelModel()
         for seed in range(20):
             for batch in BATCHES:
                 bits = np.zeros((batch, WIDTH), dtype=np.uint8)
@@ -45,11 +49,17 @@ class TestSameBits:
                     bits = np.random.default_rng(10_000 + seed).integers(
                         0, 2, size=(batch, WIDTH), dtype=np.uint8
                     )
+                out = np.full((batch, WIDTH), np.nan)
                 for sigma in SIGMAS:
                     want = generic_llrs(bits, sigma, np.random.default_rng(seed), amplitude)
-                    got = AWGNChannelModel().bpsk_llrs(
+                    got = channel.bpsk_llrs(
                         bits, sigma, np.random.default_rng(seed), amplitude=amplitude
                     )
+                    assert got.tobytes() == want.tobytes(), (seed, batch, sigma)
+                    got = channel.bpsk_llrs(
+                        bits, sigma, np.random.default_rng(seed), amplitude=amplitude, out=out
+                    )
+                    assert got is out
                     assert got.tobytes() == want.tobytes(), (seed, batch, sigma)
 
     def test_draws_leave_the_generator_where_the_generic_path_does(self):
@@ -86,29 +96,85 @@ class TestWhichPipelinesFormLLRsInPlace:
             (1.0, default_pipeline()),
             (0.7, ChannelPipeline(BPSKModulator(0.7), AWGNChannelModel())),
         ):
-            got = pipeline.llrs(bits, 0.6, np.random.default_rng(4))
             want = generic_llrs(bits, 0.6, np.random.default_rng(4), amplitude)
+            got = pipeline.llrs(bits, 0.6, np.random.default_rng(4))
             assert got.tobytes() == want.tobytes()
-        assert in_place_calls == [bits.shape, bits.shape]
+            out = np.empty(bits.shape)
+            assert pipeline.llrs(bits, 0.6, np.random.default_rng(4), out=out) is out
+            assert out.tobytes() == want.tobytes()
+        assert in_place_calls == [bits.shape] * 4
 
-    def test_others_take_the_generic_path(self, in_place_calls):
+    def test_others_take_the_generic_path_into_out_too(self, in_place_calls):
         class NoisierAWGN(AWGNChannelModel):
             def llrs(self, symbols, sigma, rng, *, amplitude=1.0):
                 return super().llrs(symbols, 2.0 * sigma, rng, amplitude=amplitude)
 
         bits = np.zeros((2, WIDTH), dtype=np.uint8)
-        got = ChannelPipeline(BPSKModulator(), NoisierAWGN()).llrs(
-            bits, 0.6, np.random.default_rng(0)
-        )
-        assert got.tobytes() == generic_llrs(bits, 1.2, np.random.default_rng(0), 1.0).tobytes()
-        got = ChannelPipeline(BPSKModulator(), BSCChannelModel()).llrs(
-            bits, 0.6, np.random.default_rng(0)
-        )
-        want = BSCChannelModel().llrs(
+        noisier = generic_llrs(bits, 1.2, np.random.default_rng(0), 1.0)
+        bsc = BSCChannelModel().llrs(
             BPSKModulator().modulate(bits), 0.6, np.random.default_rng(0)
         )
-        assert got.tobytes() == want.tobytes()
+        for channel, want in ((NoisierAWGN(), noisier), (BSCChannelModel(), bsc)):
+            pipeline = ChannelPipeline(BPSKModulator(), channel)
+            got = pipeline.llrs(bits, 0.6, np.random.default_rng(0))
+            assert got.tobytes() == want.tobytes()
+            out = np.empty(bits.shape)
+            assert pipeline.llrs(bits, 0.6, np.random.default_rng(0), out=out) is out
+            assert out.tobytes() == want.tobytes()
         assert in_place_calls == []
+
+    @pytest.mark.parametrize("channel", [AWGNChannelModel(), BSCChannelModel()])
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((2, WIDTH + 1)), np.empty((2, WIDTH), np.float32), np.empty((WIDTH, 2)).T],
+        ids=["shape", "dtype", "order"],
+    )
+    def test_a_wrong_out_is_rejected(self, channel, out):
+        with pytest.raises(ValueError, match="out must be"):
+            ChannelPipeline(BPSKModulator(), channel).llrs(
+                np.zeros((2, WIDTH), np.uint8), 0.6, np.random.default_rng(0), out=out
+            )
+
+
+class TestLLRBuffer:
+    def test_smaller_batches_reuse_the_array_and_larger_ones_grow_it(self):
+        buffer = LLRBuffer()
+        first = buffer.take((5, WIDTH))
+        assert first.shape == (5, WIDTH) and first.flags.c_contiguous
+        assert first.dtype == np.float64
+        smaller = buffer.take((3, WIDTH))
+        assert np.shares_memory(first, smaller)
+        larger = buffer.take((9, WIDTH))
+        assert larger.shape == (9, WIDTH) and not np.shares_memory(first, larger)
+        assert np.shares_memory(larger, buffer.take((2, WIDTH + 7)))
+
+    def test_a_simulator_forms_each_batch_in_its_buffer(self):
+        code = build_scaled_ccsds_code(31)
+        decoder = get_component("decoder", "nms").build(code, max_iterations=4)
+        simulator = MonteCarloSimulator(code, decoder, rng=1)
+        taken = []
+        take = simulator.llr_buffer.take
+        simulator.llr_buffer.take = lambda shape: taken.append(take(shape)) or taken[-1]
+        rng = np.random.default_rng(0)
+        for batch in (5, 3, 9):
+            simulator.run_batch(batch, 0.8, rng)
+        assert [array.shape[0] for array in taken] == [5, 3, 9]
+        assert np.shares_memory(taken[0], taken[1])
+
+    def test_the_simulators_of_a_shard_runner_share_one_buffer(self):
+        code = build_scaled_ccsds_code(31)
+        entries = {
+            kind: PoolEntry(
+                code,
+                lambda kind=kind: get_component("decoder", kind).build(code, max_iterations=4),
+            )
+            for kind in ("nms", "min-sum")
+        }
+        runner = ShardRunner(entries.__getitem__)
+        for seed, kind in zip(np.random.SeedSequence(3).spawn(2), entries):
+            runner.run(kind, 3.0, 4, seed)
+        first, second = runner._simulators.values()
+        assert first.llr_buffer is second.llr_buffer is runner._llr_buffer
 
 
 class TestTheSimulatorCountsAsOnTheGenericPath:
@@ -146,20 +212,23 @@ class TestTheSimulatorCountsAsOnTheGenericPath:
         assert 0 < points[0].bit_errors
 
 
-def test_a_64_frame_batch_allocates_its_llrs_and_under_a_megabyte_besides():
+@pytest.mark.parametrize("into", ["a-new-array", "a-given-array"])
+def test_a_64_frame_c2_batch_allocates_under_a_megabyte_besides_its_llrs(into):
     """The generic path allocates about 12 MB for a 64-frame C2 batch: the
     symbols, the noise, the received values and the LLRs, each 4.2 MB, and
-    the modulator's temporaries.  In place, the LLRs, one block of symbols
-    and numpy's cast buffer."""
+    the modulator's temporaries.  In place, only one block of symbols and
+    numpy's cast buffer, besides the LLRs when they are a new array."""
     bits = np.random.default_rng(64).integers(0, 2, size=(64, 8176), dtype=np.uint8)
+    out = np.empty(bits.shape) if into == "a-given-array" else None
     pipeline = default_pipeline()
     rng = np.random.default_rng(1)
-    pipeline.llrs(bits, 0.6, rng)
+    pipeline.llrs(bits, 0.6, rng, out=out)
     tracemalloc.start()
     try:
         for _ in range(3):
-            pipeline.llrs(bits, 0.6, rng)
+            pipeline.llrs(bits, 0.6, rng, out=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < bits.size * 8 + (1 << 20)
+    llrs = bits.size * 8 if out is None else 0
+    assert peak < llrs + (1 << 20)
