@@ -216,3 +216,38 @@ class BSCChannelModel(ChannelModel):
         llrs: npt.NDArray[np.float64] = np.where(flipped, -magnitude, magnitude)
         return llrs
 
+    def bpsk_llrs(
+        self,
+        bits: npt.ArrayLike,
+        sigma: float,
+        rng: np.random.Generator,
+        *,
+        amplitude: float = 1.0,
+        out: npt.NDArray[np.float64] | None = None,
+    ) -> npt.NDArray[np.float64]:
+        """LLRs of BPSK-modulated ``bits``, formed in place in ``out``.
+
+        ``out`` is a C-contiguous float64 array of the shape of ``bits``;
+        ``None`` allocates one.  Bit for bit
+        ``self.llrs(BPSKModulator(amplitude).modulate(bits), sigma, rng,
+        amplitude=amplitude)``, from the same draws, with no float64 array
+        of the batch's size besides ``out``:
+
+        * ``rng.random(out=llrs)`` draws the stream that
+          ``rng.random(size=...)`` draws;
+        * a positive amplitude sends bit 1, and only it, to a symbol
+          ``<= 0``, so the flipped hard decisions are ``(draw < p) != bit``;
+        * ``llrs`` takes ``-log((1-p)/p)`` where they are set and
+          ``+log((1-p)/p)`` elsewhere.
+        """
+        arr = check_binary_array("bits", bits, copy=False)
+        llrs = check_llr_buffer(out, arr.shape)
+        p = self.crossover_probability(sigma, amplitude=amplitude)
+        magnitude = math.log1p(-p) - math.log(p)
+        rng.random(out=llrs)
+        flipped = llrs < p
+        np.not_equal(flipped, arr, out=flipped)
+        llrs.fill(magnitude)
+        np.copyto(llrs, -magnitude, where=flipped)
+        return llrs
+

@@ -62,14 +62,19 @@ class ChannelPipeline:
         model's documented draw order, so counts stay deterministic per
         shard.  The LLRs are written into ``out``, a C-contiguous float64
         array of the shape of ``bits``, or into a new array for ``None``.
-        BPSK over AWGN exactly (no subclass of either) forms them there in
-        place with :meth:`~repro.channel.models.AWGNChannelModel.bpsk_llrs`,
-        the same bits as modulating and then calling the channel model.
+        BPSK over AWGN or BSC exactly (no subclass of either side) forms them
+        there in place with the channel's ``bpsk_llrs``
+        (:meth:`~repro.channel.models.AWGNChannelModel.bpsk_llrs`,
+        :meth:`~repro.channel.models.BSCChannelModel.bpsk_llrs`), the same
+        bits as modulating and then calling the channel model.
         """
-        from repro.channel.models import AWGNChannelModel, check_llr_buffer
+        from repro.channel.models import AWGNChannelModel, BSCChannelModel, check_llr_buffer
         from repro.channel.modulation import BPSKModulator
 
-        if type(self.modulator) is BPSKModulator and type(self.channel) is AWGNChannelModel:
+        if type(self.modulator) is BPSKModulator and type(self.channel) in (
+            AWGNChannelModel,
+            BSCChannelModel,
+        ):
             return self.channel.bpsk_llrs(bits, sigma, rng, amplitude=self.amplitude, out=out)
         symbols = self.modulator.modulate(bits)
         llrs = np.asarray(

@@ -28,7 +28,9 @@ a batch, and ``decode_batch()`` strictly a ``(batch, n)`` array.
 :func:`decode_frames` is the dispatch the Monte-Carlo engine uses: it calls
 ``decode_batch`` when the decoder provides one and otherwise falls back to
 a per-frame loop, stacking the single-frame results into the same batch
-shape.
+shape.  The engine counts errors from the hard decisions, flags and
+iteration counts alone, so it asks for no posterior (``posterior=False``),
+which these decoders pass down to the native kernel.
 
 Iteration accounting convention: ``iterations`` counts the message-passing
 iterations actually *executed*.  The syndrome of the channel hard decisions
@@ -108,7 +110,9 @@ class StreamingParameters:
             raise ValueError("the layered schedule keeps its messages exact")
 
 
-def decode_frames(decoder: Any, channel_llrs: npt.ArrayLike) -> DecodeResult:
+def decode_frames(
+    decoder: Any, channel_llrs: npt.ArrayLike, *, posterior: bool = True
+) -> DecodeResult:
     """Decode a ``(batch, n)`` array through ``decoder``, batched if possible.
 
     The Monte-Carlo engine's dispatch point: decoders exposing a
@@ -117,16 +121,25 @@ def decode_frames(decoder: Any, channel_llrs: npt.ArrayLike) -> DecodeResult:
     only a ``decode(llrs)`` method — falls back to a per-frame loop whose
     single-frame results are stacked into the same batch shape.  For
     frame-independent decoders the two paths produce identical counts.
+
+    ``posterior=False``, which the engine passes, says that the caller reads
+    no posterior LLRs.  A decoder whose ``decode_batch`` is
+    :meth:`MessagePassingDecoder.decode_batch` then computes none and
+    leaves ``posterior_llrs`` ``None``; any other decoder is called as
+    without it, and its result is returned as it is.
     """
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if llrs.ndim != 2:
         raise ValueError(f"expected (batch, n) LLRs, got shape {llrs.shape}")
     batch_decode = getattr(decoder, "decode_batch", None)
-    if batch_decode is not None:
-        return batch_decode(llrs)
-    return DecodeResult.stack(
-        [decoder.decode(llrs[index]) for index in range(llrs.shape[0])]
-    )
+    if batch_decode is None:
+        return DecodeResult.stack(
+            [decoder.decode(llrs[index]) for index in range(llrs.shape[0])]
+        )
+    takes_request = getattr(batch_decode, "__func__", None) is MessagePassingDecoder.decode_batch
+    if not posterior and takes_request:
+        return batch_decode(llrs, posterior=False)
+    return batch_decode(llrs)
 
 
 class MessagePassingDecoder:
@@ -279,19 +292,26 @@ class MessagePassingDecoder:
         if llrs.ndim != 1:
             return self.decode_batch(llrs)
         result = self.decode_batch(llrs[None, :])
+        posterior = result.posterior_llrs
+        assert posterior is not None  # decode_batch computes it unless told not to
         return DecodeResult(
             bits=result.bits[0],
-            posterior_llrs=result.posterior_llrs[0],
+            posterior_llrs=posterior[0],
             converged=result.converged[0],
             iterations=result.iterations[0],
         )
 
-    def decode_batch(self, channel_llrs: npt.ArrayLike) -> DecodeResult:
+    def decode_batch(
+        self, channel_llrs: npt.ArrayLike, *, posterior: bool = True
+    ) -> DecodeResult:
         """Decode a strict ``(batch, n)`` array of channel LLRs.
 
         The batched entry point of the simulator hot path: always returns
         batch-shaped arrays, even for ``batch == 1``.  Bit-identical to
-        calling :meth:`decode` on each row separately.
+        calling :meth:`decode` on each row separately.  With
+        ``posterior=False``, as :func:`decode_frames` passes it for the
+        simulator, ``posterior_llrs`` is ``None`` and the native kernel
+        writes no posterior; the other fields are the same.
         """
         llrs = np.asarray(channel_llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.block_length:
@@ -299,12 +319,12 @@ class MessagePassingDecoder:
                 f"expected LLRs with trailing dimension {self.block_length}, "
                 f"got shape {llrs.shape}"
             )
-        bits, posterior, converged, iterations = self._run_message_passing(
-            self._condition_channel(llrs)
+        bits, posteriors, converged, iterations = self._run_message_passing(
+            self._condition_channel(llrs), posterior=posterior
         )
         return DecodeResult(
             bits=bits,
-            posterior_llrs=posterior,
+            posterior_llrs=posteriors,
             converged=converged,
             iterations=iterations,
         )
@@ -314,8 +334,8 @@ class MessagePassingDecoder:
     # ------------------------------------------------------------------ #
 
     def _run_message_passing(
-        self, llrs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, llrs: np.ndarray, *, posterior: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
         """Decode conditioned ``(batch, n)`` LLRs on a compacting working set.
 
         Finished frames are written to the output arrays and dropped from
@@ -334,11 +354,15 @@ class MessagePassingDecoder:
         this loop's.  This is the one place that asks for the backend.  The
         loop is the reference for that kernel, the fallback without it, and
         the path of every other decoder.
+
+        With ``posterior=False`` the second result is ``None``: the kernel
+        writes no posterior, and the loop, which forms its hard decisions
+        from its posteriors, drops them on return.
         """
         arguments = self._streaming_arguments()
         kernels = native_kernels() if arguments is not None else None
         if kernels is not None and arguments is not None:
-            return kernels.decode_min_sum(self._graph, llrs, *arguments)
+            return kernels.decode_min_sum(self._graph, llrs, *arguments, posterior)
 
         graph = self._graph
         total = llrs.shape[0]
@@ -359,10 +383,10 @@ class MessagePassingDecoder:
         for iteration in range(1, self.max_iterations + 1):
             if frame_ids.size == 0:
                 break
-            state, posterior = self._iterate(work_llrs, state)
+            state, updated = self._iterate(work_llrs, state)
             iterations[frame_ids] = iteration
 
-            syndrome_ok = graph.syndrome_ok(hard_decision(posterior))
+            syndrome_ok = graph.syndrome_ok(hard_decision(updated))
             converged[frame_ids] = syndrome_ok
             stop = np.asarray(
                 self.stopping.should_stop(iteration, syndrome_ok), dtype=bool
@@ -372,10 +396,15 @@ class MessagePassingDecoder:
             # arrays are always fully written when the loop ends.
             finished = stop if iteration < self.max_iterations else np.ones_like(stop)
             if finished.any():
-                posterior_out[frame_ids[finished]] = posterior[finished]
+                posterior_out[frame_ids[finished]] = updated[finished]
                 keep = np.flatnonzero(~finished)
                 frame_ids = frame_ids[keep]
                 work_llrs = take_frames(work_llrs, keep)
                 state = [take_frames(array, keep) for array in state]
 
-        return hard_decision(posterior_out), posterior_out, converged, iterations
+        return (
+            hard_decision(posterior_out),
+            posterior_out if posterior else None,
+            converged,
+            iterations,
+        )

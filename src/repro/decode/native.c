@@ -401,7 +401,9 @@ INLINE void add_pass(struct lanes *lanes, const struct graph *g, int64_t first,
  * parameters.
  *
  * `llrs`, `posterior` and `hard` are (frames, bits), one frame per row; the
- * LLRs are the conditioned ones the loop decodes.  `scale` and `offset`
+ * LLRs are the conditioned ones the loop decodes.  `posterior` may be NULL:
+ * then no posterior is written, and the hard decisions, iteration counts and
+ * syndrome flags are the same bytes.  `scale` and `offset`
  * correct each check's two smallest magnitudes.  `step` > 0 quantizes every
  * message to multiples of `step` within [-limit, limit]; 0 leaves them
  * exact.  `layers` == 0 floods; otherwise layer i holds the non-empty
@@ -412,9 +414,9 @@ INLINE void add_pass(struct lanes *lanes, const struct graph *g, int64_t first,
  * takes the syndrome of post <= 0 on every lane: in the flooding check
  * pass, which also updates c2b, or in a syndrome pass of its own before the
  * layers.  A lane whose syndrome is clear at an iteration >= early_stop, or
- * that has run max_iterations, then writes out its posterior, hard
- * decisions (post <= 0), iteration count and syndrome flag: a frame stopped
- * at iteration 0 keeps its LLRs bit for bit.  The other lanes finish the
+ * that has run max_iterations, then writes out its posterior (unless
+ * `posterior` is NULL), hard decisions (post <= 0), iteration count and
+ * syndrome flag: a frame stopped at iteration 0 keeps its LLRs bit for bit.  The other lanes finish the
  * iteration: the bit pass, or each layer's check pass and posterior update
  * in turn.  Each stopped lane then takes the next frame with post = llr and
  * c2b = +0.0, which the next check pass reads as x = llr - 0.0, bit for bit
@@ -486,7 +488,8 @@ int ENTRY(const double *llrs, int64_t frames, int64_t bits, const int64_t *edge_
                 const int64_t f = frame[lane];
                 for (int64_t b = 0; b < bits; b++) {
                     const double v = lanes.post[b * LANES + lane];
-                    posterior[f * bits + b] = v;
+                    if (posterior != NULL)
+                        posterior[f * bits + b] = v;
                     hard[f * bits + b] = v <= 0.0;
                 }
                 iterations[f] = iteration[lane];

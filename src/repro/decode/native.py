@@ -6,7 +6,11 @@ hands a whole batch of every decoder that states streaming parameters
 function (:meth:`NativeKernels.decode_min_sum`) whenever :func:`kernels`
 returns it.  The loop, over the numpy methods of
 :class:`~repro.decode.graph.TannerGraph`, is the reference: the C code
-implements the orders ``graph.py`` documents, operation for operation.
+implements the orders ``graph.py`` documents, operation for operation.  The
+simulator counts errors from the hard decisions, flags and iteration counts
+alone, so it asks for no posterior (``posterior=False``, passed down from
+:func:`~repro.decode.base.decode_frames`): the kernel then writes none, and
+the batch's LLRs are its only ``(batch, n)`` float64 array.
 :meth:`~repro.encode.systematic.SystematicEncoder.encode` likewise hands
 each batch to :meth:`NativeKernels.encode_m4ri`, whose reference is the
 numpy :func:`~repro.encode.systematic.m4ri_encode`.
@@ -39,8 +43,10 @@ Acceptance.  The bound entries are used only after a one-time probe.  On a
 tiny graph (ties, signed zeros, empty and degree-1 checks, bits of degree 0
 to 4), the decode must reproduce the loop bit for bit for each streamed
 kind: both stopping rules, a quantizer whose channel grid is finer than its
-message grid, and two layers.  On a random parity map of 70 parity bits
-and 11 information bits in scattered positions, the encode must reproduce
+message grid, and two layers.  Decoded again without a posterior, as the
+simulator calls it, each kind must give the same hard decisions, flags and
+iteration counts.  On a random parity map of 70 parity bits and 11
+information bits in scattered positions, the encode must reproduce
 :func:`~repro.encode.systematic.m4ri_encode`.  When the compiler is missing,
 the build fails, the cache cannot be written or the probe disagrees, the
 process warns once and encodes and decodes in numpy.  Nothing else (no
@@ -104,6 +110,14 @@ _BOOLS = np.ctypeslib.ndpointer(np.bool_, ndim=1, flags="C_CONTIGUOUS")
 _SIZE = ctypes.c_int64
 
 
+class _DoublesOrNull:
+    """A :data:`_DOUBLES` argument that may be ``None``, passed as a NULL pointer."""
+
+    @classmethod
+    def from_param(cls, value: np.ndarray | None) -> object:
+        return None if value is None else _DOUBLES.from_param(value)
+
+
 class _Unavailable(Exception):
     """Why this process cannot use the native kernels."""
 
@@ -128,7 +142,7 @@ class NativeKernels:
         self._decode_min_sum.argtypes = [
             _DOUBLES, _SIZE, _SIZE, _INDEX, _INDEX, _SIZE, _SIZE, _INDEX, _INDEX,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double, _INDEX, _SIZE,
-            _SIZE, _SIZE, _DOUBLES, _BYTES, _INDEX, _BOOLS,
+            _SIZE, _SIZE, _DoublesOrNull, _BYTES, _INDEX, _BOOLS,
         ]
         self._decode_min_sum.restype = ctypes.c_int
 
@@ -139,11 +153,14 @@ class NativeKernels:
         parameters: StreamingParameters,
         max_iterations: int,
         early_stop: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        posterior: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
         """Min-sum over ``(batch, n)`` conditioned LLRs as ``parameters`` describe it, in one call.
 
         Returns the hard decisions, posteriors, syndrome flags and iteration
-        counts that the decoding loop would, one row per frame.  A frame
+        counts that the decoding loop would, one row per frame.  With
+        ``posterior=False`` the kernel writes no posterior and ``None``
+        stands in its place; the other three are the same bytes.  A frame
         stops once its syndrome is clear at an iteration of at least
         ``early_stop``, or after ``max_iterations``.  The graph's index
         arrays are trusted: the graph builds them; the layer starts are
@@ -165,7 +182,7 @@ class NativeKernels:
                 f"layer starts {parameters.layer_starts} are not ordered non-empty checks"
             )
         frames = llrs.shape[0]
-        posterior = np.empty_like(llrs)
+        posteriors = np.empty_like(llrs) if posterior else None
         bits = np.empty(llrs.shape, dtype=np.uint8)
         converged = np.empty(frames, dtype=np.bool_)
         iterations = np.empty(frames, dtype=np.int64)
@@ -173,11 +190,11 @@ class NativeKernels:
             llrs, frames, graph.num_bits, graph.edge_bit, graph.check_starts,
             graph.check_starts.size, graph.num_edges, graph.bit_slot_edges, graph.bit_degrees,
             parameters.scale, parameters.offset, step, limit, layer_starts, layer_starts.size,
-            max_iterations, early_stop, posterior, bits, iterations, converged,
+            max_iterations, early_stop, posteriors, bits, iterations, converged,
         )
         if status != 0:
             raise MemoryError("cannot allocate the decoding lanes")
-        return bits, posterior, converged, iterations
+        return bits, posteriors, converged, iterations
 
     def encode_m4ri(
         self,
@@ -405,9 +422,11 @@ def _probe_encode(native: NativeKernels) -> bool:
 def _probe(native: NativeKernels) -> str:
     """The first decoder whose native decode differs from the loop's bits, or ``""``.
 
-    Then the encode: ``"encode_m4ri"`` when it differs from numpy's.  The
-    reference decodes run the loop: :func:`kernels` returns ``None`` to the
-    thread that is settling the backend.
+    Each kind's decode without a posterior must give the full call's hard
+    decisions, flags and iteration counts.  Then the encode:
+    ``"encode_m4ri"`` when it differs from numpy's.  The reference decodes
+    run the loop: :func:`kernels` returns ``None`` to the thread that is
+    settling the backend.
     """
     from repro.decode.stopping import FixedIterations, SyndromeStopping
     from repro.registry import get_component
@@ -416,7 +435,9 @@ def _probe(native: NativeKernels) -> str:
     for check, bits in enumerate(PROBE_CHECKS):
         h[check, list(bits)] = 1
 
-    def same(got: np.ndarray, want: np.ndarray) -> bool:
+    def same(got: np.ndarray | None, want: np.ndarray | None) -> bool:
+        if got is None or want is None:
+            return got is want
         return got.shape == want.shape and np.array_equal(
             np.ascontiguousarray(got).view(np.uint8), np.ascontiguousarray(want).view(np.uint8)
         )
@@ -429,16 +450,21 @@ def _probe(native: NativeKernels) -> str:
             h, max_iterations=max_iterations, stopping=stopping, **params
         )
         arguments = decoder._streaming_arguments()
+        conditioned = decoder._condition_channel(PROBE_LLRS)
         want_result = decoder.decode_batch(PROBE_LLRS)
-        got_result = native.decode_min_sum(
-            decoder.edge_structure, decoder._condition_channel(PROBE_LLRS), *arguments
-        )
+        full = native.decode_min_sum(decoder.edge_structure, conditioned, *arguments)
         want_fields = (
             want_result.bits, want_result.posterior_llrs, want_result.converged,
             want_result.iterations,
         )
-        if not all(same(g, w) for g, w in zip(got_result, want_fields)):
-            return f"decode_min_sum({kind}, {rule}({min_iterations or ''}))"
+        call = f"decode_min_sum({kind}, {rule}({min_iterations or ''})"
+        if not all(same(g, w) for g, w in zip(full, want_fields)):
+            return f"{call})"
+        lean = native.decode_min_sum(
+            decoder.edge_structure, conditioned, *arguments, False  # posterior=False
+        )
+        if not all(same(g, w) for g, w in zip(lean, (full[0], None, full[2], full[3]))):
+            return f"{call}, posterior=False)"
     return "" if _probe_encode(native) else "encode_m4ri"
 
 

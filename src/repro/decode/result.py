@@ -19,7 +19,9 @@ class DecodeResult:
         Hard-decision codeword estimates, shape ``(batch, n)`` (or ``(n,)``
         when a single frame was decoded).
     posterior_llrs:
-        A-posteriori LLRs after the final iteration, same shape as ``bits``.
+        A-posteriori LLRs after the final iteration, same shape as ``bits``;
+        ``None`` when the caller asked for none (``posterior=False``, as the
+        simulator decodes).
     converged:
         Boolean per frame: ``True`` when the hard decisions satisfied every
         parity check (the decoder found *a* codeword — not necessarily the
@@ -30,7 +32,7 @@ class DecodeResult:
     """
 
     bits: np.ndarray
-    posterior_llrs: np.ndarray
+    posterior_llrs: np.ndarray | None
     converged: np.ndarray
     iterations: np.ndarray
 

@@ -122,10 +122,11 @@ class LLRBuffer:
 
     Each batch's ``(batch, n)`` LLRs, allocated anew and freed, let the C
     allocator return their pages to the system and fault them in again on
-    the next batch: with the decoder's posterior of the same size, about
-    2,400 minor faults (9 MB) per 64-frame C2 batch.  The buffer keeps one
-    array, grown to the largest batch, instead.  Simulators that run one
-    at a time may share one buffer, as the simulators of one
+    the next batch.  They are a simulated batch's largest array, and on a
+    plain code its only float64 array of that size, as the decoder writes
+    no posterior for the simulator: 4.2 MB for 64 C2 frames.  The buffer
+    keeps one array, grown to the largest batch, instead.  Simulators that
+    run one at a time may share one buffer, as the simulators of one
     :class:`~repro.sim.parallel.ShardRunner` do, so a process holds one
     such array, not one per simulator.
     """
@@ -230,13 +231,20 @@ class MonteCarloSimulator:
             self._counted_positions = None
             self._bits_per_frame = int(self._base_code.block_length)
         # Information positions for the info-bit BER (only known when the
-        # systematic encoder was built).
+        # systematic encoder was built).  A plain code counts their errors as
+        # all errors minus those at its other, parity positions: a C2 frame
+        # has 1,020 of those against 7,156 information bits.
         self._info_positions: np.ndarray | None = None
+        self._parity_positions: np.ndarray | None = None
         if self._encoder is not None:
             info_positions = np.asarray(self._encoder.information_positions, dtype=np.int64)
             if self._shortened is not None:
                 transmitted = self._shortened.transmitted_positions()
                 info_positions = info_positions[np.isin(info_positions, transmitted)]
+            else:
+                self._parity_positions = np.setdiff1d(
+                    np.arange(self.block_length), info_positions
+                )
             self._info_positions = info_positions
 
     # ------------------------------------------------------------------ #
@@ -318,7 +326,7 @@ class MonteCarloSimulator:
             return self._run_batch_probed(batch, sigma, rng)
         codewords = self._generate_codewords(batch, rng)
         llrs = self._transmit(codewords, sigma, rng)
-        result = decode_frames(self._decoder, llrs)
+        result = decode_frames(self._decoder, llrs, posterior=False)
         return self._count_batch(batch, codewords, result)
 
     def _run_batch_probed(
@@ -335,7 +343,7 @@ class MonteCarloSimulator:
         t1 = clock.monotonic()
         llrs = self._transmit(codewords, sigma, rng)
         t2 = clock.monotonic()
-        result = decode_frames(self._decoder, llrs)
+        result = decode_frames(self._decoder, llrs, posterior=False)
         t3 = clock.monotonic()
         counts = self._count_batch(batch, codewords, result)
         t4 = clock.monotonic()
@@ -353,26 +361,37 @@ class MonteCarloSimulator:
     def _count_batch(self, batch: int, codewords, result) -> BatchResult:
         """Count errors of one decoded batch into a :class:`BatchResult`.
 
+        The errors are formed in ``codewords``, which the batch allocated
+        and nothing reads after the count, as ``codewords != bits`` through
+        a boolean view of them; the decoder's bits are not written.  A
+        plain code counts its information-bit errors as all errors minus
+        those at its parity positions; a shortened code gathers its
+        transmitted and information positions.
+
         The reduction runs through
         :meth:`~repro.sim.statistics.ErrorCounter.update_batch`, the single
         vectorized accumulation point, so the hot path and any direct
         counter consumer use exactly the same integer arithmetic.
         """
-        decoded = np.atleast_2d(result.bits)
-        errors = decoded != codewords
+        errors = np.not_equal(
+            codewords, np.atleast_2d(result.bits), out=codewords.view(np.bool_)
+        )
         if self._counted_positions is not None:
             counted = errors[:, self._counted_positions]
         else:
             counted = errors
+        errors_per_frame = counted.sum(axis=1)
+        info_bit_errors = info_bits = 0
         if self._info_positions is not None:
-            info_bit_errors = int(errors[:, self._info_positions].sum())
             info_bits = batch * int(self._info_positions.size)
-        else:
-            info_bit_errors = 0
-            info_bits = 0
+            if self._parity_positions is not None:
+                parity_errors = int(errors[:, self._parity_positions].sum())
+                info_bit_errors = int(errors_per_frame.sum()) - parity_errors
+            else:
+                info_bit_errors = int(errors[:, self._info_positions].sum())
         counter = ErrorCounter()
         counter.update_batch(
-            counted.sum(axis=1),
+            errors_per_frame,
             np.atleast_1d(result.converged),
             np.atleast_1d(result.iterations),
             bits_per_frame=self._bits_per_frame,

@@ -1,4 +1,4 @@
-"""The in-place BPSK/AWGN channel: the same LLR bits as the generic path, in a reused array."""
+"""The in-place BPSK/AWGN and BPSK/BSC channels: the same LLR bits as the generic path, in a reused array."""
 
 import tracemalloc
 
@@ -26,6 +26,25 @@ def generic_llrs(bits, sigma, rng, amplitude):
     """The modulator and the channel model, each on its own: the reference."""
     symbols = BPSKModulator(amplitude).modulate(bits)
     return AWGNChannelModel().llrs(symbols, sigma, rng, amplitude=amplitude)
+
+
+def generic_bsc_llrs(bits, sigma, rng, amplitude, crossover=None):
+    """The modulator and the BSC model, each on its own: the reference."""
+    symbols = BPSKModulator(amplitude).modulate(bits)
+    return BSCChannelModel(crossover).llrs(symbols, sigma, rng, amplitude=amplitude)
+
+
+def counted_calls(monkeypatch, channel_class):
+    """The bit arrays that ``channel_class.bpsk_llrs`` is called on."""
+    calls = []
+    reference = channel_class.bpsk_llrs
+
+    def counting(self, bits, *args, **kwargs):
+        calls.append(np.shape(bits))
+        return reference(self, bits, *args, **kwargs)
+
+    monkeypatch.setattr(channel_class, "bpsk_llrs", counting)
+    return calls
 
 
 class TestSameBits:
@@ -76,19 +95,68 @@ class TestSameBits:
         assert got.tobytes() == want.tobytes()
 
 
+class TestSameBSCBits:
+    @pytest.mark.parametrize("amplitude", [1.0, 0.7])
+    @pytest.mark.parametrize("crossover", [None, 0.05], ids=["derived", "crossover-0.05"])
+    def test_llrs_are_the_generic_paths_bytes(self, amplitude, crossover):
+        """20 seeds x batches 1, 7 and 64 x sigma 0.5 and 0.8, compared as
+        bytes, into a new array and into a given one."""
+        channel = BSCChannelModel(crossover)
+        for seed in range(20):
+            for batch in BATCHES:
+                bits = np.random.default_rng(10_000 + seed).integers(
+                    0, 2, size=(batch, WIDTH), dtype=np.uint8
+                )
+                out = np.full((batch, WIDTH), np.nan)
+                for sigma in (0.5, 0.8):
+                    want = generic_bsc_llrs(
+                        bits, sigma, np.random.default_rng(seed), amplitude, crossover
+                    )
+                    got = channel.bpsk_llrs(
+                        bits, sigma, np.random.default_rng(seed), amplitude=amplitude
+                    )
+                    assert got.tobytes() == want.tobytes(), (seed, batch, sigma)
+                    got = channel.bpsk_llrs(
+                        bits, sigma, np.random.default_rng(seed), amplitude=amplitude, out=out
+                    )
+                    assert got is out
+                    assert got.tobytes() == want.tobytes(), (seed, batch, sigma)
+
+    def test_draws_leave_the_generator_where_the_generic_path_does(self):
+        bits = np.random.default_rng(5).integers(0, 2, size=(7, WIDTH), dtype=np.uint8)
+        generic, in_place = np.random.default_rng(3), np.random.default_rng(3)
+        generic_bsc_llrs(bits, 0.6, generic, 1.0)
+        BSCChannelModel().bpsk_llrs(bits, 0.6, in_place, out=np.empty(bits.shape))
+        assert generic.random() == in_place.random()
+
+    def test_one_frame_and_bool_bits(self):
+        bits = np.random.default_rng(8).integers(0, 2, size=WIDTH).astype(bool)
+        want = generic_bsc_llrs(bits, 0.5, np.random.default_rng(1), 1.0)
+        got = BSCChannelModel().bpsk_llrs(bits, 0.5, np.random.default_rng(1))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((2, WIDTH + 1)), np.empty((2, WIDTH), np.float32), np.empty((WIDTH, 2)).T],
+        ids=["shape", "dtype", "order"],
+    )
+    def test_a_wrong_out_is_rejected_before_any_draw(self, out):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="out must be"):
+            BSCChannelModel().bpsk_llrs(np.zeros((2, WIDTH), np.uint8), 0.6, rng, out=out)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
 class TestWhichPipelinesFormLLRsInPlace:
     @pytest.fixture
     def in_place_calls(self, monkeypatch):
         """The bit arrays that :meth:`AWGNChannelModel.bpsk_llrs` is called on."""
-        calls = []
-        reference = AWGNChannelModel.bpsk_llrs
+        return counted_calls(monkeypatch, AWGNChannelModel)
 
-        def counting(self, bits, *args, **kwargs):
-            calls.append(np.shape(bits))
-            return reference(self, bits, *args, **kwargs)
-
-        monkeypatch.setattr(AWGNChannelModel, "bpsk_llrs", counting)
-        return calls
+    @pytest.fixture
+    def bsc_in_place_calls(self, monkeypatch):
+        """The bit arrays that :meth:`BSCChannelModel.bpsk_llrs` is called on."""
+        return counted_calls(monkeypatch, BSCChannelModel)
 
     def test_bpsk_over_awgn_does(self, in_place_calls):
         bits = np.random.default_rng(2).integers(0, 2, size=(3, WIDTH), dtype=np.uint8)
@@ -104,24 +172,50 @@ class TestWhichPipelinesFormLLRsInPlace:
             assert out.tobytes() == want.tobytes()
         assert in_place_calls == [bits.shape] * 4
 
-    def test_others_take_the_generic_path_into_out_too(self, in_place_calls):
+    def test_bpsk_over_bsc_does(self, bsc_in_place_calls):
+        bits = np.random.default_rng(2).integers(0, 2, size=(3, WIDTH), dtype=np.uint8)
+        for amplitude, crossover in ((1.0, None), (0.7, None), (1.0, 0.05)):
+            pipeline = ChannelPipeline(BPSKModulator(amplitude), BSCChannelModel(crossover))
+            want = generic_bsc_llrs(bits, 0.6, np.random.default_rng(4), amplitude, crossover)
+            got = pipeline.llrs(bits, 0.6, np.random.default_rng(4))
+            assert got.tobytes() == want.tobytes()
+            out = np.empty(bits.shape)
+            assert pipeline.llrs(bits, 0.6, np.random.default_rng(4), out=out) is out
+            assert out.tobytes() == want.tobytes()
+        assert bsc_in_place_calls == [bits.shape] * 6
+
+    def test_others_take_the_generic_path_into_out_too(self, in_place_calls, bsc_in_place_calls):
+        """A subclass of either channel or of the modulator may change what
+        it computes, so it takes the generic path."""
+
         class NoisierAWGN(AWGNChannelModel):
             def llrs(self, symbols, sigma, rng, *, amplitude=1.0):
                 return super().llrs(symbols, 2.0 * sigma, rng, amplitude=amplitude)
+
+        class SubclassedBSC(BSCChannelModel):
+            pass
+
+        class SubclassedBPSK(BPSKModulator):
+            pass
 
         bits = np.zeros((2, WIDTH), dtype=np.uint8)
         noisier = generic_llrs(bits, 1.2, np.random.default_rng(0), 1.0)
         bsc = BSCChannelModel().llrs(
             BPSKModulator().modulate(bits), 0.6, np.random.default_rng(0)
         )
-        for channel, want in ((NoisierAWGN(), noisier), (BSCChannelModel(), bsc)):
-            pipeline = ChannelPipeline(BPSKModulator(), channel)
+        for modulator, channel, want in (
+            (BPSKModulator(), NoisierAWGN(), noisier),
+            (BPSKModulator(), SubclassedBSC(), bsc),
+            (SubclassedBPSK(), BSCChannelModel(), bsc),
+        ):
+            pipeline = ChannelPipeline(modulator, channel)
             got = pipeline.llrs(bits, 0.6, np.random.default_rng(0))
             assert got.tobytes() == want.tobytes()
             out = np.empty(bits.shape)
             assert pipeline.llrs(bits, 0.6, np.random.default_rng(0), out=out) is out
             assert out.tobytes() == want.tobytes()
         assert in_place_calls == []
+        assert bsc_in_place_calls == []
 
     @pytest.mark.parametrize("channel", [AWGNChannelModel(), BSCChannelModel()])
     @pytest.mark.parametrize(

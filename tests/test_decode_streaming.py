@@ -15,7 +15,9 @@ the library's decode entries: the baseline build and the AVX2 build, which
 skips where the CPU or the compiler has no AVX2.  The loop decodes each
 case once: the entry that meets a case first compares with the loop's
 decode and records its digest, and the other entry compares with that
-digest.
+digest.  Each case is also decoded without a posterior, as the simulator
+decodes, which must give the same hard decisions, flags and iteration
+counts.
 """
 
 import hashlib
@@ -123,11 +125,20 @@ def assert_streams_like_the_loop(kernels, decoder, llrs):
     The kernel, like the loop, decodes the LLRs that the decoder's channel
     conditioning gives.  A case the loop has decoded before compares by
     digest; a difference decodes it on the loop again to show the field.
+    The decode without a posterior must match the full one on every other
+    field.
     """
     arguments = decoder._streaming_arguments()
     assert arguments is not None
     conditioned = decoder._condition_channel(llrs)
     got = DecodeResult(*kernels.decode_min_sum(decoder.edge_structure, conditioned, *arguments))
+    lean = DecodeResult(
+        *kernels.decode_min_sum(decoder.edge_structure, conditioned, *arguments, posterior=False)
+    )
+    assert lean.posterior_llrs is None
+    assert digest(lean.bits, lean.converged, lean.iterations) == digest(
+        got.bits, got.converged, got.iterations
+    )
     case = case_digest(decoder, arguments, llrs, conditioned)
     if LOOP_DIGESTS.get(case) == result_digest(got):
         return got

@@ -971,6 +971,75 @@ class TestLayeredGoldenCounts:
         assert got == self.GOLDEN_LAYERED
 
 
+class TestBSCGoldenCounts:
+    """Golden-count fixture for the hard-decision channel.
+
+    Recorded on random data over the generic BSC path (modulate, then
+    ``BSCChannelModel.llrs``), with the crossover derived from Eb/N0 and
+    fixed at 0.05; the in-place BSC LLRs must reproduce them byte for byte,
+    serial and pooled.
+    """
+
+    GOLDEN_BSC = {
+        "bsc": [
+            {"ebn0_db": 4.0, "ber": 0.028024193548387095, "fer": 1.0,
+             "bit_errors": 139, "frame_errors": 10, "bits": 4960, "frames": 10,
+             "average_iterations": 8.0, "info_ber": 0.026376146788990827,
+             "info_bit_errors": 115, "info_bits": 4360},
+            {"ebn0_db": 6.0, "ber": 0.008064516129032258, "fer": 0.55,
+             "bit_errors": 80, "frame_errors": 11, "bits": 9920, "frames": 20,
+             "average_iterations": 5.65, "info_ber": 0.008142201834862386,
+             "info_bit_errors": 71, "info_bits": 8720},
+        ],
+        "bsc-crossover0.05": [
+            {"ebn0_db": 4.0, "ber": 0.05423387096774194, "fer": 1.0,
+             "bit_errors": 269, "frame_errors": 10, "bits": 4960, "frames": 10,
+             "average_iterations": 8.0, "info_ber": 0.054587155963302755,
+             "info_bit_errors": 238, "info_bits": 4360},
+            {"ebn0_db": 6.0, "ber": 0.055443548387096774, "fer": 1.0,
+             "bit_errors": 275, "frame_errors": 10, "bits": 4960, "frames": 10,
+             "average_iterations": 8.0, "info_ber": 0.05412844036697248,
+             "info_bit_errors": 236, "info_bits": 4360},
+        ],
+    }
+
+    def bsc_spec(self) -> CampaignSpec:
+        code = CodeSpec(family="scaled", circulant=31)
+        decoder = DecoderSpec("nms", 8, params={"alpha": 1.25})
+        return CampaignSpec(
+            name="bsc-golden",
+            seed=2468,
+            ebn0=(4.0, 6.0),
+            config=SimulationConfig(
+                max_frames=40, target_frame_errors=6, batch_frames=10,
+                all_zero_codeword=False,
+            ),
+            experiments=[
+                ExperimentSpec(
+                    label="bsc", code=code, decoder=decoder, channel=ChannelSpec(kind="bsc")
+                ),
+                ExperimentSpec(
+                    label="bsc-crossover0.05",
+                    code=code,
+                    decoder=decoder,
+                    channel=ChannelSpec(kind="bsc", params={"crossover": 0.05}),
+                ),
+            ],
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_bsc_campaign_reproduces_golden_counts(self, tmp_path, workers):
+        spec = self.bsc_spec()
+        curves = CampaignScheduler(
+            spec, ResultStore.create(tmp_path / "c", spec), workers=workers
+        ).run()
+        got = {
+            label: [p.as_dict() for p in curve.points]
+            for label, curve in curves.items()
+        }
+        assert got == self.GOLDEN_BSC
+
+
 class TestPreRedesignCompatibility:
     """The registry/channel redesign must not invalidate anything historical."""
 

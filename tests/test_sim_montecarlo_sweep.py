@@ -1,10 +1,14 @@
 """Unit tests for repro.sim.montecarlo and repro.sim.sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.codes.ccsds_c2 import build_ccsds_c2_code
 from repro.codes.shortening import ShortenedCode
-from repro.decode import NormalizedMinSumDecoder
+from repro.decode import NormalizedMinSumDecoder, decode_frames, native
+from repro.registry import get_component
 from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
 from repro.sim.sweep import EbN0Sweep
 
@@ -183,3 +187,92 @@ class TestEbN0Sweep:
         curve_a = EbN0Sweep(scaled_code, factory, config=config, rng=11).run([3.0])
         curve_b = EbN0Sweep(scaled_code, factory, config=config, rng=11).run([3.0])
         assert curve_a.points[0].ber == curve_b.points[0].ber
+
+
+class DecodeOnly:
+    """A third-party decoder with only ``decode(llrs)``."""
+
+    def __init__(self, decoder):
+        self._decoder = decoder
+
+    def decode(self, llrs):
+        return self._decoder.decode(llrs)
+
+
+class DecodeBatchOnly:
+    """A third-party decoder with only ``decode_batch(llrs)``, which takes no other argument."""
+
+    def __init__(self, decoder):
+        self._decoder = decoder
+
+    def decode_batch(self, llrs):
+        return self._decoder.decode_batch(llrs)
+
+
+class TestTheSimulatorAsksForNoPosterior:
+    """``run_batch`` decodes through ``decode_frames(..., posterior=False)``."""
+
+    @pytest.mark.parametrize(
+        "kind, native_kernels",
+        [("nms", True), ("nms", False), ("sum-product", True)],
+        ids=["nms-native", "nms-loop", "sum-product-loop"],
+    )
+    def test_the_built_in_decoders_return_the_same_fields_but_the_posterior(
+        self, monkeypatch, kind, native_kernels, scaled_code, rng
+    ):
+        """Where the process has native kernels, ``nms`` streams; the loop
+        serves ``sum-product``, and ``nms`` once the kernels are taken away."""
+        if not native_kernels:
+            monkeypatch.setattr(native, "kernels", lambda: None)
+        decoder = get_component("decoder", kind).build(scaled_code, max_iterations=6)
+        llrs = 2.0 + 2.5 * rng.normal(size=(9, scaled_code.block_length))
+        full = decode_frames(decoder, llrs)
+        lean = decode_frames(decoder, llrs, posterior=False)
+        assert full.posterior_llrs is not None and lean.posterior_llrs is None
+        assert np.array_equal(lean.bits, full.bits)
+        assert np.array_equal(lean.converged, full.converged)
+        assert np.array_equal(lean.iterations, full.iterations)
+        assert 0 < full.iterations.sum()
+
+    @pytest.mark.parametrize("wrapper", [DecodeOnly, DecodeBatchOnly])
+    @pytest.mark.parametrize("shortened", [False, True], ids=["plain", "shortened"])
+    def test_a_decoder_without_the_request_counts_as_the_built_in_one(
+        self, wrapper, shortened, scaled_code, scaled_encoder
+    ):
+        code = scaled_code
+        if shortened:
+            code = ShortenedCode.from_encoder(
+                scaled_code, scaled_encoder, info_bits=scaled_code.dimension - 8
+            )
+        config = SimulationConfig(max_frames=40, target_frame_errors=41, batch_frames=10)
+
+        def point(decoder):
+            return MonteCarloSimulator(code, decoder, config=config, rng=21).run_point(3.5)
+
+        want = point(NormalizedMinSumDecoder(scaled_code, max_iterations=8))
+        got = point(wrapper(NormalizedMinSumDecoder(scaled_code, max_iterations=8)))
+        assert got == want
+        assert 0 < want.info_bit_errors < want.bit_errors
+
+
+def test_a_warmed_64_frame_c2_run_batch_peaks_under_2_mib(native_backend):
+    """With a 4.2 MB posterior from the decoder, a ``(batch, n)`` error array
+    and a ``(batch, k)`` information-bit gather, a warmed 64-frame C2 batch
+    peaked at 6.00 MiB.  Now the LLR buffer, allocated by the warm-up, is its
+    only float64 array of that size: the information bits, the codewords and
+    the hard decisions, about 0.5 MB each, are what remains."""
+    code = build_ccsds_c2_code()
+    decoder = get_component("decoder", "nms").build(code, max_iterations=18, alpha=1.25)
+    simulator = MonteCarloSimulator(
+        code, decoder, config=SimulationConfig(batch_frames=64), rng=1
+    )
+    sigma = simulator.sigma_for(3.7)
+    simulator.run_batch(64, sigma, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        for seed in range(3):
+            simulator.run_batch(64, sigma, np.random.default_rng(seed))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
