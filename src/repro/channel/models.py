@@ -210,11 +210,8 @@ class BSCChannelModel(ChannelModel):
     ) -> npt.NDArray[np.float64]:
         arr = np.asarray(symbols, dtype=np.float64)
         p = self.crossover_probability(sigma, amplitude=amplitude)
-        transmitted = arr <= 0.0  # noiseless hard decision == transmitted bit
-        flipped = transmitted ^ (rng.random(size=arr.shape) < p)
-        magnitude = math.log1p(-p) - math.log(p)  # log((1-p)/p), stable for tiny p
-        llrs: npt.NDArray[np.float64] = np.where(flipped, -magnitude, magnitude)
-        return llrs
+        # The noiseless hard decision is the transmitted bit.
+        return _bsc_llrs(arr <= 0.0, p, rng, np.empty(arr.shape, dtype=np.float64))
 
     def bpsk_llrs(
         self,
@@ -231,23 +228,37 @@ class BSCChannelModel(ChannelModel):
         ``None`` allocates one.  Bit for bit
         ``self.llrs(BPSKModulator(amplitude).modulate(bits), sigma, rng,
         amplitude=amplitude)``, from the same draws, with no float64 array
-        of the batch's size besides ``out``:
-
-        * ``rng.random(out=llrs)`` draws the stream that
-          ``rng.random(size=...)`` draws;
-        * a positive amplitude sends bit 1, and only it, to a symbol
-          ``<= 0``, so the flipped hard decisions are ``(draw < p) != bit``;
-        * ``llrs`` takes ``-log((1-p)/p)`` where they are set and
-          ``+log((1-p)/p)`` elsewhere.
+        of the batch's size besides ``out``: a positive amplitude sends bit
+        1, and only it, to a symbol ``<= 0``, so both hand the transmitted
+        bits to the same two-level map.
         """
         arr = check_binary_array("bits", bits, copy=False)
         llrs = check_llr_buffer(out, arr.shape)
         p = self.crossover_probability(sigma, amplitude=amplitude)
-        magnitude = math.log1p(-p) - math.log(p)
-        rng.random(out=llrs)
-        flipped = llrs < p
-        np.not_equal(flipped, arr, out=flipped)
-        llrs.fill(magnitude)
-        np.copyto(llrs, -magnitude, where=flipped)
-        return llrs
+        return _bsc_llrs(arr, p, rng, llrs)
+
+
+def _bsc_llrs(
+    bits: npt.NDArray[np.bool_] | npt.NDArray[np.uint8],
+    p: float,
+    rng: np.random.Generator,
+    out: npt.NDArray[np.float64],
+) -> npt.NDArray[np.float64]:
+    """Two-level LLRs of the transmitted 0/1 ``bits`` over a BSC, in ``out``.
+
+    * ``rng.random(out=out)`` draws the stream that
+      ``rng.random(size=out.shape)`` draws;
+    * a bit is flipped where its draw is below ``p``, so the received hard
+      decisions are ``(draw < p) != bit``;
+    * ``out`` takes ``-log((1-p)/p)`` where they are set and
+      ``+log((1-p)/p)`` elsewhere.
+    """
+    magnitude = math.log1p(-p) - math.log(p)  # log((1-p)/p), stable for tiny p
+    rng.random(out=out)
+    flipped = np.empty(out.shape, dtype=np.bool_)
+    np.less(out, p, out=flipped)
+    np.not_equal(flipped, bits, out=flipped)
+    out.fill(magnitude)
+    np.copyto(out, -magnitude, where=flipped)
+    return out
 

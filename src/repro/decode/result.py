@@ -42,15 +42,17 @@ class DecodeResult:
 
         Single-frame results are promoted to one-frame batches first, so a
         list built by a per-frame fallback loop stacks into exactly the
-        arrays a native ``decode_batch`` call would have produced.
+        arrays a native ``decode_batch`` call would have produced.  The
+        stacked posterior is ``None`` when any result has none.
         """
         if not results:
             raise ValueError("cannot stack an empty list of results")
+        posteriors = [r.posterior_llrs for r in results]
         return cls(
             bits=np.concatenate([np.atleast_2d(r.bits) for r in results], axis=0),
-            posterior_llrs=np.concatenate(
-                [np.atleast_2d(r.posterior_llrs) for r in results], axis=0
-            ),
+            posterior_llrs=None
+            if any(p is None for p in posteriors)
+            else np.concatenate([np.atleast_2d(p) for p in posteriors], axis=0),
             converged=np.concatenate(
                 [np.atleast_1d(r.converged) for r in results], axis=0
             ).astype(bool),
@@ -82,7 +84,7 @@ class DecodeResult:
             return self
         return DecodeResult(
             bits=self.bits[0],
-            posterior_llrs=self.posterior_llrs[0],
+            posterior_llrs=None if self.posterior_llrs is None else self.posterior_llrs[0],
             converged=np.asarray(self.converged).reshape(-1)[0:1].reshape(()),
             iterations=np.asarray(self.iterations).reshape(-1)[0:1].reshape(()),
         )

@@ -230,22 +230,21 @@ class MonteCarloSimulator:
         else:
             self._counted_positions = None
             self._bits_per_frame = int(self._base_code.block_length)
-        # Information positions for the info-bit BER (only known when the
-        # systematic encoder was built).  A plain code counts their errors as
-        # all errors minus those at its other, parity positions: a C2 frame
-        # has 1,020 of those against 7,156 information bits.
-        self._info_positions: np.ndarray | None = None
+        # The info-bit BER (only known when the systematic encoder was built)
+        # counts the transmitted information positions, and their errors as
+        # all counted errors minus those at the encoder's parity positions,
+        # which a shortened code transmits too (its virtual fill lies on
+        # information positions): a C2 frame has 1,020 parity positions
+        # against 7,156 information bits.
+        self._info_bits_per_frame = 0
         self._parity_positions: np.ndarray | None = None
         if self._encoder is not None:
-            info_positions = np.asarray(self._encoder.information_positions, dtype=np.int64)
+            info_positions = self._encoder.information_positions
             if self._shortened is not None:
                 transmitted = self._shortened.transmitted_positions()
                 info_positions = info_positions[np.isin(info_positions, transmitted)]
-            else:
-                self._parity_positions = np.setdiff1d(
-                    np.arange(self.block_length), info_positions
-                )
-            self._info_positions = info_positions
+            self._info_bits_per_frame = int(info_positions.size)
+            self._parity_positions = self._encoder.parity_positions
 
     # ------------------------------------------------------------------ #
     @property
@@ -363,10 +362,10 @@ class MonteCarloSimulator:
 
         The errors are formed in ``codewords``, which the batch allocated
         and nothing reads after the count, as ``codewords != bits`` through
-        a boolean view of them; the decoder's bits are not written.  A
-        plain code counts its information-bit errors as all errors minus
-        those at its parity positions; a shortened code gathers its
-        transmitted and information positions.
+        a boolean view of them; the decoder's bits are not written.  The
+        information-bit errors are the counted errors minus those at the
+        encoder's parity positions; a shortened code gathers its transmitted
+        positions for the counted ones.
 
         The reduction runs through
         :meth:`~repro.sim.statistics.ErrorCounter.update_batch`, the single
@@ -382,13 +381,10 @@ class MonteCarloSimulator:
             counted = errors
         errors_per_frame = counted.sum(axis=1)
         info_bit_errors = info_bits = 0
-        if self._info_positions is not None:
-            info_bits = batch * int(self._info_positions.size)
-            if self._parity_positions is not None:
-                parity_errors = int(errors[:, self._parity_positions].sum())
-                info_bit_errors = int(errors_per_frame.sum()) - parity_errors
-            else:
-                info_bit_errors = int(errors[:, self._info_positions].sum())
+        if self._parity_positions is not None:
+            info_bits = batch * self._info_bits_per_frame
+            parity_errors = int(errors[:, self._parity_positions].sum())
+            info_bit_errors = int(errors_per_frame.sum()) - parity_errors
         counter = ErrorCounter()
         counter.update_batch(
             errors_per_frame,

@@ -387,3 +387,26 @@ class TestDecodeResultStack:
     def test_stack_empty_rejected(self):
         with pytest.raises(ValueError):
             DecodeResult.stack([])
+
+    def test_a_result_without_a_posterior_stacks_to_none(self, scaled_code, scaled_encoder, rng):
+        _, llrs = noisy_llrs(scaled_encoder, 3, 4.0, rng)
+        decoder = NormalizedMinSumDecoder(scaled_code, max_iterations=4)
+        full = decoder.decode_batch(llrs)
+        lean = decode_frames(decoder, llrs, posterior=False)
+        assert lean.posterior_llrs is None
+        stacked = DecodeResult.stack([full, lean])
+        assert stacked.posterior_llrs is None
+        np.testing.assert_array_equal(stacked.bits, np.concatenate([full.bits, full.bits]))
+        np.testing.assert_array_equal(
+            stacked.iterations, np.concatenate([full.iterations, full.iterations])
+        )
+
+    def test_a_result_without_a_posterior_squeezes_to_none(self, scaled_code, scaled_encoder, rng):
+        _, llrs = noisy_llrs(scaled_encoder, 1, 4.0, rng)
+        decoder = NormalizedMinSumDecoder(scaled_code, max_iterations=4)
+        full = decoder.decode(llrs[0])
+        lean = decode_frames(decoder, llrs, posterior=False).squeeze()
+        assert lean.posterior_llrs is None
+        np.testing.assert_array_equal(lean.bits, full.bits)
+        assert lean.converged == full.converged
+        assert lean.iterations == full.iterations
